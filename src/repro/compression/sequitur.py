@@ -22,6 +22,10 @@ digram index before acting, which keeps the cascade logic simple and
 verifiable; the classic recursive formulation is notoriously easy to get
 subtly wrong.
 
+The order of those edits is part of the output: rule ids are allocated
+as rules are created, and WHOMP serializes ids and right-hand sides, so
+any rewrite of the hot path must replay exactly the same edits.
+
 Terminals may be any hashable value; the profilers feed integers.
 """
 
@@ -35,25 +39,27 @@ Terminal = Hashable
 class _Symbol:
     """A node in a rule's doubly linked symbol list.
 
-    ``value`` is a terminal or a :class:`Rule` (a non-terminal).  Guard
-    nodes -- the circular sentinels heading each rule -- carry the rule
-    itself as value and are recognized via ``is_guard``.  ``alive``
-    turns False when the node is unlinked, letting queued work detect
-    stale references.
+    ``value`` is a terminal or a :class:`Rule` (a non-terminal, flagged
+    by ``is_nonterminal``).  Guard nodes -- the circular sentinels
+    heading each rule -- carry the rule itself as value and are
+    recognized via ``is_guard``.  ``alive`` turns False when the node is
+    unlinked, letting queued work detect stale references.
     """
 
-    __slots__ = ("value", "prev", "next", "is_guard", "alive")
+    __slots__ = ("value", "prev", "next", "is_guard", "is_nonterminal", "alive")
 
-    def __init__(self, value: Union[Terminal, "Rule"], is_guard: bool = False) -> None:
+    def __init__(
+        self,
+        value: Union[Terminal, "Rule"],
+        is_nonterminal: bool = False,
+        is_guard: bool = False,
+    ) -> None:
         self.value = value
         self.prev: Optional["_Symbol"] = None
         self.next: Optional["_Symbol"] = None
         self.is_guard = is_guard
+        self.is_nonterminal = is_nonterminal
         self.alive = True
-
-    @property
-    def is_nonterminal(self) -> bool:
-        return isinstance(self.value, Rule) and not self.is_guard
 
 
 class Rule:
@@ -80,14 +86,6 @@ class Rule:
     @property
     def first(self) -> _Symbol:
         return self.guard.next  # type: ignore[return-value]
-
-    @property
-    def last(self) -> _Symbol:
-        return self.guard.prev  # type: ignore[return-value]
-
-    @property
-    def empty(self) -> bool:
-        return self.guard.next is self.guard
 
     def symbols(self) -> Iterable[_Symbol]:
         node = self.first
@@ -127,11 +125,12 @@ def _encoded_terminal_len(value: Terminal) -> int:
 Digram = Tuple[Hashable, Hashable]
 
 
-def _digram_key(left: _Symbol, right: _Symbol) -> Digram:
-    """Hashable identity of a digram; rules key by their id."""
-    lk = ("R", left.value.id) if left.is_nonterminal else ("T", left.value)
-    rk = ("R", right.value.id) if right.is_nonterminal else ("T", right.value)
-    return (lk, rk)
+def _digram_key(left: _Symbol) -> Digram:
+    """Hashable identity of the digram starting at ``left``: the pair of
+    symbol values.  A :class:`Rule` hashes and compares by identity, so
+    it never collides with a terminal or another rule (a key holds its
+    rule alive).  :meth:`SequiturGrammar.feed` inlines this expression."""
+    return (left.value, left.next.value)  # type: ignore[union-attr]
 
 
 class SequiturGrammar:
@@ -154,12 +153,44 @@ class SequiturGrammar:
     # -- public API ----------------------------------------------------
 
     def feed(self, token: Terminal) -> None:
-        """Append one terminal to the input sequence."""
+        """Append one terminal to the input sequence, then process
+        queued digram positions until the grammar is stable.
+
+        This is the hot path, so the digram-uniqueness check is inlined
+        here; only a real repeat leaves the loop (:meth:`_handle_match`).
+        A registered occurrence is trusted only while it is still a live
+        occurrence of its key.
+        """
         self._tokens_fed += 1
+        guard = self.start.guard
+        last = guard.prev
         new = _Symbol(token)
-        self._insert_after(self.start.last, new)
-        self._pending.append(new.prev)  # type: ignore[arg-type]
-        self._drain()
+        new.prev = last
+        new.next = guard
+        last.next = new  # type: ignore[union-attr]
+        guard.prev = new
+        digrams = self._digrams
+        pending = self._pending
+        pending.append(last)  # type: ignore[arg-type]
+        while pending:
+            left = pending.pop()
+            if not left.alive or left.is_guard:
+                continue
+            right = left.next
+            if right.is_guard:
+                continue
+            key = (left.value, right.value)  # _digram_key(left)
+            match = digrams.get(key)
+            if match is left:
+                continue
+            if match is None or not match.alive:
+                digrams[key] = left
+                continue
+            match_right = match.next
+            if match_right.is_guard or (match.value, match_right.value) != key:
+                digrams[key] = left
+            elif match_right is not left and right is not match:
+                self._handle_match(left, match)  # not overlapping ("aaa")
 
     def feed_all(self, tokens: Iterable[Terminal]) -> None:
         for token in tokens:
@@ -278,7 +309,7 @@ class SequiturGrammar:
             for symbol in rhs:
                 if isinstance(symbol, Ref):
                     try:
-                        node = _Symbol(rules[symbol.rule_id])
+                        node = _Symbol(rules[symbol.rule_id], is_nonterminal=True)
                     except KeyError:
                         raise ValueError(
                             f"R{rule_id} references undefined R{symbol.rule_id}"
@@ -289,7 +320,7 @@ class SequiturGrammar:
         for rule_id in sorted(rules):
             node = rules[rule_id].first
             while not node.is_guard and not node.next.is_guard:
-                grammar._digrams.setdefault(_digram_key(node, node.next), node)
+                grammar._digrams.setdefault(_digram_key(node), node)
                 node = node.next
         return grammar
 
@@ -309,7 +340,7 @@ class SequiturGrammar:
         for rule in self.rules():
             node = rule.first
             while not node.is_guard and not node.next.is_guard:
-                key = _digram_key(node, node.next)
+                key = _digram_key(node)
                 first = seen.get(key)
                 if first is None:
                     seen[key] = node
@@ -322,7 +353,7 @@ class SequiturGrammar:
             if rule is not self.start:
                 assert rule.refcount >= 2, f"rule utility violated for R{rule.id}"
 
-    # -- structural edits (no invariant logic here) -----------------------
+    # -- structural edits ------------------------------------------------
 
     def _new_rule(self) -> Rule:
         rule = Rule(self._next_rule_id)
@@ -337,151 +368,125 @@ class SequiturGrammar:
         if new.is_nonterminal:
             new.value.refs.add(new)
 
-    def _unlink(self, node: _Symbol) -> None:
-        node.prev.next = node.next  # type: ignore[union-attr]
-        node.next.prev = node.prev  # type: ignore[union-attr]
-        node.alive = False
-        if node.is_nonterminal:
-            node.value.refs.discard(node)
-
-    def _forget_digram(self, left: _Symbol) -> None:
-        """Drop the digram starting at ``left`` from the index if it is
-        the registered occurrence.
-
-        An *overlapping* second occurrence of the same key (the ``aaa``
-        case) may exist unregistered in the shadow of this one; queue
-        the neighbours so it gets re-checked once the edit completes.
-        """
-        right = left.next
-        if left.is_guard or right is None or right.is_guard:
-            return
-        key = _digram_key(left, right)
-        if self._digrams.get(key) is left:
-            del self._digrams[key]
-            self._pending.append(left.prev)  # type: ignore[arg-type]
-            self._pending.append(right)
-
     # -- invariant enforcement -------------------------------------------
-
-    def _drain(self) -> None:
-        """Process queued digram positions until the grammar is stable."""
-        while self._pending:
-            node = self._pending.pop()
-            if not node.alive or node.is_guard:
-                continue
-            self._check(node)
-
-    def _valid_registration(self, key: Digram, node: _Symbol) -> bool:
-        """Whether ``node`` still is a live occurrence of ``key``."""
-        if not node.alive or node.is_guard:
-            return False
-        right = node.next
-        if right is None or right.is_guard:
-            return False
-        return _digram_key(node, right) == key
-
-    def _check(self, left: _Symbol) -> None:
-        """Enforce digram uniqueness for the digram starting at ``left``."""
-        right = left.next
-        if left.is_guard or right is None or right.is_guard:
-            return
-        key = _digram_key(left, right)
-        match = self._digrams.get(key)
-        if match is None or not self._valid_registration(key, match):
-            self._digrams[key] = left
-            return
-        if match is left:
-            return
-        if match.next is left or left.next is match:
-            return  # overlapping occurrence ("aaa"): leave it
-        self._handle_match(left, match)
+    #
+    # Every edit forgets the digrams it destroys: a forgotten digram
+    # drops out of the index if its registered occurrence is the one
+    # destroyed, and then its neighbours are queued, because an
+    # *overlapping* second occurrence of the same key (the ``aaa`` case)
+    # may sit unregistered in its shadow.  Symbols that the edit unlinks
+    # are not queued; the drain loop would skip them anyway.
 
     def _handle_match(self, new_left: _Symbol, old_left: _Symbol) -> None:
         """Rewrite two non-overlapping occurrences of one digram."""
-        old_right = old_left.next
-        assert old_right is not None
-        if (
-            old_left.prev.is_guard  # type: ignore[union-attr]
-            and old_right.next.is_guard  # type: ignore[union-attr]
-        ):
+        digrams = self._digrams
+        pending = self._pending
+        old_right: _Symbol = old_left.next  # type: ignore[assignment]
+        if old_left.prev.is_guard and old_right.next.is_guard:  # type: ignore[union-attr]
             # The registered occurrence is exactly an existing rule's
             # whole body: reuse that rule.
             rule: Rule = old_left.prev.value  # type: ignore[union-attr]
-            self._substitute(new_left, rule)
-            self._maybe_inline_head(rule)
-            return
-        rule = self._new_rule()
-        body_left = _Symbol(old_left.value)
-        body_right = _Symbol(old_right.value)
-        self._insert_after(rule.guard, body_left)
-        self._insert_after(body_left, body_right)
-        self._digrams[_digram_key(body_left, body_right)] = body_left
-        # Replace the old occurrence first, then the new one.  Inlining
-        # triggered by the first substitution can consume the second
-        # occurrence (when it was the sole reference to an inlined
-        # rule); the liveness flag detects that.
-        self._substitute(old_left, rule)
-        if new_left.alive:
-            self._substitute(new_left, rule)
-        self._maybe_inline_head(rule)
+            targets: Tuple[_Symbol, ...] = (new_left,)
+        else:
+            rule = self._new_rule()
+            body_left = _Symbol(old_left.value, old_left.is_nonterminal)
+            body_right = _Symbol(old_right.value, old_right.is_nonterminal)
+            self._insert_after(rule.guard, body_left)
+            self._insert_after(body_left, body_right)
+            digrams[(body_left.value, body_right.value)] = body_left
+            # Replace the old occurrence first, then the new one.
+            # Inlining triggered by the first substitution can consume
+            # the second occurrence (when it was the sole reference to
+            # an inlined rule); the liveness flag detects that.
+            targets = (old_left, new_left)
+        for left in targets:
+            if not left.alive:
+                continue
+            # Substitute a reference to ``rule`` for the digram
+            # (left, right), forgetting the three digrams it destroys.
+            right: _Symbol = left.next  # type: ignore[assignment]
+            prev: _Symbol = left.prev  # type: ignore[assignment]
+            after: _Symbol = right.next  # type: ignore[assignment]
+            if not prev.is_guard:
+                key = (prev.value, left.value)
+                if digrams.get(key) is prev:
+                    del digrams[key]
+                    pending.append(prev.prev)  # type: ignore[arg-type]
+            key = (left.value, right.value)
+            if digrams.get(key) is left:
+                del digrams[key]
+                pending.append(prev)
+            if not after.is_guard:
+                key = (right.value, after.value)
+                if digrams.get(key) is right:
+                    del digrams[key]
+                    pending.append(after)
+            left.alive = right.alive = False
+            right.prev = prev  # no dead cycle left for the collector
+            ref = _Symbol(rule, True)
+            ref.prev = prev
+            ref.next = after
+            prev.next = after.prev = ref
+            rule.refs.add(ref)
+            pending.append(prev)
+            pending.append(ref)
+            # Rule utility: the two removed symbols may have dropped
+            # some rule's reference count to one.
+            if left.is_nonterminal:
+                left.value.refs.discard(left)
+            if right.is_nonterminal:
+                right.value.refs.discard(right)
+            if left.is_nonterminal and len(left.value.refs) == 1:
+                self._inline(left.value)
+            if right.is_nonterminal and len(right.value.refs) == 1:
+                self._inline(right.value)
+        # So may the rule's two body symbols.
+        first: _Symbol = rule.guard.next  # type: ignore[assignment]
+        last: _Symbol = rule.guard.prev  # type: ignore[assignment]
+        if first.alive and first.is_nonterminal and len(first.value.refs) == 1:
+            self._inline(first.value)
+        if last.alive and last.is_nonterminal and len(last.value.refs) == 1:
+            self._inline(last.value)
 
-    def _substitute(self, left: _Symbol, rule: Rule) -> None:
-        """Replace the digram starting at ``left`` with a reference to
-        ``rule`` and queue the changed boundaries."""
-        right = left.next
-        prev = left.prev
-        assert right is not None and prev is not None
-        self._forget_digram(prev)
-        self._forget_digram(left)
-        self._forget_digram(right)
-        self._unlink(left)
-        self._unlink(right)
-        ref = _Symbol(rule)
-        self._insert_after(prev, ref)
-        self._pending.append(prev)
-        self._pending.append(ref)
-        # Rule utility: removing the two symbols may have dropped some
-        # rule's reference count to one.
-        self._maybe_inline(left)
-        self._maybe_inline(right)
+    def _inline(self, rule: Rule) -> None:
+        """Rule utility: splice a rule referenced once into its sole
+        referencing position; the rule is dead afterwards.
 
-    def _maybe_inline_head(self, rule: Rule) -> None:
-        """After substitutions into ``rule``, its body symbols may now be
-        the sole reference to some other rule; check both body symbols
-        that formed the digram."""
-        for symbol in (rule.first, rule.last):
-            if symbol.alive and not symbol.is_guard:
-                self._maybe_inline(symbol)
-
-    def _maybe_inline(self, removed: _Symbol) -> None:
-        """Rule utility: inline a rule whose refcount dropped to one.
-
-        ``removed`` only supplies the rule identity (``removed.value``);
-        the body's symbol nodes move wholesale into the referencing
-        rule, so their digram registrations stay valid.  Only the two
-        boundary digrams around the reference change; they are queued.
+        The body's symbol nodes move wholesale, so their digram
+        registrations stay valid.  Only the two boundary digrams around
+        the reference change; they are queued.
         """
-        if not removed.is_nonterminal:
-            return
-        rule: Rule = removed.value
-        if rule.refcount != 1:
-            return
-        ref = next(iter(rule.refs))
-        prev, next_node = ref.prev, ref.next
-        assert prev is not None and next_node is not None
-        self._forget_digram(prev)
-        self._forget_digram(ref)
-        first, last = rule.first, rule.last
-        self._unlink(ref)  # rule's refcount drops to zero: rule is dead
-        if rule.empty:
-            self._pending.append(prev)
+        digrams = self._digrams
+        pending = self._pending
+        (ref,) = rule.refs
+        prev: _Symbol = ref.prev  # type: ignore[assignment]
+        next_node: _Symbol = ref.next  # type: ignore[assignment]
+        if not prev.is_guard:
+            key = (prev.value, rule)
+            if digrams.get(key) is prev:
+                del digrams[key]
+                pending.append(prev.prev)  # type: ignore[arg-type]
+        if not next_node.is_guard:
+            key = (rule, next_node.value)
+            if digrams.get(key) is ref:
+                del digrams[key]
+                pending.append(prev)
+                pending.append(next_node)
+        ref.alive = False
+        rule.refs.clear()
+        guard = rule.guard
+        first, last = guard.next, guard.prev
+        if first is guard:
+            prev.next = next_node
+            next_node.prev = prev
+            pending.append(prev)
             return
         prev.next = first
-        first.prev = prev
-        last.next = next_node
+        first.prev = prev  # type: ignore[union-attr]
+        last.next = next_node  # type: ignore[union-attr]
         next_node.prev = last
-        self._pending.append(prev)
-        self._pending.append(last)
+        pending.append(prev)
+        pending.append(last)  # type: ignore[arg-type]
 
 
 class Ref:

@@ -1,5 +1,6 @@
 """Tests for the Sequitur grammar compressor."""
 
+import pickle
 import random
 
 import pytest
@@ -63,11 +64,45 @@ class TestRoundTrip:
             incremental.feed(token)
         batch = compress(sequence)
         assert incremental.expand() == batch.expand()
+        assert incremental.to_productions() == batch.to_productions()
 
     def test_hashable_nonint_terminals(self):
         sequence = [("I", 1), ("A", 0x100)] * 20
         grammar = compress(sequence)
         assert grammar.expand() == sequence
+
+
+class TestRestoreThenFeed:
+    """A restored grammar must keep matching its own digrams: the index
+    :meth:`SequiturGrammar.from_productions` re-derives has to use the
+    same key shape as :meth:`SequiturGrammar.feed`."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_feed_after_pickle_round_trip(self, seed):
+        rng = random.Random(seed)
+        alphabet = [rng.randint(-3, 3) for __ in range(3)] + [("x", 1), ("x", 2)]
+        motif = [rng.choice(alphabet) for __ in range(5)]
+        sequence = []
+        while len(sequence) < 600:
+            sequence.extend(motif if rng.random() < 0.5 else [rng.choice(alphabet)])
+        split = rng.randint(0, len(sequence))
+        grammar = compress(sequence[:split])
+        restored = pickle.loads(pickle.dumps(grammar))
+        assert restored.to_productions() == grammar.to_productions()
+        restored.feed_all(sequence[split:])
+        assert restored.expand() == sequence
+        assert restored.tokens_fed == len(sequence)
+        restored.check_invariants()
+
+    def test_restored_index_recognizes_repeats(self):
+        grammar = compress([1, 2, 3, 9])
+        restored = pickle.loads(pickle.dumps(grammar))
+        restored.feed_all([1, 2, 3])
+        # (1, 2) and (2, 3) repeat: a restored index that missed them
+        # would leave the start rule at seven terminals
+        assert restored.rule_count() == 2
+        assert len(restored.to_productions()[restored.start.id]) == 3
+        restored.check_invariants()
 
 
 class TestCompression:
