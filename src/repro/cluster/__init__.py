@@ -10,11 +10,10 @@ back quorum-less with digest verification and read-repair.  The
 rebalances, drains, and load-tests a cluster.
 """
 
-from repro.cluster.health import DigestMerger, RingState, ShardHealthTable
+from repro.cluster.health import RingState, ShardHealthTable
 from repro.cluster.ring import HashRing
 
 __all__ = [
-    "DigestMerger",
     "HashRing",
     "RingState",
     "ShardHealthTable",

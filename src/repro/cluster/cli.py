@@ -5,7 +5,7 @@ Subcommands::
     repro-cluster serve --root DIR [--shards N] [--replicas 2] [...]
         Spawn N supervised shard processes and front them with the
         consistent-hash router (foreground; SIGTERM/Ctrl-C drains the
-        shards and exits).
+        router and the shards and exits 0).
 
     repro-cluster status --url URL
         Pretty-print the router's /clusterz.
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drain-deadline", type=float, default=3.0, metavar="SECS",
-        help="per-shard graceful-shutdown deadline",
+        help="graceful-shutdown deadline of the router and each shard",
     )
     serve.add_argument(
         "--trace-out", metavar="PATH",
@@ -126,6 +126,7 @@ def _http_json(url: str, method: str = "GET", timeout: float = 30.0):
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.cluster.router import ClusterRouter
     from repro.cluster.supervisor import ShardSupervisor
+    from repro.store.service import serve_until_terminated
 
     events = EventLog(path=args.trace_out)
     router = ClusterRouter(
@@ -145,7 +146,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         on_address_change=router.attach_shard,
     )
     router.supervisor = supervisor
-    host, port = router.address
     print(
         f"cluster router for {args.root} on {router.url} "
         f"({args.shards} shards, {args.replicas} replicas)",
@@ -160,22 +160,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 1
     for name, url in sorted(supervisor.addresses().items()):
         print(f"shard {name} at {url}", flush=True)
-    print(f"listening {host}:{port}", flush=True)
-
-    class _Terminated(Exception):
-        pass
-
-    def _on_sigterm(signum, frame):
-        raise _Terminated()
-
-    previous = signal.signal(signal.SIGTERM, _on_sigterm)
     try:
-        router.serve_forever()
-    except (KeyboardInterrupt, _Terminated):
-        pass
+        serve_until_terminated(router, args.drain_deadline)
     finally:
-        signal.signal(signal.SIGTERM, previous)
-        router.stop()
         supervisor.stop()
     return 0
 

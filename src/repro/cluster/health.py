@@ -1,6 +1,6 @@
 """Shared cluster state: ring membership, shard health, merged metrics.
 
-Three small thread-safe classes, each one lock around one concern, all
+Two small thread-safe classes, each one lock around one concern, both
 registered in REPROLINT's shared-class seed set (daemon handler
 threads, the health-probe thread, and the supervisor callback all
 touch them):
@@ -10,10 +10,10 @@ touch them):
   synchronized-externally and never escapes the lock);
 * :class:`ShardHealthTable` -- what the router believes about each
   shard: address, pid, liveness, drain state, restart count, run
-  count, last error;
-* :class:`DigestMerger` -- the router's latency accounting plus the
-  cluster-level merge of per-shard
-  :class:`~repro.obs.quantiles.QuantileDigest` wire forms.
+  count, last error.
+
+The router's latency accounting and the cluster-level merge of
+per-shard digests is :class:`~repro.obs.quantiles.DigestMerger`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.obs.quantiles import QuantileDigest
 
 
 class RingState:
@@ -190,51 +189,3 @@ class ShardHealthTable:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         with self._lock:
             return {name: dict(row) for name, row in self._shards.items()}
-
-
-class DigestMerger:
-    """Keyed latency digests, observable locally and mergeable remotely.
-
-    The router observes its own request latencies per endpoint and
-    absorbs each shard's ``latency_digests`` wire forms (from
-    ``/metricsz?digests=1``) into the same keyed table, yielding the
-    cluster-level p50/p95/p99 without shipping raw samples.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._digests: Dict[str, QuantileDigest] = {}
-
-    def observe(self, key: str, seconds: float) -> None:
-        with self._lock:
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = QuantileDigest()
-            digest.observe(seconds)
-
-    def absorb(self, plains: Dict[str, object]) -> None:
-        """Merge a ``{key: QuantileDigest.to_plain()}`` table in."""
-        for key, plain in plains.items():
-            incoming = QuantileDigest.from_plain(plain)
-            with self._lock:
-                digest = self._digests.get(key)
-                if digest is None:
-                    self._digests[key] = incoming
-                else:
-                    digest.merge(incoming)
-
-    def summaries(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            return {
-                key: digest.summary()
-                for key, digest in self._digests.items()
-                if digest.count
-            }
-
-    def plains(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                key: digest.to_plain()
-                for key, digest in self._digests.items()
-                if digest.count
-            }

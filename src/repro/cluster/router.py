@@ -34,9 +34,12 @@ Endpoints (all JSON unless noted)::
                              replicas
     POST /drain?shard=NAME   remove from ring, rebalance its data away
 
-Trace propagation: an inbound ``X-Repro-Trace`` runs the request under
-a child context, and every shard call carries the child's header, so
-one trace id links the client, the router, and every shard touched.
+The HTTP shell (handler, lifecycle, drain, trace join, latency
+digests, access log) is :class:`~repro.store.service.HttpService`,
+shared with the shard daemon.  Trace propagation: an inbound
+``X-Repro-Trace`` runs the request under a child context, and every
+shard call carries the child's header, so one trace id links the
+client, the router, and every shard touched.
 """
 
 from __future__ import annotations
@@ -47,24 +50,21 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
+from urllib.parse import urlencode, urlsplit
 
-from repro.cluster.health import DigestMerger, RingState, ShardHealthTable
+from repro.cluster.health import RingState, ShardHealthTable
 from repro.cluster.ring import DEFAULT_VNODES
-from repro.core.binformat import StreamReader
-from repro.core.profile_io import ProfileFormatError, document_from_bytes
-from repro.obs.context import TRACE_HEADER, TraceContext, activate, current_header
+from repro.core.profile_io import document_from_bytes
+from repro.obs.context import TRACE_HEADER, current_header
 from repro.obs.events import EventLog
+from repro.obs.quantiles import DigestMerger
 from repro.store.blobs import sha256_hex
 from repro.store.diff import detect_regressions, diff_blobs
-from repro.store.httpbody import RequestError, iter_body, read_body
-from repro.store.server import RawBody
-from repro.telemetry import Telemetry, coalesce
-
-#: cap on one routed request body (matches the shard daemon's default)
-DEFAULT_MAX_BODY_BYTES = 64 << 20
+from repro.store.httpbody import RequestError
+from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
+from repro.telemetry import Telemetry
 
 #: seconds between background health probes of every shard
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -77,8 +77,10 @@ def is_digest(selector: str) -> bool:
     return len(selector) == 64 and set(selector) <= _HEX
 
 
-class ClusterRouter:
+class ClusterRouter(HttpService):
     """The routing daemon; shards are attached by name + URL."""
+
+    metric_prefix = "router.http"
 
     def __init__(
         self,
@@ -95,59 +97,25 @@ class ClusterRouter:
     ) -> None:
         self.ring = RingState(replicas=replicas, vnodes=vnodes)
         self.health = ShardHealthTable()
-        self.latency = DigestMerger()
-        self.telemetry = coalesce(telemetry)
-        self.events = events if events is not None else EventLog(path=trace_out)
-        self.max_body_bytes = max_body_bytes
         self.shard_timeout = shard_timeout
         self.probe_interval = probe_interval
-        self.started = time.time()
         #: optional ShardSupervisor, wired by the CLI so /drain and
         #: /clusterz can reach the shard processes
         self.supervisor = None
-        self._metrics_lock = threading.Lock()
         self._repairs = 0
-        self._requests = 0
-        self._errors = 0
         self._local = threading.local()
         # replica writes fan out concurrently; a persistent pool keeps
         # each worker's per-thread keep-alive connections warm
         self._write_pool = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="replica-write"
         )
-
-        router = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def log_message(self, format, *args):  # noqa: A002
-                pass
-
-            def do_GET(self):  # noqa: N802
-                router.handle(self, "GET")
-
-            def do_POST(self):  # noqa: N802
-                router.handle(self, "POST")
-
-        self.httpd = ThreadingHTTPServer((host, port), Handler)
-        self.httpd.daemon_threads = True
-        self._lifecycle_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
         self._probe_stop = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
+        super().__init__(
+            host, port, telemetry, trace_out, events, max_body_bytes
+        )
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[0], self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     def attach_shard(
         self,
@@ -164,20 +132,13 @@ class ClusterRouter:
             self.ring.add(name)
 
     def start(self) -> "ClusterRouter":
-        with self._lifecycle_lock:
-            if self._thread is not None:
-                raise RuntimeError("router is already started")
-            thread = threading.Thread(
-                target=self.httpd.serve_forever, daemon=True
-            )
-            self._thread = thread
-        thread.start()
+        super().start()
         self._start_probe()
         return self
 
     def serve_forever(self) -> None:
         self._start_probe()
-        self.httpd.serve_forever()
+        super().serve_forever()
 
     def _start_probe(self) -> None:
         with self._lifecycle_lock:
@@ -190,17 +151,12 @@ class ClusterRouter:
 
     def stop(self) -> None:
         self._probe_stop.set()
-        self.httpd.shutdown()
+        super().stop()
         with self._lifecycle_lock:
-            thread, self._thread = self._thread, None
             probe, self._probe_thread = self._probe_thread, None
-        if thread is not None:
-            thread.join()
         if probe is not None:
             probe.join(timeout=5.0)
-        self.httpd.server_close()
         self._write_pool.shutdown(wait=False)
-        self.events.flush()
 
     def _probe_loop(self) -> None:
         """Poll every shard's /healthz, keeping the health table live.
@@ -329,83 +285,7 @@ class ClusterRouter:
             return {}
         return decoded if isinstance(decoded, dict) else {}
 
-    # -- dispatch (mirrors StoreServer's) ------------------------------
-
-    def handle(self, request: BaseHTTPRequestHandler, method: str) -> None:
-        parsed = urlparse(request.path)
-        endpoint = parsed.path.strip("/").replace("/", "_") or "root"
-        params = {
-            key: values[-1] for key, values in parse_qs(parsed.query).items()
-        }
-        inbound = TraceContext.from_header(request.headers.get(TRACE_HEADER))
-        context = inbound.child() if inbound is not None else None
-        start = time.perf_counter()
-        try:
-            if context is not None:
-                with activate(context):
-                    status, payload = self.route(
-                        request, method, parsed.path, params
-                    )
-            else:
-                status, payload = self.route(
-                    request, method, parsed.path, params
-                )
-        except RequestError as exc:
-            status, payload = exc.status, {"error": str(exc)}
-        except (KeyError, ProfileFormatError, ValueError) as exc:
-            kind = 404 if isinstance(exc, KeyError) else 400
-            status, payload = kind, {"error": str(exc).strip("'\"")}
-        except Exception as exc:  # noqa: BLE001 - the router survives
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        elapsed = time.perf_counter() - start
-        self.latency.observe(endpoint, elapsed)
-        self.latency.observe("*", elapsed)
-        with self._metrics_lock:
-            self._requests += 1
-            if status >= 400:
-                self._errors += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "router.http.requests_total", "requests routed"
-                ).inc()
-                if status >= 400:
-                    self.telemetry.counter(
-                        "router.http.errors_total", "requests answered >= 400"
-                    ).inc()
-        self.events.emit(
-            "request",
-            trace=context.trace_id if context is not None else None,
-            span=context.span_id if context is not None else None,
-            endpoint=endpoint,
-            method=method,
-            status=status,
-            seconds=elapsed,
-        )
-        extra_headers: Dict[str, str] = {}
-        if isinstance(payload, RawBody):
-            content_type = "application/octet-stream"
-            body = payload.data
-            extra_headers = payload.headers
-        elif isinstance(payload, str):
-            content_type = "text/plain; charset=utf-8"
-            body = payload.encode("utf-8")
-        else:
-            content_type = "application/json"
-            body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", content_type)
-            request.send_header("Content-Length", str(len(body)))
-            for name, value in extra_headers.items():
-                request.send_header(name, value)
-            if context is not None:
-                request.send_header(TRACE_HEADER, context.to_header())
-            if method == "POST" and status >= 400:
-                request.send_header("Connection", "close")
-            request.end_headers()
-            request.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+    # -- dispatch ------------------------------------------------------
 
     def route(
         self,
@@ -423,7 +303,11 @@ class ClusterRouter:
         if path == "/tracez" and method == "GET":
             return 200, self._tracez(params.get("trace"))
         if path == "/ingest/stream" and method == "POST":
-            return self._ingest_stream(request, params)
+            status, payload = self._ingest_stream(
+                request, params, self._place_document
+            )
+            payload["degraded"] = status != 201
+            return status, payload
         if path == "/ingest" and method == "POST":
             return self._ingest(request, params)
         if path == "/get" and method == "GET":
@@ -536,15 +420,8 @@ class ClusterRouter:
                 kinds.update(str(k) for k in row.get("kinds") or ())
                 into["kinds"] = sorted(kinds)
 
-            for tid in self.events.trace_ids():
-                records = self.events.records_for_trace(tid)
-                fold(
-                    {
-                        "trace_id": tid,
-                        "records": len(records),
-                        "kinds": sorted({str(r.get("kind")) for r in records}),
-                    }
-                )
+            for row in self._trace_summaries():
+                fold(row)
             for name in self.health.alive_shards():
                 answer = self._try_shard(name, "GET", "/tracez", timeout=5.0)
                 if answer is None or answer[0] != 200:
@@ -585,7 +462,7 @@ class ClusterRouter:
         self, request: BaseHTTPRequestHandler, params: Dict[str, str]
     ) -> Tuple[int, object]:
         workload = self._required(params, "workload")
-        data = read_body(request, self.max_body_bytes)
+        data = self._read_body(request)
         if not data:
             raise RequestError(400, "ingest requires a profile document body")
         digest = sha256_hex(data)
@@ -670,90 +547,24 @@ class ClusterRouter:
         )
         return (201 if not missed else 200), payload
 
-    def _ingest_stream(
-        self, request: BaseHTTPRequestHandler, params: Dict[str, str]
-    ) -> Tuple[int, object]:
-        """Route a BINCAP stream document-by-document.
-
-        Each document is placed and replicated the moment its CRC
-        verifies -- a torn tail loses only the torn document, and the
-        response carries both the stream-level and the replica-level
-        completeness.
-        """
-        default_workload = params.get("workload")
-        reader = StreamReader(max_document_bytes=self.max_body_bytes)
-        ingested: List[Dict[str, object]] = []
-        rejected: List[Dict[str, object]] = []
-        error: Optional[str] = None
-
-        def consume(events) -> None:
-            for event in events:
-                if event[0] == "doc":
-                    __, workload, __meta, blob = event
-                    name = workload or default_workload or "unknown"
-                    digest = sha256_hex(blob)
-                    try:
-                        status, payload = self._write_replicas(
-                            digest, blob, name
-                        )
-                    except RequestError as exc:
-                        rejected.append({"workload": name, "error": str(exc)})
-                        continue
-                    if status >= 400:
-                        rejected.append(
-                            {
-                                "workload": name,
-                                "error": str(payload.get("error")),
-                            }
-                        )
-                        continue
-                    ingested.append(
-                        {
-                            "run_id": payload.get("run_id"),
-                            "digest": digest,
-                            "kind": payload.get("kind"),
-                            "size_bytes": len(blob),
-                            "replicas": payload.get("replicas"),
-                            "capture_completeness": payload.get(
-                                "capture_completeness"
-                            ),
-                        }
-                    )
-                elif event[0] == "torn":
-                    rejected.append({"workload": event[1], "error": event[2]})
-
-        try:
-            for piece in iter_body(request, self.max_body_bytes):
-                consume(reader.feed(piece))
-        except RequestError as exc:
-            error = str(exc)
-        except (ValueError, OSError) as exc:
-            error = str(exc) or type(exc).__name__
-        summary = reader.summary()
-        under_replicated = any(
-            (row.get("capture_completeness") or 0) < 1.0 for row in ingested
-        )
-        degraded = (
-            bool(error)
-            or not summary["complete"]
-            or bool(rejected)
-            or under_replicated
-        )
-        if not ingested and degraded:
-            raise RequestError(
-                400, error or "stream carried no ingestible documents"
-            )
-        payload: Dict[str, object] = {
-            "ingested": ingested,
-            "rejected": rejected,
-            "documents": summary["documents"],
-            "complete": summary["complete"] and not rejected,
-            "capture_completeness": summary["capture_completeness"],
-            "degraded": degraded,
+    def _place_document(
+        self, workload: str, meta: Dict[str, object], blob: bytes
+    ) -> Dict[str, object]:
+        """Place and replicate one streamed document the moment its CRC
+        verifies: a torn tail loses only the torn document, and the row
+        carries the replica-level completeness next to the stream's."""
+        digest = sha256_hex(blob)
+        status, payload = self._write_replicas(digest, blob, workload)
+        if status >= 400:
+            raise RequestError(status, str(payload.get("error")))
+        return {
+            "run_id": payload.get("run_id"),
+            "digest": digest,
+            "kind": payload.get("kind"),
+            "size_bytes": len(blob),
+            "replicas": payload.get("replicas"),
+            "capture_completeness": payload.get("capture_completeness"),
         }
-        if error:
-            payload["error"] = error
-        return (201 if not degraded else 200), payload
 
     # -- reads + read-repair -------------------------------------------
 
@@ -1073,10 +884,3 @@ class ClusterRouter:
         if error is not None:
             out["error"] = error
         return out
-
-    @staticmethod
-    def _required(params: Dict[str, str], name: str) -> str:
-        value = params.get(name)
-        if not value:
-            raise ValueError(f"missing required parameter {name!r}")
-        return value

@@ -17,34 +17,14 @@ import os
 import tempfile
 
 
-def atomic_write_text(path: str, content: str) -> None:
+def atomic_write_bytes(path: str, content: bytes) -> None:
     """Write ``content`` to ``path`` atomically (temp file + rename).
 
     Either the old file survives untouched or the new content is fully
     in place; a crash between the two leaves at worst a stray
-    ``.tmp`` file next to the target, never a truncated target.
+    ``<name>.<random>.tmp`` file next to the target, never a truncated
+    target.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_bytes(path: str, content: bytes) -> None:
-    """Binary twin of :func:`atomic_write_text`, for BINCAP profiles."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     descriptor, temp_path = tempfile.mkstemp(
@@ -62,3 +42,8 @@ def atomic_write_bytes(path: str, content: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, content: str) -> None:
+    """Text form of :func:`atomic_write_bytes` (UTF-8)."""
+    atomic_write_bytes(path, content.encode("utf-8"))

@@ -15,12 +15,15 @@ midpoint, values below ``min_value`` clamp into the first bucket and
 values above ``max_value`` into the overflow bucket (whose estimate is
 the exact observed maximum).  Digests merge, so per-endpoint digests
 can be combined into a service-wide one, and round-trip through plain
-data for ``/metricsz`` and trace documents.
+data for ``/metricsz`` and trace documents.  :class:`DigestMerger`
+keeps one digest per key behind a lock: the serving daemons' per-endpoint
+latencies and the cluster router's merge of its shards' digests.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: default smallest resolvable latency (seconds)
@@ -203,6 +206,55 @@ class QuantileDigest:  # repro: synchronized-externally
 
     def __repr__(self) -> str:
         return f"QuantileDigest(n={self.count}, mean={self.mean:g}s)"
+
+
+class DigestMerger:
+    """Keyed latency digests, observable locally and mergeable remotely.
+
+    Each serving daemon observes its own request latencies per endpoint
+    (``"*"`` aggregates them all).  The cluster router also absorbs each
+    shard's ``latency_digests`` wire forms (from ``/metricsz?digests=1``)
+    into a keyed table, yielding the cluster-level p50/p95/p99 without
+    shipping raw samples.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._digests: Dict[str, QuantileDigest] = {}
+
+    def observe(self, key: str, seconds: float) -> None:
+        with self._lock:
+            digest = self._digests.get(key)
+            if digest is None:
+                digest = self._digests[key] = QuantileDigest()
+            digest.observe(seconds)
+
+    def absorb(self, plains: Dict[str, object]) -> None:
+        """Merge a ``{key: QuantileDigest.to_plain()}`` table in."""
+        for key, plain in plains.items():
+            incoming = QuantileDigest.from_plain(plain)
+            with self._lock:
+                digest = self._digests.get(key)
+                if digest is None:
+                    self._digests[key] = incoming
+                else:
+                    digest.merge(incoming)
+
+    def summaries(self) -> Dict[str, Dict[str, object]]:
+        with self._lock:
+            return {
+                key: digest.summary()
+                for key, digest in self._digests.items()
+                if digest.count
+            }
+
+    def plains(self) -> Dict[str, object]:
+        with self._lock:
+            return {
+                key: digest.to_plain()
+                for key, digest in self._digests.items()
+                if digest.count
+            }
 
 
 def digest_of(values: Sequence[float], **kwargs) -> QuantileDigest:

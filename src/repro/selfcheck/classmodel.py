@@ -32,6 +32,9 @@ from repro.selfcheck.loader import SourceModule, class_directives, dotted_name
 #: classes that are thread-shared by construction in this codebase
 DEFAULT_SHARED_SEEDS = frozenset(
     {
+        # the HTTP service core: handler threads share its lifecycle,
+        # in-flight, and request-counter state; both daemons inherit it
+        "HttpService",
         "StoreServer",
         "LRUCache",
         "ProfileStore",
@@ -87,6 +90,8 @@ class AttrInfo:
     #: class name when assigned ``self.x = ClassName(...)``
     value_class: Optional[str] = None
     is_lock: bool = False
+    #: ``self.x = threading.local()``: per-thread state by construction
+    thread_local: bool = False
 
 
 @dataclass
@@ -274,6 +279,10 @@ def build_class_info(module: SourceModule, node: ast.ClassDef) -> ClassInfo:
                 if value is not None:
                     if _is_lock_call(value):
                         attr.is_lock = True
+                    if isinstance(value, ast.Call) and dotted_name(
+                        value.func
+                    ) in ("threading.local", "local"):
+                        attr.thread_local = True
                     value_class = _class_of_value(value)
                     if value_class is not None and not attr.is_lock:
                         attr.value_class = value_class
@@ -323,6 +332,30 @@ class ClassIndex:
         if name is None:
             return None
         return self.by_name.get(name)
+
+    def lock_attrs(self, info: ClassInfo) -> Set[str]:
+        """Locks ``info`` owns, its own plus its base classes': a
+        subclass of a locked core class mutates under the core's
+        locks."""
+        locks = set(info.lock_attrs)
+        for base in map(self.get, info.bases):
+            if base is not None and base is not info:
+                locks |= self.lock_attrs(base)
+        return locks
+
+    def self_guarded(self, attr: AttrInfo) -> bool:
+        """Attributes whose state guards itself: a ``threading.local``,
+        or an instance of a project class that owns its own lock (calls
+        into it serialize there; externally-synchronized classes are
+        RL104's business instead)."""
+        if attr.thread_local:
+            return True
+        held = self.get(attr.value_class)
+        return (
+            held is not None
+            and not held.synchronized_externally
+            and bool(self.lock_attrs(held))
+        )
 
     def shared_classes(
         self, seeds: frozenset = DEFAULT_SHARED_SEEDS

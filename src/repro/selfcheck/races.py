@@ -108,10 +108,14 @@ def _check_class(
         return  # contract: the owner's lock guards it (RL104 at call sites)
     inherited = inherited_locksets(info, index)
     init_like = _init_like_methods(info)
-    guarded = info.guarded_attrs()
+    guarded = {
+        name
+        for name in info.guarded_attrs()
+        if not index.self_guarded(info.attrs[name])
+    }
     tracker = LockTracker(info, index)
 
-    if is_shared and not info.lock_attrs and guarded:
+    if is_shared and not index.lock_attrs(info) and guarded:
         sink.report(
             "RL105",
             info.node.lineno,
@@ -133,12 +137,7 @@ def _check_class(
                 found = mutated_self_attr(node)
                 if found is not None:
                     attr_name, site = found
-                    attr = info.attrs.get(attr_name)
-                    if (
-                        not held
-                        and attr is not None
-                        and not attr.is_lock
-                    ):
+                    if not held and attr_name in guarded:
                         sink.report(
                             "RL101",
                             site.lineno,

@@ -1,11 +1,5 @@
 """Content-addressed blob storage (the bottom layer of PROFSTORE).
 
-Blob ingest implements its own mkstemp + fsync + rename discipline
-(content is compressed streamwise, so :func:`atomic_write_bytes`
-cannot be reused here); the module is marked durable-primitive so
-REPROLINT does not convict the implementation of the very rule it
-enforces.
-
 A blob is an immutable byte string keyed by the sha256 hex digest of
 its *uncompressed* content and stored zlib-compressed under a git-style
 fan-out directory (``objects/ab/cdef...``).  Content addressing gives
@@ -17,21 +11,21 @@ three properties the profile store builds on:
   bit anywhere in the file surfaces as
   :class:`~repro.core.profile_io.ProfileFormatError`, never as silently
   wrong profile data.
-* **Crash safety** -- blobs are written to a temp file and
-  ``os.replace``d into place, and a half-written temp file is invisible
-  to readers.  Writing an already-present digest is a no-op.
+* **Crash safety** -- blobs are compressed in one shot and written by
+  :func:`~repro.core.fsutil.atomic_write_bytes` (temp file, fsync,
+  ``os.replace``); a temp file left by a crash never parses as a digest,
+  so readers never see it.  Writing an already-present digest is a
+  no-op.
 """
-
-# repro: durable-primitive  (implements its own atomic-rename write path)
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import zlib
 from typing import Iterator
 
+from repro.core.fsutil import atomic_write_bytes
 from repro.core.profile_io import ProfileFormatError
 
 _HEX = frozenset("0123456789abcdef")
@@ -67,21 +61,7 @@ class BlobStore:
         target = self.path(digest)
         if not force and os.path.exists(target):
             return digest
-        directory = os.path.dirname(target)
-        os.makedirs(directory, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(zlib.compress(data, self.compress_level))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, target)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write_bytes(target, zlib.compress(data, self.compress_level))
         return digest
 
     def get(self, digest: str) -> bytes:

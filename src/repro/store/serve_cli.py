@@ -538,9 +538,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
     if args.command == "serve":
-        import signal
-
         from repro.store.server import StoreServer
+        from repro.store.service import serve_until_terminated
 
         telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
         store = ProfileStore(args.root, cache_size=args.cache_size)
@@ -552,29 +551,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_concurrent=args.max_concurrent,
             trace_out=args.trace_out,
         )
-        host, port = server.address
         print(f"serving profile store {args.root} on {server.url}", flush=True)
-        # The bound address on its own line: with --port 0 the kernel
-        # picks the port, and supervisors parse this line to learn it.
-        print(f"listening {host}:{port}", flush=True)
-
-        class _Terminated(Exception):
-            pass
-
-        def _on_sigterm(signum, frame):
-            raise _Terminated()
-
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
         try:
-            server.serve_forever()
-        except (KeyboardInterrupt, _Terminated):
-            pass
+            serve_until_terminated(server, args.drain_deadline)
         finally:
-            signal.signal(signal.SIGTERM, previous)
-            # serve_forever already exited; drain in-flight handlers
-            # first, then stop() closes the socket and flushes events
-            server.drain(args.drain_deadline)
-            server.stop()
             emit(telemetry, args.telemetry, args.telemetry_out)
         return 0
     parser.error(f"unknown command {args.command!r}")

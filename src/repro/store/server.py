@@ -1,10 +1,10 @@
 """The PROFSTORE serving daemon: a concurrent JSON API over one store.
 
-Stdlib-only (``http.server.ThreadingHTTPServer``), because the repo has
-no dependencies and the workload -- a profile registry queried by build
-bots and developers -- fits comfortably in threaded Python: requests
-are I/O plus cached decodes, and the decoded-profile LRU keeps the hot
-runs resident.
+Stdlib-only (``http.server``, through :mod:`repro.store.service`),
+because the repo has no dependencies and the workload -- a profile
+registry queried by build bots and developers -- fits comfortably in
+threaded Python: requests are I/O plus cached decodes, and the
+decoded-profile LRU keeps the hot runs resident.
 
 Endpoints (all JSON unless noted)::
 
@@ -42,19 +42,11 @@ accepts (run ids, digest prefixes, ``workload@kind[~N]``).
 
 Concurrency is bounded: a semaphore of ``max_concurrent`` gates the
 request bodies, so a stampede queues in the accept backlog instead of
-oversubscribing the process.  Every endpoint is telemetry-threaded --
-per-endpoint request/error counters, a latency histogram, and a span
-per endpoint accumulated under ``serve/`` -- guarded by one lock
-because the registry itself is single-threaded by design.
-
-TRACELINK: every request lands one ``request`` record in the daemon's
-event log (the access log), and a request carrying an ``X-Repro-Trace``
-header runs under a *child* of the sender's context -- its records are
-tagged with the sender's trace id, and the child context is echoed back
-in the response's own ``X-Repro-Trace`` header so clients can confirm
-the linkage.  Per-endpoint latency is summarized by
-:class:`~repro.obs.quantiles.QuantileDigest` (p50/p95/p99 under
-``/metricsz``).
+oversubscribing the process.  The HTTP shell -- handler, lifecycle,
+trace join, per-endpoint latency digests, request counters, and the
+``request`` access-log record -- is
+:class:`~repro.store.service.HttpService`, shared with the cluster
+router.
 """
 
 from __future__ import annotations
@@ -62,79 +54,27 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
-from repro.core.binformat import StreamReader
-from repro.core.profile_io import ProfileFormatError
-from repro.obs.context import TRACE_HEADER, TraceContext, activate
 from repro.obs.events import EventLog
-from repro.obs.quantiles import QuantileDigest
+from repro.obs.quantiles import SUMMARY_QUANTILES
 from repro.store.diff import detect_regressions, diff_blobs
-from repro.store.httpbody import RequestError, iter_body, read_body
+from repro.store.httpbody import RequestError
 from repro.store.query import QueryEngine
+from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
 from repro.store.store import ProfileStore
-from repro.telemetry import Telemetry, coalesce
+from repro.telemetry import Telemetry
 from repro.telemetry.export import render_prometheus
 
 #: default cap on concurrently served request bodies
 DEFAULT_MAX_CONCURRENT = 8
 
-#: default cap on one request body / streamed document (64 MiB); a
-#: profile document larger than this is a client bug, not a workload
-DEFAULT_MAX_BODY_BYTES = 64 << 20
 
-#: request-latency histogram buckets (seconds)
-LATENCY_BUCKETS = tuple(0.0001 * (4 ** p) for p in range(8))
+class StoreServer(HttpService):
+    """The daemon: the store's endpoints over the shared HTTP core."""
 
-
-class RawBody:
-    """A non-JSON response payload: raw bytes plus extra headers."""
-
-    __slots__ = ("data", "headers")
-
-    def __init__(self, data: bytes, headers: Optional[Dict[str, str]] = None):
-        self.data = data
-        self.headers = dict(headers or {})
-
-
-class _Metrics:
-    """Thread-safe telemetry facade for the handler threads."""
-
-    def __init__(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
-        self.lock = threading.Lock()
-
-    def record(self, endpoint: str, status: int, seconds: float) -> None:
-        if not self.telemetry.enabled:
-            return
-        with self.lock:
-            self.telemetry.counter(
-                "store.http.requests_total", "requests served"
-            ).inc()
-            self.telemetry.counter(
-                f"store.http.{endpoint}_total", f"requests to {endpoint}"
-            ).inc()
-            if status >= 400:
-                self.telemetry.counter(
-                    "store.http.errors_total", "requests answered >= 400"
-                ).inc()
-            self.telemetry.histogram(
-                "store.http.latency_seconds",
-                "request wall time",
-                bounds=LATENCY_BUCKETS,
-            ).observe(seconds)
-            # Span accumulation without the (thread-hostile) context
-            # stack: one child per endpoint under serve/.
-            span = self.telemetry.root.child("serve").child(endpoint)
-            span.calls += 1
-            span.seconds += seconds
-            span.add_items(1, "requests")
-
-
-class StoreServer:
-    """The daemon: owns the HTTP server, the store, and the telemetry."""
+    metric_prefix = "store.http"
 
     def __init__(
         self,
@@ -149,229 +89,38 @@ class StoreServer:
     ) -> None:
         self.store = store
         self.query = QueryEngine(store)
-        self.telemetry = coalesce(telemetry)
-        self.metrics = _Metrics(self.telemetry)
-        #: the access log: one ``request`` record per served request,
-        #: mirrored to ``trace_out`` (JSONL) when given
-        self.events = events if events is not None else EventLog(path=trace_out)
-        #: per-endpoint latency digests ("*" aggregates all endpoints);
-        #: guarded by the metrics lock like the registry
-        self.latency: Dict[str, QuantileDigest] = {}
-        self.started = time.time()
-        self._gate = threading.BoundedSemaphore(max(1, max_concurrent))
         self.max_concurrent = max(1, max_concurrent)
-        self.max_body_bytes = max_body_bytes
-
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # keep-alive: every response carries Content-Length, so
-            # HTTP/1.1 is safe and the cluster router can reuse one
-            # connection per shard instead of reconnecting per request
-            protocol_version = "HTTP/1.1"
-
-            # Nagle off: response bodies follow headers in a second
-            # send() and would otherwise stall on the peer's delayed ACK
-            disable_nagle_algorithm = True
-
-            # quiet by default: the daemon's own telemetry replaces the
-            # per-request stderr log lines
-            def log_message(self, format, *args):  # noqa: A002
-                pass
-
-            def do_GET(self):  # noqa: N802
-                server.handle(self, "GET")
-
-            def do_POST(self):  # noqa: N802
-                server.handle(self, "POST")
-
-        self.httpd = ThreadingHTTPServer((host, port), Handler)
-        self.httpd.daemon_threads = True
-        # guards the serving-thread handle: start() may race stop() (or
-        # a second start()) when embedding code drives the lifecycle
-        # from more than one thread
-        self._lifecycle_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        # in-flight request accounting for graceful shutdown: drain()
-        # waits on the condition until handler threads finish
-        self._inflight_lock = threading.Lock()
-        self._inflight_cond = threading.Condition(self._inflight_lock)
-        self._inflight = 0
-
-    # -- lifecycle -----------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[0], self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "StoreServer":
-        """Serve in a background thread (tests, embedded use).
-
-        Starting an already-started server raises rather than leaking
-        the first serving thread's handle.
-        """
-        with self._lifecycle_lock:
-            if self._thread is not None:
-                raise RuntimeError("server is already started")
-            thread = threading.Thread(
-                target=self.httpd.serve_forever, daemon=True
-            )
-            self._thread = thread
-        thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI's foreground mode)."""
-        self.httpd.serve_forever()
-
-    def stop(self) -> None:
-        """Idempotent: a second stop() finds no thread and still closes
-        cleanly."""
-        self.httpd.shutdown()
-        with self._lifecycle_lock:
-            thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join()
-        self.httpd.server_close()
-        self.events.flush()
-
-    def drain(self, deadline_seconds: float = 5.0) -> bool:
-        """Wait (bounded) for in-flight requests, then log the shutdown.
-
-        The graceful-shutdown half of SIGTERM handling: the caller has
-        already stopped accepting (the serve loop exited), and drain()
-        waits until every handler thread finishes or the deadline
-        passes.  Either way one schema-checked ``server_shutdown``
-        event lands in the log -- the shard supervisor's restart path
-        keys off it -- and the sink is flushed.  Returns True when the
-        server drained fully.
-        """
-        deadline = time.monotonic() + max(0.0, deadline_seconds)
-        with self._inflight_cond:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._inflight_cond.wait(remaining)
-            leftover = self._inflight
-        self.events.emit(
-            "server_shutdown",
-            drained=leftover == 0,
-            in_flight=leftover,
-            deadline_seconds=deadline_seconds,
+        self._gate = threading.BoundedSemaphore(self.max_concurrent)
+        super().__init__(
+            host, port, telemetry, trace_out, events, max_body_bytes
         )
-        self.events.flush()
-        return leftover == 0
-
-    # -- dispatch ------------------------------------------------------
-
-    def handle(self, request: BaseHTTPRequestHandler, method: str) -> None:
-        with self._inflight_lock:
-            self._inflight += 1
-        try:
-            self._handle(request, method)
-        finally:
-            with self._inflight_cond:
-                self._inflight -= 1
-                self._inflight_cond.notify_all()
-
-    def _handle(self, request: BaseHTTPRequestHandler, method: str) -> None:
-        parsed = urlparse(request.path)
-        endpoint = parsed.path.strip("/").replace("/", "_") or "root"
-        params = {
-            key: values[-1] for key, values in parse_qs(parsed.query).items()
-        }
-        inbound = TraceContext.from_header(request.headers.get(TRACE_HEADER))
-        context = inbound.child() if inbound is not None else None
-        start = time.perf_counter()
-        gate_wait = 0.0
-        with self._gate:
-            gate_wait = time.perf_counter() - start
-            try:
-                if context is not None:
-                    with activate(context):
-                        status, payload = self.route(
-                            request, method, parsed.path, params
-                        )
-                else:
-                    status, payload = self.route(
-                        request, method, parsed.path, params
-                    )
-            except RequestError as exc:
-                status, payload = exc.status, {"error": str(exc)}
-            except (KeyError, ProfileFormatError, ValueError) as exc:
-                kind = 404 if isinstance(exc, KeyError) else 400
-                status, payload = kind, {"error": str(exc).strip("'\"")}
-            except Exception as exc:  # noqa: BLE001 - the daemon survives
-                status, payload = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-        elapsed = time.perf_counter() - start
-        self.metrics.record(endpoint, status, elapsed)
-        self._observe(endpoint, elapsed, gate_wait)
-        self.events.emit(
-            "request",
-            trace=context.trace_id if context is not None else None,
-            span=context.span_id if context is not None else None,
-            endpoint=endpoint,
-            method=method,
-            status=status,
-            seconds=elapsed,
-        )
-        extra_headers: Dict[str, str] = {}
-        if isinstance(payload, RawBody):
-            content_type = "application/octet-stream"
-            body = payload.data
-            extra_headers = payload.headers
-        elif isinstance(payload, str):
-            content_type = "text/plain; charset=utf-8"
-            body = payload.encode("utf-8")
-        else:
-            content_type = "application/json"
-            body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", content_type)
-            request.send_header("Content-Length", str(len(body)))
-            # a failed POST may not have consumed its body; keeping the
-            # connection alive would desync the next request's framing
-            # (send_header('Connection', 'close') also flags
-            # close_connection for the serving loop)
-            if method == "POST" and status >= 400:
-                request.send_header("Connection", "close")
-            for name, value in extra_headers.items():
-                request.send_header(name, value)
-            if context is not None:
-                request.send_header(TRACE_HEADER, context.to_header())
-            request.end_headers()
-            request.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to clean up
-
-    def _observe(self, endpoint: str, elapsed: float, gate_wait: float) -> None:
-        """Fold one request into the latency digests and wait gauges."""
-        with self.metrics.lock:
-            for key in (endpoint, "*"):
-                digest = self.latency.get(key)
-                if digest is None:
-                    digest = self.latency[key] = QuantileDigest()
-                digest.observe(elapsed)
-            if self.telemetry.enabled:
-                self.telemetry.gauge(
-                    "store.http.gate_wait_seconds_max",
-                    "longest wait on the concurrency semaphore",
-                ).set_max(gate_wait)
-                self.telemetry.gauge(
-                    "store.http.gate_wait_seconds_last",
-                    "latest wait on the concurrency semaphore",
-                ).set(gate_wait)
 
     def route(
+        self,
+        request: BaseHTTPRequestHandler,
+        method: str,
+        path: str,
+        params: Dict[str, str],
+    ) -> Tuple[int, object]:
+        waited = time.perf_counter()
+        with self._gate:
+            self._gate_waited(time.perf_counter() - waited)
+            return self._endpoint(request, method, path, params)
+
+    def _gate_waited(self, seconds: float) -> None:
+        if not self.telemetry.enabled:
+            return
+        with self._metrics_lock:
+            self.telemetry.gauge(
+                "store.http.gate_wait_seconds_max",
+                "longest wait on the concurrency semaphore",
+            ).set_max(seconds)
+            self.telemetry.gauge(
+                "store.http.gate_wait_seconds_last",
+                "latest wait on the concurrency semaphore",
+            ).set(seconds)
+
+    def _endpoint(
         self,
         request: BaseHTTPRequestHandler,
         method: str,
@@ -396,7 +145,14 @@ class StoreServer:
         if path == "/tracez" and method == "GET":
             return 200, self._tracez(params.get("trace"))
         if path == "/ingest/stream" and method == "POST":
-            return self._ingest_stream(request, params)
+            return self._ingest_stream(
+                request,
+                params,
+                lambda workload, meta, blob: self._store_document(
+                    workload, dict(meta, source="http-stream"), blob
+                ),
+                log_event=True,
+            )
         if path == "/ingest" and method == "POST":
             return self._ingest(request, params)
         if path == "/get" and method == "GET":
@@ -444,7 +200,7 @@ class StoreServer:
     def _metricsz(self, include_digests: bool = False) -> Dict[str, object]:
         counters: Dict[str, object] = {}
         gauges: Dict[str, object] = {}
-        with self.metrics.lock:
+        with self._metrics_lock:
             for metric in self.telemetry.registry:
                 kind = getattr(metric, "kind", None)
                 if kind == "counter":
@@ -459,27 +215,12 @@ class StoreServer:
                     "mean_seconds": latency.mean,
                     "max_seconds": latency.maximum,
                 }
-        with self.metrics.lock:
-            endpoints = {
-                key: digest.summary()
-                for key, digest in self.latency.items()
-                if digest.count
-            }
-            digests = (
-                {
-                    key: digest.to_plain()
-                    for key, digest in self.latency.items()
-                    if digest.count
-                }
-                if include_digests
-                else None
-            )
         hits, misses, evictions = self.store.cache.stats()
         out: Dict[str, object] = {
             "counters": counters,
             "gauges": gauges,
             "latency": latency_summary,
-            "endpoints": endpoints,
+            "endpoints": self.latency.summaries(),
             "cache": {
                 "hits": hits,
                 "misses": misses,
@@ -487,10 +228,10 @@ class StoreServer:
                 "hit_rate": self.store.cache.hit_rate,
             },
         }
-        if digests is not None:
+        if include_digests:
             # the mergeable wire form: the cluster router folds these
             # into its cluster-level /metricsz with QuantileDigest.merge
-            out["latency_digests"] = digests
+            out["latency_digests"] = self.latency.plains()
         return out
 
     def _metricsz_prom(self) -> str:
@@ -498,7 +239,7 @@ class StoreServer:
         format plus the store-level gauges a scraper wants alongside it
         (cache effectiveness, semaphore pressure, latency quantiles)."""
         hits, misses, evictions = self.store.cache.stats()
-        with self.metrics.lock:
+        with self._metrics_lock:
             if self.telemetry.enabled:
                 # Surface cache state as gauges so the exporter carries
                 # them; they are cheap to refresh per scrape.
@@ -512,20 +253,17 @@ class StoreServer:
                     "store.cache.evictions", "decoded-profile cache evictions"
                 ).set(evictions)
             text = render_prometheus(self.telemetry)
-            lines = [text.rstrip("\n")] if text.strip() else []
-            lines.append(
-                "# TYPE repro_store_http_latency_quantile_seconds gauge"
-            )
-            for key, digest in sorted(self.latency.items()):
-                if not digest.count:
-                    continue
-                endpoint = "all" if key == "*" else key
-                for quantile in (0.5, 0.95, 0.99):
-                    lines.append(
-                        "repro_store_http_latency_quantile_seconds"
-                        f'{{endpoint="{endpoint}",quantile="{quantile}"}} '
-                        f"{digest.quantile(quantile):.9g}"
-                    )
+        lines = [text.rstrip("\n")] if text.strip() else []
+        lines.append("# TYPE repro_store_http_latency_quantile_seconds gauge")
+        for key, summary in sorted(self.latency.summaries().items()):
+            endpoint = "all" if key == "*" else key
+            for quantile in SUMMARY_QUANTILES:
+                value = summary[f"p{int(quantile * 100)}_seconds"]
+                lines.append(
+                    "repro_store_http_latency_quantile_seconds"
+                    f'{{endpoint="{endpoint}",quantile="{quantile}"}} '
+                    f"{value:.9g}"
+                )
         return "\n".join(lines) + "\n"
 
     def _tracez(self, trace_id: Optional[str]) -> Dict[str, object]:
@@ -538,19 +276,7 @@ class StoreServer:
         the daemon alone.
         """
         if trace_id is None:
-            traces = []
-            for tid in self.events.trace_ids():
-                records = self.events.records_for_trace(tid)
-                traces.append(
-                    {
-                        "trace_id": tid,
-                        "records": len(records),
-                        "kinds": sorted({str(r.get("kind")) for r in records}),
-                        "first_ts": records[0].get("ts"),
-                        "last_ts": records[-1].get("ts"),
-                    }
-                )
-            return {"traces": traces}
+            return {"traces": self._trace_summaries()}
         records = self.events.records_for_trace(trace_id)
         documents = []
         for row in self.query.find_runs(kind="trace"):
@@ -569,16 +295,6 @@ class StoreServer:
             "documents": documents,
         }
 
-    # -- request bodies ------------------------------------------------
-
-    def _body_chunks(self, request: BaseHTTPRequestHandler):
-        """The request body as chunks (framing decoded in
-        :mod:`repro.store.httpbody`, shared with the cluster router)."""
-        return iter_body(request, self.max_body_bytes)
-
-    def _read_body(self, request: BaseHTTPRequestHandler) -> bytes:
-        return read_body(request, self.max_body_bytes)
-
     # -- ingest --------------------------------------------------------
 
     def _ingest(
@@ -588,10 +304,19 @@ class StoreServer:
         data = self._read_body(request)
         if not data:
             raise RequestError(400, "ingest requires a profile document body")
-        meta = {"source": "http"}
+        return 201, self._store_document(workload, {"source": "http"}, data)
+
+    def _store_document(
+        self, workload: str, meta: Dict[str, object], data: bytes
+    ) -> Dict[str, object]:
+        """Validate and store one document; its ``ingested`` row.
+
+        ``/ingest/stream`` calls this as each document's CRC verifies,
+        so the store never holds a torn blob.
+        """
         record = self.store.ingest_bytes(data, workload, meta=meta)
         self._count_ingest(len(data))
-        return 201, {
+        return {
             "run_id": record.run_id,
             "digest": record.digest,
             "kind": record.kind,
@@ -601,100 +326,13 @@ class StoreServer:
     def _count_ingest(self, size: int) -> None:
         if not self.telemetry.enabled:
             return
-        with self.metrics.lock:
+        with self._metrics_lock:
             self.telemetry.counter(
                 "store.ingested_total", "profiles ingested"
             ).inc()
             self.telemetry.counter(
                 "store.ingested_bytes_total", "profile bytes ingested"
             ).inc(size)
-
-    def _ingest_stream(
-        self, request: BaseHTTPRequestHandler, params: Dict[str, str]
-    ) -> Tuple[int, object]:
-        """Ingest a BINCAP document stream while it is still arriving.
-
-        Each document is validated and stored the moment its DOC_END
-        verifies, so a long capture session lands runs incrementally
-        rather than after one giant upload.  A producer dying
-        mid-stream degrades instead of failing: documents already
-        verified stay ingested, the torn tail is counted, and the
-        response (and the ``stream_ingest`` event) carries
-        ``capture_completeness`` -- the store never holds a torn blob
-        because only CRC-verified documents reach ``ingest_bytes``.
-        """
-        default_workload = params.get("workload")
-        reader = StreamReader(max_document_bytes=self.max_body_bytes)
-        ingested = []
-        rejected = []
-        error: Optional[str] = None
-
-        def consume(events) -> None:
-            for event in events:
-                if event[0] == "doc":
-                    __, workload, meta, blob = event
-                    meta = dict(meta)
-                    meta["source"] = "http-stream"
-                    try:
-                        record = self.store.ingest_bytes(
-                            blob, workload or default_workload or "unknown",
-                            meta=meta,
-                        )
-                    except ProfileFormatError as exc:
-                        rejected.append(
-                            {"workload": workload, "error": str(exc)}
-                        )
-                        continue
-                    self._count_ingest(len(blob))
-                    ingested.append(
-                        {
-                            "run_id": record.run_id,
-                            "digest": record.digest,
-                            "kind": record.kind,
-                            "size_bytes": record.size_bytes,
-                        }
-                    )
-                elif event[0] == "torn":
-                    rejected.append(
-                        {"workload": event[1], "error": event[2]}
-                    )
-
-        try:
-            for piece in self._body_chunks(request):
-                consume(reader.feed(piece))
-        except RequestError as exc:
-            # Framing died mid-stream (truncated chunk, connection
-            # cut): keep what verified, report the wreck as degraded.
-            error = str(exc)
-        except (ValueError, OSError) as exc:
-            error = str(exc) or type(exc).__name__
-        summary = reader.summary()
-        degraded = bool(error) or not summary["complete"] or bool(rejected)
-        self.events.emit(
-            "stream_ingest",
-            workload=default_workload,
-            documents=summary["documents"],
-            torn=summary["torn"],
-            ingested=len(ingested),
-            rejected=len(rejected),
-            complete=summary["complete"],
-            capture_completeness=summary["capture_completeness"],
-            error=error,
-        )
-        if not ingested and degraded:
-            raise RequestError(
-                400, error or "stream carried no ingestible documents"
-            )
-        payload = {
-            "ingested": ingested,
-            "rejected": rejected,
-            "documents": summary["documents"],
-            "complete": summary["complete"] and not rejected,
-            "capture_completeness": summary["capture_completeness"],
-        }
-        if error:
-            payload["error"] = error
-        return (201 if not degraded else 200), payload
 
     def _blob(self, params: Dict[str, str]) -> RawBody:
         """The exact ingested bytes of one run, with provenance headers.
@@ -758,13 +396,6 @@ class StoreServer:
         return payload
 
     # -- parameter helpers ---------------------------------------------
-
-    @staticmethod
-    def _required(params: Dict[str, str], name: str) -> str:
-        value = params.get(name)
-        if not value:
-            raise ValueError(f"missing required parameter {name!r}")
-        return value
 
     @staticmethod
     def _int(params: Dict[str, str], name: str) -> Optional[int]:

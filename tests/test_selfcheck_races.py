@@ -317,3 +317,85 @@ class TestSharednessPropagation:
                 self.m += 1
         """
         assert codes(source) == ["RL105"]
+
+    def test_subclass_mutates_under_the_base_lock(self):
+        source = """\
+        import threading
+
+
+        class Core:  # repro: shared
+            def __init__(self):
+                self._lock = threading.Lock()
+
+
+        class Child(Core):
+            def __init__(self):
+                super().__init__()
+                self.m = 0
+
+            def tick(self):
+                with self._lock:
+                    self.m += 1
+
+            def race(self):
+                self.m += 1
+        """
+        # the base's lock counts as owned: a per-site RL101, not RL105
+        assert codes(source) == ["RL101"]
+
+
+class TestSelfGuardedAttributes:
+    def test_thread_local_is_per_thread(self):
+        source = """\
+        import threading
+
+
+        class Client:  # repro: shared
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._local = threading.local()
+
+            def conns(self):
+                self._local.conns = {}
+        """
+        assert codes(source) == []
+
+    def test_call_into_a_locked_class_is_its_business(self):
+        source = """\
+        import threading
+
+
+        class Members:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._names = set()
+
+            def add(self, name):
+                with self._lock:
+                    self._names.add(name)
+
+
+        class Router:  # repro: shared
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.members = Members()
+
+            def join(self, name):
+                self.members.add(name)
+        """
+        assert codes(source) == []
+
+    def test_call_into_an_unlocked_class_still_fires(self):
+        source = """\
+        import threading
+
+
+        class Router:  # repro: shared
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.members = set()
+
+            def join(self, name):
+                self.members.add(name)
+        """
+        assert codes(source) == ["RL101"]

@@ -103,6 +103,32 @@ class TestBlobStore:
         assert len(blobs) == 1
         assert blobs.stored_bytes() == os.path.getsize(blobs.path(digest))
 
+    def test_interrupted_put_leaves_no_digest(self, tmp_path, monkeypatch):
+        """A crash between the temp write and the rename leaves the temp
+        file behind; digests() must never yield it."""
+        blobs = BlobStore(str(tmp_path / "objects"))
+        kept = blobs.put(b"already stored")
+
+        def crash(*args):
+            raise KeyboardInterrupt("power cut before the rename")
+
+        # the crash also skips the cleanup a live process would run
+        monkeypatch.setattr(os, "replace", crash)
+        monkeypatch.setattr(os, "unlink", lambda path: None)
+        lost = sha256_hex(b"never landed")
+        with pytest.raises(KeyboardInterrupt):
+            blobs.put(b"never landed")
+        monkeypatch.undo()
+
+        fan_dir = os.path.dirname(blobs.path(lost))
+        leftovers = [n for n in os.listdir(fan_dir) if n.endswith(".tmp")]
+        assert len(leftovers) == 1
+        assert leftovers[0].startswith(lost[2:])
+        assert list(blobs.digests()) == [kept]
+        assert not blobs.contains(lost)
+        assert blobs.put(b"never landed") == lost
+        assert sorted(blobs.digests()) == sorted([kept, lost])
+
 
 # -- cache layer --------------------------------------------------------------
 
