@@ -87,64 +87,34 @@ class OnlineCDC:
     produced -- typically a profiler's SCC.  The CDC owns the global
     time-stamp counter, incremented after every collected access, per
     Section 2.2.
-
-    With enabled telemetry the CDC counts translations and wild-group
-    fallbacks (``cdc.translated_total`` / ``cdc.wild_total``); the
-    counting ``on_access`` is swapped in at construction so the default
-    path is unchanged.
     """
 
     def __init__(
         self,
         consumer: Callable[[ObjectRelativeAccess], None],
         omc: Optional[ObjectManager] = None,
-        telemetry=None,
     ) -> None:
         self.omc = omc if omc is not None else ObjectManager()
         self._consumer = consumer
         self._clock = 0
-        if telemetry is not None and telemetry.enabled:
-            self._translated_counter = telemetry.counter(
-                "cdc.translated_total", "accesses made object-relative"
-            )
-            self._wild_counter = telemetry.counter(
-                "cdc.wild_total", "accesses resolving to no live object"
-            )
-            self.on_access = self._on_access_counted  # type: ignore[method-assign]
+        self._wild = 0
 
     @property
     def clock(self) -> int:
         """Accesses collected so far."""
         return self._clock
 
+    @property
+    def wild(self) -> int:
+        """Accesses so far that resolved to no live object."""
+        return self._wild
+
     def on_access(
         self, instruction_id: int, address: int, size: int, kind: AccessKind
     ) -> None:
         triple = self.omc.translate(address)
         if triple is None:
-            group, serial, offset = WILD_GROUP, WILD_OBJECT, address
-        else:
-            group, serial, offset = triple
-        self._consumer(
-            ObjectRelativeAccess(
-                instruction_id=instruction_id,
-                group=group,
-                object_serial=serial,
-                offset=offset,
-                time=self._clock,
-                size=size,
-                kind=kind,
-            )
-        )
-        self._clock += 1
-
-    def _on_access_counted(
-        self, instruction_id: int, address: int, size: int, kind: AccessKind
-    ) -> None:
-        self._translated_counter.inc()
-        triple = self.omc.translate(address)
-        if triple is None:
-            self._wild_counter.inc()
+            self._wild += 1
             group, serial, offset = WILD_GROUP, WILD_OBJECT, address
         else:
             group, serial, offset = triple

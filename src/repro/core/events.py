@@ -21,10 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Union
-
-if TYPE_CHECKING:
-    from repro.telemetry.spans import Telemetry
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
 
 class AccessKind(enum.Enum):
@@ -90,38 +87,12 @@ class Trace:
     paper's definition (incremented after every *collected access*);
     object events are tagged with the current counter value so lifetimes
     interleave correctly with accesses.
-
-    An enabled :class:`~repro.telemetry.spans.Telemetry` makes the trace
-    record its own footprint growth as it is collected (live/peak
-    allocated bytes, allocation-size distribution); the instrumented
-    recording methods are swapped in at construction so the default path
-    stays untouched.
     """
 
-    def __init__(self, telemetry: Optional["Telemetry"] = None) -> None:
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._clock = 0
         self._access_count = 0
-        if telemetry is not None and telemetry.enabled:
-            self._access_counter = telemetry.counter(
-                "trace.accesses", "access events recorded"
-            )
-            self._live_bytes = telemetry.gauge(
-                "trace.live_bytes", "currently allocated object bytes"
-            )
-            self._peak_bytes = telemetry.gauge(
-                "trace.peak_live_bytes", "peak allocated object bytes"
-            )
-            self._alloc_bytes = telemetry.counter(
-                "trace.allocated_bytes_total", "cumulative allocated bytes"
-            )
-            self._alloc_sizes = telemetry.histogram(
-                "trace.alloc_size_bytes", "allocation size distribution"
-            )
-            self._object_sizes: Dict[int, int] = {}
-            self.record_access = self._record_access_instrumented  # type: ignore[method-assign]
-            self.record_alloc = self._record_alloc_instrumented  # type: ignore[method-assign]
-            self.record_free = self._record_free_instrumented  # type: ignore[method-assign]
 
     # -- recording ----------------------------------------------------
 
@@ -142,37 +113,6 @@ class Trace:
         return event
 
     def record_free(self, address: int) -> FreeEvent:
-        event = FreeEvent(address, self._clock)
-        self._events.append(event)
-        return event
-
-    # -- telemetry-instrumented recording (swapped in when enabled) ----
-
-    def _record_access_instrumented(
-        self, instruction_id: int, address: int, size: int, kind: AccessKind
-    ) -> AccessEvent:
-        self._access_counter.inc()
-        event = AccessEvent(instruction_id, address, size, kind, self._clock)
-        self._events.append(event)
-        self._clock += 1
-        self._access_count += 1
-        return event
-
-    def _record_alloc_instrumented(
-        self, address: int, size: int, site: str, type_name: Optional[str] = None
-    ) -> AllocEvent:
-        self._object_sizes[address] = size
-        self._alloc_bytes.inc(size)
-        self._alloc_sizes.observe(size)
-        self._live_bytes.add(size)
-        self._peak_bytes.set_max(self._live_bytes.value)
-        event = AllocEvent(address, size, site, type_name, self._clock)
-        self._events.append(event)
-        return event
-
-    def _record_free_instrumented(self, address: int) -> FreeEvent:
-        size = self._object_sizes.pop(address, 0)
-        self._live_bytes.add(-size)
         event = FreeEvent(address, self._clock)
         self._events.append(event)
         return event

@@ -1,9 +1,10 @@
 """The paper's two object-relative profilers."""
 
-from repro.profilers.leap import LeapProfile, LeapProfiler, OnlineLeapSession
-from repro.profilers.whomp import OnlineWhompSession, WhompProfile, WhompProfiler
+from repro.profilers.leap import LeapProfile, LeapProfiler
+from repro.profilers.pipeline import OnlineSession, ProfilerPipeline
+from repro.profilers.whomp import WhompProfile, WhompProfiler
 
 __all__ = [
-    "LeapProfile", "LeapProfiler", "OnlineLeapSession", "OnlineWhompSession",
+    "LeapProfile", "LeapProfiler", "OnlineSession", "ProfilerPipeline",
     "WhompProfile", "WhompProfiler",
 ]

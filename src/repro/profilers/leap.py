@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compression.lmad import DEFAULT_BUDGET, LMADProfileEntry
-from repro.core.cdc import OnlineCDC, translate_trace
-from repro.core.events import AccessKind, Trace
+from repro.core.events import AccessKind
 from repro.core.omc import ObjectManager
 from repro.core.scc import VerticalLMADSCC
-from repro.telemetry.spans import Telemetry, coalesce
+from repro.profilers.pipeline import ProfilerPipeline
+from repro.telemetry.spans import Telemetry
 
 #: bytes per serialized LMAD record: 3-d start + 3-d stride at 8 bytes
 #: each, plus an 8-byte count.
@@ -124,9 +124,11 @@ class LeapProfile:
         return complete / len(instructions)
 
 
-class LeapProfiler:
+class LeapProfiler(ProfilerPipeline):
     """Run LEAP over a recorded trace (offline) or attach it to a live
     process bus (online) via :meth:`attach`."""
+
+    span_name = "leap"
 
     def __init__(
         self,
@@ -137,138 +139,48 @@ class LeapProfiler:
         quarantine=None,
         overflow_cap: Optional[int] = None,
     ) -> None:
+        super().__init__(refine_by_type, telemetry, jobs, quarantine)
         self.budget = budget
-        self.refine_by_type = refine_by_type
-        self.telemetry = coalesce(telemetry)
-        self.jobs = jobs
-        #: a :class:`~repro.resilience.degraded.Quarantine` enables
-        #: degraded mode: untrustworthy tuples are diverted to it and
-        #: the profile reports :attr:`LeapProfile.capture_completeness`
-        self.quarantine = quarantine
         #: overflow backstop per entry: past this many budget-spilled
         #: symbols an entry degrades to a pure summary descriptor (see
         #: :class:`~repro.compression.lmad.LMADCompressor`)
         self.overflow_cap = overflow_cap
 
-    def _translated(self, trace: Trace, omc: ObjectManager):
-        """The translated stream, filtered through the quarantine when
-        degraded mode is on."""
-        stream = translate_trace(trace, omc)
-        if self.quarantine is None:
-            return stream
-        from repro.resilience.degraded import quarantine_stream
+    def _new_scc(self) -> VerticalLMADSCC:
+        return VerticalLMADSCC(budget=self.budget, overflow_cap=self.overflow_cap)
 
-        return quarantine_stream(stream, self.quarantine)
-
-    def _quarantined_since(self, mark: int) -> int:
-        if self.quarantine is None:
-            return 0
-        return self.quarantine.total - mark
-
-    def profile(self, trace: Trace) -> LeapProfile:
-        omc = ObjectManager(refine_by_type=self.refine_by_type)
-        scc = VerticalLMADSCC(budget=self.budget, overflow_cap=self.overflow_cap)
-        telemetry = self.telemetry
-        mark = self.quarantine.total if self.quarantine is not None else 0
-        if self.jobs != 1:
-            from repro.parallel import resolve_jobs
-
-            if resolve_jobs(self.jobs) > 1:
-                return self._profile_parallel(trace, omc, scc, telemetry, mark)
-        if not telemetry.enabled:
-            count = 0
-            for access in self._translated(trace, omc):
-                scc.consume(access)
-                count += 1
-            return self._package(scc, omc, count, self._quarantined_since(mark))
-        return self._profile_instrumented(trace, omc, scc, telemetry, mark)
-
-    def _profile_parallel(
-        self,
-        trace: Trace,
-        omc: ObjectManager,
-        scc: VerticalLMADSCC,
-        telemetry: Telemetry,
-        mark: int = 0,
-    ) -> LeapProfile:
-        """The fan-out pipeline: translation and vertical decomposition
-        (which also fills the kinds/exec-count side tables) stay
-        in-process, then the independent ``(instruction, group)``
-        substreams are dealt round-robin into shards, one pool worker
-        per shard, and the closed entries merge back keyed exactly as
-        serial :meth:`VerticalLMADSCC.finish` would produce them."""
-        from repro.parallel import ParallelExecutor
+    def _compress_in_pool(self, scc, substreams, executor) -> None:
+        """The independent ``(instruction, group)`` substreams are dealt
+        round-robin into shards, one pool worker per shard, and the
+        closed entries merge back keyed exactly as serial
+        :meth:`VerticalLMADSCC.finish` would produce them."""
         from repro.parallel.workers import compress_leap_shard, shard_round_robin
 
-        with telemetry.span("leap") as whole:
-            with telemetry.span("translation") as span:
-                accesses = list(self._translated(trace, omc))
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("decomposition") as span:
-                substreams = scc.decompose(accesses)
-                span.add_items(len(accesses), "accesses")
-            executor = ParallelExecutor(jobs=self.jobs, telemetry=telemetry)
-            shards = shard_round_robin(
-                list(substreams.items()),
-                executor.effective_jobs(len(substreams)),
-            )
-            tasks = [(self.budget, self.overflow_cap, shard) for shard in shards]
-            with telemetry.span("compression") as span:
-                results = executor.map(
-                    compress_leap_shard, tasks, label="leap-substreams"
-                )
-                span.add_items(len(accesses), "symbols")
-            merged = {
-                key: entry for shard_out in results for key, entry in shard_out
-            }
-            scc.adopt_entries({key: merged[key] for key in substreams})
-            whole.add_items(len(accesses), "accesses")
-        if telemetry.enabled:
-            telemetry.counter(
-                "cdc.translated_total", "accesses made object-relative"
-            ).inc(len(accesses))
-        profile = self._package(
-            scc, omc, len(accesses), self._quarantined_since(mark)
+        shards = shard_round_robin(
+            list(substreams.items()), executor.effective_jobs(len(substreams))
         )
-        if telemetry.enabled:
-            self._record_metrics(profile, telemetry)
-        return profile
+        tasks = [(self.budget, self.overflow_cap, shard) for shard in shards]
+        results = executor.map(compress_leap_shard, tasks, label="leap-substreams")
+        merged = {key: entry for shard_out in results for key, entry in shard_out}
+        scc.adopt_entries({key: merged[key] for key in substreams})
 
-    def _profile_instrumented(
-        self,
-        trace: Trace,
-        omc: ObjectManager,
-        scc: VerticalLMADSCC,
-        telemetry: Telemetry,
-        mark: int = 0,
+    def _build_profile(
+        self, scc, omc: ObjectManager, access_count: int,
+        capture_completeness: float, quarantined: int,
     ) -> LeapProfile:
-        """The telemetry-timed pipeline: translation, vertical
-        decomposition, and LMAD fitting each get their own span, and the
-        Table 1 quality metrics land in the registry.  Output is
-        identical to the streaming path's."""
-        with telemetry.span("leap") as whole:
-            with telemetry.span("translation") as span:
-                accesses = list(self._translated(trace, omc))
-                span.add_items(len(accesses), "accesses")
-            telemetry.counter(
-                "cdc.translated_total", "accesses made object-relative"
-            ).inc(len(accesses))
-            with telemetry.span("decomposition") as span:
-                substreams = scc.decompose(accesses)
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("compression") as span:
-                scc.compress_streams(substreams)
-                span.add_items(len(accesses), "symbols")
-            whole.add_items(len(accesses), "accesses")
-        profile = self._package(
-            scc, omc, len(accesses), self._quarantined_since(mark)
+        return LeapProfile(
+            entries=scc.finish(),
+            kinds=scc.kinds,
+            exec_counts=scc.exec_counts,
+            group_labels={g.group_id: g.label for g in omc.groups},
+            access_count=access_count,
+            budget=self.budget,
+            lifetimes=omc.lifetime_table(),
+            capture_completeness=capture_completeness,
+            quarantined=quarantined,
         )
-        self._record_metrics(profile, telemetry)
-        return profile
 
     def _record_metrics(self, profile: LeapProfile, telemetry: Telemetry) -> None:
-        """Registry metrics shared by the instrumented serial and the
-        parallel paths."""
         lmads_histogram = telemetry.histogram(
             "leap.lmads_per_entry", "descriptors per (instruction, group)"
         )
@@ -303,69 +215,4 @@ class LeapProfiler:
         ).set(profile.size_bytes())
         telemetry.gauge("leap.budget", "descriptor budget per entry").set(
             self.budget
-        )
-
-    def attach(self, bus) -> "OnlineLeapSession":
-        """Attach an online LEAP pipeline to a
-        :class:`~repro.runtime.probes.ProbeBus`; used for dilation
-        timing, where the profiler must run *during* the program."""
-        return OnlineLeapSession(self, bus)
-
-    def _package(
-        self,
-        scc: VerticalLMADSCC,
-        omc: ObjectManager,
-        count: int,
-        quarantined: int = 0,
-    ) -> LeapProfile:
-        total = count + quarantined
-        if quarantined and self.telemetry.enabled:
-            self.telemetry.counter(
-                "resilience.quarantined",
-                "tuples diverted to the quarantine sidecar",
-            ).inc(quarantined)
-        return LeapProfile(
-            entries=scc.finish(),
-            kinds=scc.kinds,
-            exec_counts=scc.exec_counts,
-            group_labels={g.group_id: g.label for g in omc.groups},
-            access_count=count,
-            budget=self.budget,
-            lifetimes=omc.lifetime_table(),
-            capture_completeness=(count / total) if total else 1.0,
-            quarantined=quarantined,
-        )
-
-
-class OnlineLeapSession:
-    """A live LEAP pipeline: OnlineCDC -> VerticalLMADSCC.
-
-    Detach (or just call :meth:`finish`) when the program completes.
-    """
-
-    def __init__(self, profiler: LeapProfiler, bus) -> None:
-        self._profiler = profiler
-        self._bus = bus
-        self._scc = VerticalLMADSCC(
-            budget=profiler.budget, overflow_cap=profiler.overflow_cap
-        )
-        consumer = self._scc.consume
-        self._mark = 0
-        if profiler.quarantine is not None:
-            from repro.resilience.degraded import quarantine_consumer
-
-            self._mark = profiler.quarantine.total
-            consumer = quarantine_consumer(consumer, profiler.quarantine)
-        self._cdc = OnlineCDC(
-            consumer,
-            ObjectManager(refine_by_type=profiler.refine_by_type),
-            telemetry=profiler.telemetry,
-        )
-        bus.attach(self._cdc)
-
-    def finish(self) -> LeapProfile:
-        self._bus.detach(self._cdc)
-        quarantined = self._profiler._quarantined_since(self._mark)
-        return self._profiler._package(
-            self._scc, self._cdc.omc, self._cdc.clock - quarantined, quarantined
         )

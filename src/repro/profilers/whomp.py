@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compression.sequitur import SequiturGrammar
-from repro.core.cdc import translate_trace
-from repro.core.events import Trace
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
 from repro.core.tuples import DIMENSIONS, WILD_GROUP
-from repro.telemetry.spans import Telemetry, coalesce
+from repro.profilers.pipeline import ProfilerPipeline
+from repro.telemetry.spans import Telemetry
 
 
 @dataclass
@@ -97,12 +96,15 @@ class WhompProfile:
         return out
 
 
-class WhompProfiler:
-    """Run WHOMP over a recorded trace.
+class WhompProfiler(ProfilerPipeline):
+    """Run WHOMP over a recorded trace (offline) or attach it to a live
+    process bus (online) via :meth:`attach`.
 
     >>> profiler = WhompProfiler()
     >>> profile = profiler.profile(trace)        # doctest: +SKIP
     """
+
+    span_name = "whomp"
 
     def __init__(
         self,
@@ -112,142 +114,38 @@ class WhompProfiler:
         jobs: int = 1,
         quarantine=None,
     ) -> None:
-        self.refine_by_type = refine_by_type
+        super().__init__(refine_by_type, telemetry, jobs, quarantine)
         self.compressor = compressor if compressor is not None else SequiturGrammar
-        self.telemetry = coalesce(telemetry)
-        self.jobs = jobs
-        #: a :class:`~repro.resilience.degraded.Quarantine` enables
-        #: degraded mode: untrustworthy tuples are diverted to it and
-        #: the profile reports :attr:`WhompProfile.capture_completeness`
-        self.quarantine = quarantine
 
-    def _translated(self, trace: Trace, omc: ObjectManager):
-        """The translated stream, filtered through the quarantine when
-        degraded mode is on."""
-        stream = translate_trace(trace, omc)
-        if self.quarantine is None:
-            return stream
-        from repro.resilience.degraded import quarantine_stream
+    def _new_scc(self) -> HorizontalSequiturSCC:
+        return HorizontalSequiturSCC(compressor=self.compressor)
 
-        return quarantine_stream(stream, self.quarantine)
-
-    def _quarantined_since(self, mark: int) -> int:
-        if self.quarantine is None:
-            return 0
-        return self.quarantine.total - mark
-
-    def profile(self, trace: Trace) -> WhompProfile:
-        omc = ObjectManager(refine_by_type=self.refine_by_type)
-        scc = HorizontalSequiturSCC(compressor=self.compressor)
-        telemetry = self.telemetry
-        mark = self.quarantine.total if self.quarantine is not None else 0
-        if self.jobs != 1:
-            from repro.parallel import resolve_jobs
-
-            if resolve_jobs(self.jobs) > 1:
-                return self._profile_parallel(trace, omc, scc, telemetry, mark)
-        if not telemetry.enabled:
-            count = 0
-            for access in self._translated(trace, omc):
-                scc.consume(access)
-                count += 1
-            return self._package(scc, omc, count, self._quarantined_since(mark))
-        return self._profile_instrumented(trace, omc, scc, telemetry, mark)
-
-    def _profile_parallel(
-        self,
-        trace: Trace,
-        omc: ObjectManager,
-        scc: HorizontalSequiturSCC,
-        telemetry: Telemetry,
-        mark: int = 0,
-    ) -> WhompProfile:
-        """The fan-out pipeline: translation and horizontal
-        decomposition stay in-process (the CDC/OMC front-end is shared
-        state), then the four independent dimension streams compress in
-        up to four pool workers and the grammars merge back.  Output is
-        identical to the serial paths'; the compressor factory must be
-        a picklable (module-level) class.
-        """
-        from repro.parallel import ParallelExecutor
+    def _compress_in_pool(self, scc, streams, executor) -> None:
+        """The four independent dimension streams compress in up to
+        four pool workers and the grammars merge back; the compressor
+        factory must be a picklable (module-level) class."""
         from repro.parallel.workers import compress_dimension
 
-        with telemetry.span("whomp") as whole:
-            with telemetry.span("translation") as span:
-                accesses = list(self._translated(trace, omc))
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("decomposition") as span:
-                streams = scc.decompose(accesses)
-                span.add_items(len(accesses), "accesses")
-            executor = ParallelExecutor(jobs=self.jobs, telemetry=telemetry)
-            tasks = [
-                (name, streams[name], self.compressor) for name in DIMENSIONS
-            ]
-            with telemetry.span("compression") as span:
-                results = executor.map(
-                    compress_dimension, tasks, label="whomp-dimensions"
-                )
-                span.add_items(sum(len(s) for s in streams.values()), "symbols")
-            scc.adopt_grammars(dict(results))
-            whole.add_items(len(accesses), "accesses")
-        if telemetry.enabled:
-            telemetry.counter(
-                "cdc.translated_total", "accesses made object-relative"
-            ).inc(len(accesses))
-            telemetry.counter(
-                "cdc.wild_total", "accesses resolving to no live object"
-            ).inc(sum(1 for a in accesses if a.group == WILD_GROUP))
-        profile = self._package(
-            scc, omc, len(accesses), self._quarantined_since(mark)
-        )
-        if telemetry.enabled:
-            self._record_metrics(profile, telemetry)
-        return profile
+        tasks = [(name, streams[name], self.compressor) for name in DIMENSIONS]
+        results = executor.map(compress_dimension, tasks, label="whomp-dimensions")
+        scc.adopt_grammars(dict(results))
 
-    def _profile_instrumented(
-        self,
-        trace: Trace,
-        omc: ObjectManager,
-        scc: HorizontalSequiturSCC,
-        telemetry: Telemetry,
-        mark: int = 0,
+    def _build_profile(
+        self, scc, omc: ObjectManager, access_count: int,
+        capture_completeness: float, quarantined: int,
     ) -> WhompProfile:
-        """The telemetry-timed pipeline: each paper stage is a span.
-
-        Staging materializes the translated stream so translation,
-        horizontal decomposition, and Sequitur compression can be timed
-        separately; the produced profile is identical to the streaming
-        path's.
-        """
-        with telemetry.span("whomp") as whole:
-            with telemetry.span("translation") as span:
-                accesses = list(self._translated(trace, omc))
-                span.add_items(len(accesses), "accesses")
-            telemetry.counter(
-                "cdc.translated_total", "accesses made object-relative"
-            ).inc(len(accesses))
-            telemetry.counter(
-                "cdc.wild_total", "accesses resolving to no live object"
-            ).inc(sum(1 for a in accesses if a.group == WILD_GROUP))
-            with telemetry.span("decomposition") as span:
-                streams = scc.decompose(accesses)
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("compression") as span:
-                scc.compress_streams(streams)
-                span.add_items(
-                    sum(len(s) for s in streams.values()), "symbols"
-                )
-            whole.add_items(len(accesses), "accesses")
-        profile = self._package(
-            scc, omc, len(accesses), self._quarantined_since(mark)
+        return WhompProfile(
+            grammars=scc.grammars,
+            base_addresses=omc.base_address_table(),
+            lifetimes=omc.lifetime_table(),
+            group_labels={g.group_id: g.label for g in omc.groups},
+            access_count=access_count,
+            capture_completeness=capture_completeness,
+            quarantined=quarantined,
         )
-        self._record_metrics(profile, telemetry)
-        return profile
 
     @staticmethod
     def _record_metrics(profile: WhompProfile, telemetry: Telemetry) -> None:
-        """Registry gauges shared by the instrumented serial and the
-        parallel paths."""
         rules = 0
         for grammar in profile.grammars.values():
             rule_count = getattr(grammar, "rule_count", None)
@@ -265,63 +163,3 @@ class WhompProfiler:
         telemetry.gauge(
             "whomp.groups", "object groups in the OMC tables"
         ).set(len(profile.group_labels))
-
-    def attach(self, bus) -> "OnlineWhompSession":
-        """Attach an online WHOMP pipeline to a live probe bus (the
-        paper's instrumented-program configuration: probes feed the
-        CDC/OMC while the program runs)."""
-        return OnlineWhompSession(self, bus)
-
-    def _package(
-        self,
-        scc: HorizontalSequiturSCC,
-        omc: ObjectManager,
-        count: int,
-        quarantined: int = 0,
-    ) -> WhompProfile:
-        total = count + quarantined
-        if quarantined and self.telemetry.enabled:
-            self.telemetry.counter(
-                "resilience.quarantined",
-                "tuples diverted to the quarantine sidecar",
-            ).inc(quarantined)
-        return WhompProfile(
-            grammars=scc.grammars,
-            base_addresses=omc.base_address_table(),
-            lifetimes=omc.lifetime_table(),
-            group_labels={g.group_id: g.label for g in omc.groups},
-            access_count=count,
-            capture_completeness=(count / total) if total else 1.0,
-            quarantined=quarantined,
-        )
-
-
-class OnlineWhompSession:
-    """A live WHOMP pipeline: OnlineCDC -> HorizontalSequiturSCC."""
-
-    def __init__(self, profiler: WhompProfiler, bus) -> None:
-        from repro.core.cdc import OnlineCDC
-
-        self._profiler = profiler
-        self._bus = bus
-        self._scc = HorizontalSequiturSCC(compressor=profiler.compressor)
-        consumer = self._scc.consume
-        self._mark = 0
-        if profiler.quarantine is not None:
-            from repro.resilience.degraded import quarantine_consumer
-
-            self._mark = profiler.quarantine.total
-            consumer = quarantine_consumer(consumer, profiler.quarantine)
-        self._cdc = OnlineCDC(
-            consumer,
-            ObjectManager(refine_by_type=profiler.refine_by_type),
-            telemetry=profiler.telemetry,
-        )
-        bus.attach(self._cdc)
-
-    def finish(self) -> WhompProfile:
-        self._bus.detach(self._cdc)
-        quarantined = self._profiler._quarantined_since(self._mark)
-        return self._profiler._package(
-            self._scc, self._cdc.omc, self._cdc.clock - quarantined, quarantined
-        )

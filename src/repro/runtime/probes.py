@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Protocol
 
 from repro.core.events import AccessKind, Trace
-from repro.telemetry.spans import Telemetry, coalesce
 
 
 class ProbeSink(Protocol):
@@ -43,29 +42,10 @@ class ProbeBus:
     With no sinks attached the bus models the *uninstrumented* program:
     :meth:`fire_access` degenerates to a cheap no-op, which is what the
     dilation-factor measurements of Table 1 compare against.
-
-    Passing an enabled :class:`~repro.telemetry.spans.Telemetry` counts
-    every probe firing (``probe.accesses`` / ``probe.allocs`` /
-    ``probe.frees``); the counting variants are swapped in at
-    construction so the default null-telemetry path is unchanged.
     """
 
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(self) -> None:
         self._sinks: List[ProbeSink] = []
-        telemetry = coalesce(telemetry)
-        if telemetry.enabled:
-            self._access_counter = telemetry.counter(
-                "probe.accesses", "load/store instruction probes fired"
-            )
-            self._alloc_counter = telemetry.counter(
-                "probe.allocs", "object creation probes fired"
-            )
-            self._free_counter = telemetry.counter(
-                "probe.frees", "object destruction probes fired"
-            )
-            self.fire_access = self._fire_access_counted  # type: ignore[method-assign]
-            self.fire_alloc = self._fire_alloc_counted  # type: ignore[method-assign]
-            self.fire_free = self._fire_free_counted  # type: ignore[method-assign]
 
     def attach(self, sink: ProbeSink) -> None:
         self._sinks.append(sink)
@@ -95,27 +75,6 @@ class ProbeBus:
             sink.on_alloc(address, size, site, type_name)
 
     def fire_free(self, address: int) -> None:
-        for sink in self._sinks:
-            sink.on_free(address)
-
-    # -- telemetry-counting variants (swapped in when enabled) ---------
-
-    def _fire_access_counted(
-        self, instruction_id: int, address: int, size: int, kind: AccessKind
-    ) -> None:
-        self._access_counter.inc()
-        for sink in self._sinks:
-            sink.on_access(instruction_id, address, size, kind)
-
-    def _fire_alloc_counted(
-        self, address: int, size: int, site: str, type_name: Optional[str]
-    ) -> None:
-        self._alloc_counter.inc()
-        for sink in self._sinks:
-            sink.on_alloc(address, size, site, type_name)
-
-    def _fire_free_counted(self, address: int) -> None:
-        self._free_counter.inc()
         for sink in self._sinks:
             sink.on_free(address)
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.events import AccessKind, Trace
+from repro.core.events import AccessKind, AllocEvent, Trace
 from repro.runtime.allocator import Allocator, make_allocator
 from repro.runtime.linker import Linker, StaticObject, Symbol, SymbolTable
 from repro.runtime.memory import AddressSpace, MemoryError_
 from repro.runtime.probes import ProbeBus, TraceRecorder
+from repro.telemetry.spans import coalesce
 
 #: Allocation-site prefix used for static objects; the OMC treats each
 #: static symbol as its own group, as WHOMP derives groups of statics
@@ -66,9 +67,10 @@ class Process:
         run yields a :class:`Trace`.  When false the process runs
         uninstrumented -- the "native" baseline for dilation timing.
     ``telemetry``
-        Optional :class:`~repro.telemetry.spans.Telemetry`; when enabled
-        the probe bus counts firings and the recorded trace tracks its
-        own footprint growth.
+        Optional :class:`~repro.telemetry.spans.Telemetry`; when enabled,
+        :meth:`finish` publishes the probe firings and the trace's
+        footprint, read off the recorded trace (so a run without
+        ``record_trace`` publishes nothing).
     """
 
     def __init__(
@@ -83,10 +85,11 @@ class Process:
         self.space = AddressSpace(heap_size=heap_size, os_offset=os_offset)
         self.linker = Linker(self.space, probe_padding=probe_padding)
         self.heap: Allocator = make_allocator(allocator, self.space.heap)
-        self.bus = ProbeBus(telemetry=telemetry)
+        self.bus = ProbeBus()
+        self._telemetry = coalesce(telemetry)
         self._recorder: Optional[TraceRecorder] = None
         if record_trace:
-            self._recorder = TraceRecorder(Trace(telemetry=telemetry))
+            self._recorder = TraceRecorder(Trace())
             self.bus.attach(self._recorder)
         self._instructions: Dict[str, Instruction] = {}
         self._static_types: Dict[str, Optional[str]] = {}
@@ -225,13 +228,16 @@ class Process:
 
     def finish(self) -> None:
         """End the run: fire destruction probes for statics (the paper
-        places static object probes at program begin *and end*)."""
+        places static object probes at program begin *and end*), then
+        publish the run's probe and trace metrics."""
         if self._finished:
             return
         self._finished = True
         if self._linked:
             for symbol in self.linker.symbol_table:
                 self.bus.fire_free(symbol.address)
+        if self._recorder is not None and self._telemetry.enabled:
+            _publish_trace_metrics(self._recorder.trace, self._telemetry)
 
     @property
     def trace(self) -> Trace:
@@ -246,3 +252,45 @@ class Process:
             if instruction.instruction_id == instruction_id:
                 return instruction.name
         raise KeyError(instruction_id)
+
+
+def _publish_trace_metrics(trace: Trace, telemetry) -> None:
+    """Publish ``probe.*`` and ``trace.*`` for a finished run.
+
+    The recorder saw every probe firing, so the trace's events are the
+    firings; one pass over its object events replays the live-footprint
+    gauges.  Counters and gauges continue from earlier runs that shared
+    ``telemetry``.
+    """
+    sizes: Dict[int, int] = {}
+    allocs = frees = allocated = 0
+    live_gauge = telemetry.gauge("trace.live_bytes", "currently allocated object bytes")
+    live = peak = live_gauge.value
+    histogram = telemetry.histogram(
+        "trace.alloc_size_bytes", "allocation size distribution"
+    )
+    for event in trace.object_events():
+        if isinstance(event, AllocEvent):
+            allocs += 1
+            allocated += event.size
+            sizes[event.address] = event.size
+            histogram.observe(event.size)
+            live += event.size
+            peak = max(peak, live)
+        else:
+            frees += 1
+            live -= sizes.pop(event.address, 0)
+    accesses = trace.access_count
+    telemetry.counter(
+        "probe.accesses", "load/store instruction probes fired"
+    ).inc(accesses)
+    telemetry.counter("probe.allocs", "object creation probes fired").inc(allocs)
+    telemetry.counter("probe.frees", "object destruction probes fired").inc(frees)
+    telemetry.counter("trace.accesses", "access events recorded").inc(accesses)
+    telemetry.counter(
+        "trace.allocated_bytes_total", "cumulative allocated bytes"
+    ).inc(allocated)
+    live_gauge.set(live)
+    telemetry.gauge(
+        "trace.peak_live_bytes", "peak allocated object bytes"
+    ).set_max(peak)

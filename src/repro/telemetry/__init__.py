@@ -15,8 +15,8 @@ Usage::
     print(render_report(telemetry))
 
 Every instrumented component defaults to :data:`NULL_TELEMETRY`, whose
-operations are no-ops and which components detect once at construction
--- uninstrumented runs keep the seed hot paths unchanged.
+operations are no-ops.  Counts are published once per stage boundary,
+never per event, so no hot path carries a telemetry check.
 """
 
 from repro.telemetry.export import (

@@ -12,10 +12,9 @@ exploding the tree.
 :class:`Telemetry` bundles a span tree with a
 :class:`~repro.telemetry.registry.Registry` and is what gets threaded
 through the pipeline.  :class:`NullTelemetry` is the disabled fast
-path: every operation is a no-op against shared singletons, and
-instrumented components check ``telemetry.enabled`` once at
-construction time so uninstrumented runs keep the seed hot paths
-byte-for-byte identical.
+path: every operation is a no-op against shared singletons.  Counts
+are published at stage boundaries, so no per-event hot path consults
+telemetry at all.
 """
 
 from __future__ import annotations
@@ -318,10 +317,10 @@ class _NullSpanContext:
 class NullTelemetry(Telemetry):
     """Disabled telemetry: every call is a no-op on shared singletons.
 
-    Components consult ``telemetry.enabled`` once, at construction, and
-    leave their hot paths untouched when it is False -- so a run under
-    :data:`NULL_TELEMETRY` (the default everywhere) pays no per-event
-    cost.  The registry stays empty and the span tree stays bare.
+    Components publish counts at stage boundaries, never per event, so
+    a run under :data:`NULL_TELEMETRY` (the default everywhere) pays no
+    per-event cost.  The registry stays empty and the span tree stays
+    bare.
     """
 
     enabled = False

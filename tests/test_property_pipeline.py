@@ -3,27 +3,41 @@
 A hypothesis strategy generates random-but-valid process scripts
 (allocations, frees, loads/stores into live blocks); every generated
 trace must satisfy the library's global invariants: WHOMP losslessness,
-online/offline agreement, translation consistency, LEAP accounting.
+online/offline agreement, translation consistency, LEAP accounting, and
+byte-identical profiles from every path through the profiler pipeline.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cdc import OnlineCDC, translate_trace_list
 from repro.core.events import AccessKind
+from repro.core.profile_io import dumps_bytes
+from repro.parallel import fork_available
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
+from repro.resilience import Quarantine
 from repro.runtime.process import Process
+from repro.telemetry import Telemetry
 
 
 @st.composite
-def process_script(draw):
-    """A list of abstract operations over a bounded object population."""
+def process_script(draw, wild=False):
+    """A list of abstract operations over a bounded object population.
+
+    ``wild`` adds loads from an untracked block, which translate to the
+    wild group (and divert to the quarantine in degraded mode).
+    """
     operations = []
     live = 0
     for __ in range(draw(st.integers(1, 60))):
         choice = draw(st.integers(0, 9))
-        if choice == 0 or live == 0:
+        if wild and choice == 9:
+            operations.append(
+                ("wild", draw(st.integers(0, 7)), draw(st.integers(0, 1)))
+            )
+        elif choice == 0 or live == 0:
             operations.append(("alloc", draw(st.integers(1, 4)), draw(st.integers(8, 256))))
             live += 1
         elif choice == 1 and live > 1:
@@ -46,8 +60,19 @@ def run_script(operations, process):
     """Interpret the abstract script against a process."""
     blocks = []  # (address, size)
     instructions = {}
+    pool = None  # untracked block the "wild" loads read
     for operation in operations:
-        if operation[0] == "alloc":
+        if operation[0] == "wild":
+            __, slot, instr_slot = operation
+            if pool is None:
+                pool = process.malloc("pool", 64, track=False)
+            name = f"wld{instr_slot}"
+            instr = instructions.get(name)
+            if instr is None:
+                instr = process.instruction(name, AccessKind.LOAD)
+                instructions[name] = instr
+            process.load(instr, pool + slot * 8)
+        elif operation[0] == "alloc":
             __, site, size = operation
             address = process.malloc(f"site{site}", size)
             blocks.append((address, size))
@@ -71,6 +96,8 @@ def run_script(operations, process):
                 process.store(instr, address + offset)
     for address, __size in blocks:
         process.free(address)
+    if pool is not None:
+        process.free(pool)
     process.finish()
 
 
@@ -124,3 +151,44 @@ def test_leap_accounting_on_random_scripts(operations, budget):
     assert 0.0 <= profile.accesses_captured() <= 1.0
     for entry in profile.entries.values():
         assert len(entry.lmads) <= budget
+
+
+def _profiles_by_path(factory, operations, degraded):
+    """``factory(**options)`` run down each pipeline path over one
+    script, each with its own quarantine in degraded mode."""
+
+    def make(**options):
+        return factory(quarantine=Quarantine() if degraded else None, **options)
+
+    process = Process()
+    session = make().attach(process.bus)
+    run_script(operations, process)
+    trace = process.trace
+    profiles = {
+        "streaming": make().profile(trace),
+        "staged": make(telemetry=Telemetry()).profile(trace),
+        "online": session.finish(),
+    }
+    if fork_available():
+        profiles["pool"] = make(jobs=2).profile(trace)
+    return profiles
+
+
+@pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
+@pytest.mark.parametrize(
+    "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+)
+@settings(max_examples=15, deadline=None)
+@given(operations=process_script(wild=True))
+def test_every_pipeline_path_gives_identical_documents(
+    factory, degraded, operations
+):
+    profiles = _profiles_by_path(factory, operations, degraded)
+    documents = {
+        path: dumps_bytes(profile, "binary") for path, profile in profiles.items()
+    }
+    reference = documents["streaming"]
+    for path, document in documents.items():
+        assert document == reference, path
+    wild = sum(1 for operation in operations if operation[0] == "wild")
+    assert profiles["streaming"].quarantined == (wild if degraded else 0)

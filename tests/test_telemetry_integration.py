@@ -13,14 +13,23 @@ import json
 import re
 import time
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.core.cdc import translate_trace
+from repro.core.events import AccessKind
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
+from repro.resilience import Quarantine
+from repro.runtime.process import Process
 from repro.telemetry import Telemetry
 from repro.workloads.registry import create
+
+PROFILERS = pytest.mark.parametrize(
+    "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+)
 
 
 class TestWhompTelemetry:
@@ -95,6 +104,26 @@ class TestWorkloadTelemetry:
         assert registry.value("trace.allocated_bytes_total") > 0
         assert registry.value("trace.peak_live_bytes") > 0
 
+    def test_footprint_published_at_finish(self):
+        telemetry = Telemetry()
+        process = Process(telemetry=telemetry)
+        first = process.malloc("a", 100)
+        second = process.malloc("b", 50)
+        process.free(first)
+        third = process.malloc("c", 30)
+        assert "trace.peak_live_bytes" not in telemetry.registry
+        process.free(second)
+        process.free(third)
+        process.finish()
+        registry = telemetry.registry
+        assert registry.value("trace.peak_live_bytes") == 150
+        assert registry.value("trace.live_bytes") == 0
+        assert registry.value("trace.allocated_bytes_total") == 180
+        assert registry.value("probe.allocs") == 3
+        assert registry.value("probe.frees") == 3
+        sizes = registry.get("trace.alloc_size_bytes")
+        assert (sizes.count, sizes.sum, sizes.maximum) == (3, 180, 100)
+
     def test_telemetry_does_not_change_the_trace(self):
         plain = create("micro.list", scale=0.2).trace()
         instrumented = create("micro.list", scale=0.2).trace(telemetry=Telemetry())
@@ -102,7 +131,127 @@ class TestWorkloadTelemetry:
         assert plain.raw_address_stream() == instrumented.raw_address_stream()
 
 
+def _wild_program(process):
+    """Eight loads from an untracked block, four from a tracked one."""
+    load = process.instruction("ld", AccessKind.LOAD)
+    pool = process.malloc("pool", 64, track=False)
+    block = process.malloc("site", 64)
+    for slot in range(8):
+        process.load(load, pool + slot * 8)
+    for slot in range(4):
+        process.load(load, block + slot * 8)
+    process.free(block)
+    process.free(pool)
+    process.finish()
+
+
+def _cdc_counts(telemetry):
+    return {
+        name: telemetry.registry.value(name)
+        for name in (
+            "cdc.translated_total", "cdc.wild_total", "resilience.quarantined"
+        )
+    }
+
+
+class TestPipelineCounts:
+    """The CDC counts come from the shared pipeline, so every profiler
+    and path publishes them, with the same values."""
+
+    @pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
+    @pytest.mark.parametrize("online", (False, True), ids=("offline", "online"))
+    @PROFILERS
+    def test_cdc_counts_agree(self, factory, online, degraded):
+        telemetry = Telemetry()
+        profiler = factory(
+            telemetry=telemetry, quarantine=Quarantine() if degraded else None
+        )
+        process = Process(record_trace=not online)
+        if online:
+            session = profiler.attach(process.bus)
+            _wild_program(process)
+            session.finish()
+        else:
+            _wild_program(process)
+            profiler.profile(process.trace)
+        assert _cdc_counts(telemetry) == {
+            "cdc.translated_total": 12,
+            "cdc.wild_total": 8,
+            "resilience.quarantined": 8 if degraded else None,
+        }
+
+    @PROFILERS
+    def test_second_finish_publishes_nothing(self, factory):
+        telemetry = Telemetry()
+        process = Process(record_trace=False)
+        session = factory(telemetry=telemetry, quarantine=Quarantine()).attach(
+            process.bus
+        )
+        _wild_program(process)
+        profile = session.finish()
+        counts = _cdc_counts(telemetry)
+        assert counts == {
+            "cdc.translated_total": 12,
+            "cdc.wild_total": 8,
+            "resilience.quarantined": 8,
+        }
+        assert session.finish() is profile
+        assert _cdc_counts(telemetry) == counts
+        assert profile.quarantined == 8 and profile.access_count == 4
+
+
 class TestCliTelemetry:
+    #: ``run micro --scale 0.2``: every counter and gauge, and each
+    #: histogram's (count, sum).  Span timings are not pinned.
+    MICRO_METRICS = {
+        "counters": {
+            "cdc.translated_total": 408,
+            "cdc.wild_total": 0,
+            "leap.overflow_symbols_total": 0,
+            "probe.accesses": 204,
+            "probe.allocs": 1,
+            "probe.frees": 1,
+            "trace.accesses": 204,
+            "trace.allocated_bytes_total": 816,
+        },
+        "gauges": {
+            "leap.budget": 30,
+            "leap.capture_rate": 1.0,
+            "leap.entries": 2,
+            "leap.lmads": 2,
+            "leap.overflowed_entries": 0,
+            "leap.profile_bytes": 176,
+            "trace.live_bytes": 0,
+            "trace.peak_live_bytes": 816,
+            "whomp.grammar_rules": 22,
+            "whomp.groups": 1,
+            "whomp.profile_bytes": 466,
+            "whomp.profile_symbols": 255,
+        },
+        "histograms": {
+            "leap.lmads_per_entry": [2, 2],
+            "trace.alloc_size_bytes": [1, 816],
+        },
+    }
+
+    def test_metric_values_pinned(self, tmp_path):
+        out_file = tmp_path / "telemetry.json"
+        code = cli_main(
+            ["run", "micro", "--scale", "0.2", "-o", str(tmp_path),
+             "--telemetry", "json", "--telemetry-out", str(out_file)]
+        )
+        assert code == 0
+        data = json.loads(out_file.read_text())
+        observed = {
+            "counters": data["counters"],
+            "gauges": data["gauges"],
+            "histograms": {
+                name: [histogram["count"], histogram["sum"]]
+                for name, histogram in data["histograms"].items()
+            },
+        }
+        assert observed == self.MICRO_METRICS
+
     def test_report_covers_pipeline_stages(self, tmp_path, capsys):
         code = cli_main(
             ["run", "micro", "--scale", "0.2", "-o", str(tmp_path),
