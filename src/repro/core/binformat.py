@@ -28,6 +28,9 @@ the previous row -- object serials and base addresses in the OMC
 tables, allocation/free timestamps in lifetime rows, LMAD start vectors
 within an entry -- which is what makes object-relative streams so
 compressible: consecutive rows differ by small amounts by construction.
+A grammar symbol is one tagged varint (:func:`tag_grammar`), and that
+tagged form is also what both encodings hand the one grammar expander,
+:func:`_expand_tagged`, on load.
 
 The same frame layer carries the **stream protocol** used by
 ``repro-serve ingest --stream``: a :class:`StreamWriter` emits
@@ -314,55 +317,71 @@ def iter_frames(data: bytes, offset: int) -> Iterator[Tuple[int, bytes]]:
 # -- document encoding --------------------------------------------------------
 
 
-def _encode_symbol(out: bytearray, tag: str, value: object) -> None:
-    """One grammar symbol as a single varint: bit 0 distinguishes rule
-    references (``rule_id << 1 | 1``) from terminals
-    (``zigzag(value) << 1``), so the common small terminal costs one
-    byte."""
-    if tag == "T":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise BinaryFormatError(
-                f"binary grammars require integer terminals, got {value!r}"
-            )
-        zigzag = value << 1 if value >= 0 else (-value << 1) - 1
-        write_uvarint(out, zigzag << 1)
-    elif tag == "R":
-        write_uvarint(out, (int(value) << 1) | 1)
-    else:
-        raise BinaryFormatError(f"bad symbol tag {tag!r}")
+def tag_grammar(
+    grammar: Dict[str, object]
+) -> Tuple[int, Dict[int, List[int]]]:
+    """A JSON-shape grammar (``{"start", "productions"}``) in the
+    *tagged* form that grammar frames carry and :func:`_expand_tagged`
+    takes: ``(start, {rule_id: [tagged, ...]})``.
+
+    Each symbol is one int whose bit 0 tells a rule reference
+    (``rule_id << 1 | 1``) from a terminal (``zigzag(value) << 1``), so
+    on the wire the common small terminal costs one byte.  This is the
+    only place the rule is written: the encoder and the JSON loader both
+    go through it, so a JSON grammar that loads always re-encodes.
+    Rule ids and the start must be non-negative ints, terminals ints.
+    """
+    start = grammar["start"]
+    if type(start) is not int or start < 0:
+        raise BinaryFormatError(f"bad start rule {start!r}")
+    productions: Dict[int, List[int]] = {}
+    for key, rhs in grammar["productions"].items():
+        rule_id = int(key)
+        if rule_id < 0 or rule_id in productions:
+            raise BinaryFormatError(f"negative or duplicate rule id {key!r}")
+        tagged: List[int] = []
+        append = tagged.append
+        for tag, value in rhs:
+            if type(value) is not int:
+                raise BinaryFormatError(
+                    f"grammar symbols must be integers, got {value!r}"
+                )
+            if tag == "T":  # zigzag(value) << 1
+                append(value << 2 if value >= 0 else (-value << 2) - 2)
+            elif tag == "R" and value >= 0:
+                append(value << 1 | 1)
+            else:
+                raise BinaryFormatError(
+                    f"bad symbol tag {tag!r} for {value!r}"
+                )
+        productions[rule_id] = tagged
+    return start, productions
 
 
 def _encode_grammar(name: str, grammar: Dict[str, object]) -> bytes:
+    start, productions = tag_grammar(grammar)
     out = bytearray()
     write_token(out, name)
-    productions = grammar["productions"]
-    try:
-        rules = sorted(
-            (int(rule_id), rhs) for rule_id, rhs in productions.items()
-        )
-    except (TypeError, ValueError) as exc:
-        raise BinaryFormatError(f"non-integer grammar rule id: {exc}") from exc
-    write_uvarint(out, int(grammar["start"]))
-    write_uvarint(out, len(rules))
+    write_uvarint(out, start)
+    write_uvarint(out, len(productions))
     previous = 0
-    for rule_id, rhs in rules:
-        if rule_id < previous:
-            raise BinaryFormatError("grammar rule ids must be unique")
+    for rule_id in sorted(productions):
+        rhs = productions[rule_id]
         write_uvarint(out, rule_id - previous)
         previous = rule_id
         write_uvarint(out, len(rhs))
-        for symbol in rhs:
-            _encode_symbol(out, symbol[0], symbol[1])
+        for tagged in rhs:
+            write_uvarint(out, tagged)
     return bytes(out)
 
 
 def _decode_grammar_tagged(
     payload: bytes,
 ) -> Tuple[str, int, Dict[int, List[int]]]:
-    """Decode a grammar frame to its *tagged* form: productions as
-    lists of the raw symbol varints (bit 0 = is-ref), no per-symbol
-    list objects.  The hot inner loop inlines the varint read -- this
-    frame is most of a WHOMP document's bytes."""
+    """Decode a grammar frame to its tagged form (see
+    :func:`tag_grammar`): productions as lists of the raw symbol
+    varints, no per-symbol list objects.  The hot inner loop inlines the
+    varint read -- this frame is most of a WHOMP document's bytes."""
     name, pos = read_token(payload, 0)
     start, pos = read_uvarint(payload, pos)
     n_rules, pos = read_uvarint(payload, pos)
@@ -409,17 +428,22 @@ def _decode_grammar_tagged(
     return name, start, productions
 
 
-def _decode_grammar(payload: bytes) -> Tuple[str, Dict[str, object]]:
-    name, start, tagged_rules = _decode_grammar_tagged(payload)
-    productions: Dict[str, List[List[object]]] = {}
-    for rule_id, rhs in tagged_rules.items():
-        productions[str(rule_id)] = [
-            ["R", tagged >> 1]
-            if tagged & 1
-            else ["T", (tagged >> 2) ^ -((tagged >> 1) & 1)]
-            for tagged in rhs
-        ]
-    return name, {"start": start, "productions": productions}
+def _decode_grammar(
+    start: int, productions: Dict[int, List[int]]
+) -> Dict[str, object]:
+    """A tagged grammar back in JSON shape (``decode_document``'s form)."""
+    return {
+        "start": start,
+        "productions": {
+            str(rule_id): [
+                ["R", tagged >> 1]
+                if tagged & 1
+                else ["T", ~(tagged >> 2) if tagged & 2 else tagged >> 2]
+                for tagged in rhs
+            ]
+            for rule_id, rhs in productions.items()
+        },
+    }
 
 
 def _encode_bases(rows: List[List[int]]) -> bytes:
@@ -922,6 +946,18 @@ def _checked_frames(data: bytes) -> Tuple[str, List[Tuple[int, bytes]]]:
     return kind, frames[1:]
 
 
+def decode_tagged(data: bytes) -> Dict[str, object]:
+    """:func:`decode_document`, except that WHOMP grammars stay in the
+    tagged form ``(start, {rule_id: [tagged, ...]})`` that
+    :func:`_expand_tagged` takes -- the load path's form, which never
+    builds a ``["T", value]`` list."""
+    kind, frames = _checked_frames(data)
+    decoder = _FRAME_DECODERS.get(kind)
+    if decoder is None:
+        raise BinaryFormatError(f"unknown binary document kind {kind!r}")
+    return decoder(frames)
+
+
 def decode_document(data: bytes) -> Dict[str, object]:
     """Decode binary bytes back to the JSON-shape document dict.
 
@@ -931,14 +967,13 @@ def decode_document(data: bytes) -> Dict[str, object]:
     canonical JSON document -- callers run the same validators over
     both formats.
     """
-    kind, frames = _checked_frames(data)
-    if kind == "whomp":
-        return _decode_whomp_frames(frames)
-    if kind == "leap":
-        return _decode_leap_frames(frames)
-    if kind == "dependence":
-        return _decode_dependence_frames(frames)
-    raise BinaryFormatError(f"unknown binary document kind {kind!r}")
+    document = decode_tagged(data)
+    if document["format"] == "whomp":
+        document["grammars"] = {
+            name: _decode_grammar(*grammar)
+            for name, grammar in document["grammars"].items()
+        }
+    return document
 
 
 def _decode_meta(
@@ -963,10 +998,10 @@ def _decode_whomp_frames(frames: List[Tuple[int, bytes]]) -> Dict[str, object]:
         if tag == FRAME_META:
             document.update(_decode_meta(payload, "access_count"))
         elif tag == FRAME_GRAMMAR:
-            name, grammar = _decode_grammar(payload)
+            name, start, productions = _decode_grammar_tagged(payload)
             if name in grammars:
                 raise BinaryFormatError(f"duplicate grammar frame {name!r}")
-            grammars[name] = grammar
+            grammars[name] = (start, productions)
         elif tag == FRAME_BASES:
             document["base_addresses"] = _decode_bases(payload)
         elif tag == FRAME_LIFETIMES:
@@ -1032,183 +1067,84 @@ def _decode_dependence_frames(
     return document
 
 
-# -- fast grammar expansion ---------------------------------------------------
+_FRAME_DECODERS = {
+    "whomp": _decode_whomp_frames,
+    "leap": _decode_leap_frames,
+    "dependence": _decode_dependence_frames,
+}
 
 
-def expand_productions_fast(
-    data: Dict[str, object],
-    max_symbols: Optional[int] = None,
-    fallback: Optional[Callable[..., List[object]]] = None,
-) -> List[object]:
-    """Bottom-up memoized expansion of serialized productions.
-
-    The per-symbol iterative expander in :mod:`profile_io` walks one
-    terminal at a time; this one expands each *rule* exactly once, in
-    dependency order, concatenating already-expanded children with
-    C-speed list operations -- the difference is most of BINCAP's
-    decode speedup on grammar-heavy WHOMP documents.
-
-    Safety matches the iterative expander: cycles and undefined rules
-    raise, and claimed sizes are computed *before* any list is built,
-    so a doubling-chain bomb is rejected from its arithmetic alone.
-    Pathological-but-valid grammars whose per-rule expansions sum far
-    past the output length (deep unshared chains) are delegated to
-    ``fallback`` (the bounded iterative expander) instead of holding
-    every intermediate list in memory.
-    """
-    try:
-        productions = data["productions"]
-        start = str(data["start"])
-        if start not in productions:
-            raise BinaryFormatError(f"start rule {start!r} not in productions")
-        # Pass 1: dependency order via iterative DFS, with cycle check.
-        order: List[str] = []
-        state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-        stack: List[Tuple[str, int]] = [(start, 0)]
-        state[start] = 1
-        while stack:
-            rule_id, index = stack.pop()
-            rhs = productions[rule_id]
-            advanced = False
-            while index < len(rhs):
-                tag, value = rhs[index]
-                index += 1
-                if tag == "R":
-                    child = str(value)
-                    mark = state.get(child)
-                    if mark == 1:
-                        raise BinaryFormatError(
-                            f"grammar cycle through rule {child!r}"
-                        )
-                    if mark is None:
-                        if child not in productions:
-                            raise BinaryFormatError(
-                                f"undefined rule {child!r}"
-                            )
-                        stack.append((rule_id, index))
-                        stack.append((child, 0))
-                        state[child] = 1
-                        advanced = True
-                        break
-                elif tag != "T":
-                    raise BinaryFormatError(f"bad symbol tag {tag!r}")
-            if not advanced:
-                state[rule_id] = 2
-                order.append(rule_id)
-        # Pass 2: expansion sizes from arithmetic alone (bomb gate).
-        sizes: Dict[str, int] = {}
-        total_work = 0
-        for rule_id in order:
-            size = 0
-            for tag, value in productions[rule_id]:
-                if tag == "T":
-                    size += 1
-                else:
-                    size += sizes[str(value)]
-                if max_symbols is not None and size > max_symbols:
-                    raise BinaryFormatError(
-                        f"grammar expands past the claimed "
-                        f"{max_symbols} symbols"
-                    )
-            sizes[rule_id] = size
-            total_work += size
-        if (
-            fallback is not None
-            and max_symbols is not None
-            and total_work > 8 * max_symbols + 1024
-        ):
-            return fallback(data, max_symbols=max_symbols)
-        # Pass 3: expand bottom-up; children are always already done.
-        expanded: Dict[str, List[object]] = {}
-        for rule_id in order:
-            out: List[object] = []
-            run: List[object] = []  # consecutive terminals, batched
-            for tag, value in productions[rule_id]:
-                if tag == "T":
-                    run.append(value)
-                else:
-                    if run:
-                        out += run
-                        run = []
-                    out += expanded[str(value)]
-            if run:
-                out += run
-            expanded[rule_id] = out
-        return expanded[start]
-    except BinaryFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise BinaryFormatError(f"malformed grammar: {exc}") from exc
+# -- grammar expansion --------------------------------------------------------
 
 
 def _expand_tagged(
     start: int, productions: Dict[int, List[int]], max_symbols: int
 ) -> List[int]:
-    """Bottom-up expansion straight off the tagged symbol varints.
+    """Expand a tagged grammar (see :func:`tag_grammar`) to its
+    terminal stream -- the one expander both encodings load through.
 
-    The binary ingest hot path: no ``["T", value]`` lists are ever
-    built -- refs and terminals stay single ints until the terminal is
-    appended to an output list.  Same safety properties as
-    :func:`expand_productions_fast` (cycle / undefined-rule / bomb
-    checks before any large list exists); pathological shapes fall back
-    to a one-symbol-at-a-time walk bounded by ``max_symbols``.
+    Bottom-up: each *rule* is expanded once, in dependency order, by
+    concatenating its already-expanded children, and terminals stay
+    single ints until they are appended to an output list.  An
+    iterative DFS (any depth loads) rejects cycles and undefined rules,
+    and every rule's expanded size is computed from arithmetic alone
+    before any list exists, so a doubling-chain bomb claiming more than
+    ``max_symbols`` is refused without being built.  Valid grammars
+    whose per-rule expansions sum far past the output (deep unshared
+    chains) take :func:`_expand_tagged_iterative` instead, so memory
+    stays proportional to the output.
     """
     if start not in productions:
         raise BinaryFormatError(f"start rule {start!r} not in productions")
-    # dependency order (iterative DFS) + cycle / undefined checks
-    order: List[int] = []
-    state: Dict[int, int] = {start: 1}  # 1 = on stack, 2 = done
-    stack: List[Tuple[int, int]] = [(start, 0)]
-    while stack:
-        rule_id, index = stack.pop()
-        rhs = productions[rule_id]
-        advanced = False
-        while index < len(rhs):
-            tagged = rhs[index]
-            index += 1
-            if tagged & 1:
-                child = tagged >> 1
-                mark = state.get(child)
-                if mark == 1:
-                    raise BinaryFormatError(
-                        f"grammar cycle through rule {child!r}"
-                    )
-                if mark is None:
-                    if child not in productions:
-                        raise BinaryFormatError(f"undefined rule {child!r}")
-                    stack.append((rule_id, index))
-                    stack.append((child, 0))
-                    state[child] = 1
-                    advanced = True
-                    break
-        if not advanced:
-            state[rule_id] = 2
-            order.append(rule_id)
-    # claimed sizes from arithmetic alone (expansion-bomb gate)
+    # Iterative DFS over each rule's child references; at post-order a
+    # rule's expanded size follows from its children's by arithmetic
+    # alone (the expansion-bomb gate).  ``sizes`` fills in post-order,
+    # so it doubles as the children-first expansion order.
     sizes: Dict[int, int] = {}
+    on_stack = {start}
+    refs = [t >> 1 for t in productions[start] if t & 1]
+    stack: List[Tuple[int, List[int], int]] = [(start, refs, 0)]
     total_work = 0
-    for rule_id in order:
-        size = 0
-        for tagged in productions[rule_id]:
-            size += sizes[tagged >> 1] if tagged & 1 else 1
+    while stack:
+        rule_id, children, index = stack.pop()
+        while index < len(children):
+            child = children[index]
+            index += 1
+            if child in sizes:
+                continue
+            if child in on_stack:
+                raise BinaryFormatError(
+                    f"grammar cycle through rule {child!r}"
+                )
+            rhs = productions.get(child)
+            if rhs is None:
+                raise BinaryFormatError(f"undefined rule {child!r}")
+            stack.append((rule_id, children, index))
+            stack.append((child, [t >> 1 for t in rhs if t & 1], 0))
+            on_stack.add(child)
+            break
+        else:
+            on_stack.discard(rule_id)
+            # children are gated first, so no sum passes len(rhs) * max
+            size = len(productions[rule_id]) - len(children)
+            size += sum(map(sizes.__getitem__, children))
             if size > max_symbols:
                 raise BinaryFormatError(
                     f"grammar expands past the claimed {max_symbols} symbols"
                 )
-        sizes[rule_id] = size
-        total_work += size
+            sizes[rule_id] = size
+            total_work += size
     if total_work > 8 * max_symbols + 1024:
         return _expand_tagged_iterative(start, productions, max_symbols)
     expanded: Dict[int, List[int]] = {}
-    for rule_id in order:
+    for rule_id in sizes:
         out: List[int] = []
         append = out.append
         for tagged in productions[rule_id]:
             if tagged & 1:
                 out += expanded[tagged >> 1]
-            else:
-                zigzag = tagged >> 1
-                append((zigzag >> 1) ^ -(zigzag & 1))
+            else:  # bit 1 is the zigzag sign bit
+                append(~(tagged >> 2) if tagged & 2 else tagged >> 2)
         expanded[rule_id] = out
     return expanded[start]
 
@@ -1238,81 +1174,8 @@ def _expand_tagged_iterative(
                 raise BinaryFormatError(
                     f"grammar expands past the claimed {max_symbols} symbols"
                 )
-            zigzag = tagged >> 1
-            append((zigzag >> 1) ^ -(zigzag & 1))
+            append(~(tagged >> 2) if tagged & 2 else tagged >> 2)
     return out
-
-
-def decode_whomp_streams(
-    data: bytes, dimensions: Tuple[str, ...]
-) -> Dict[str, object]:
-    """Decode binary WHOMP bytes directly to the loader's stream dict.
-
-    The fast twin of ``decode_document`` + the document-level WHOMP
-    decoder: grammar frames expand from their tagged form without ever
-    materializing the JSON document, which is what makes binary ingest
-    faster than JSON, not merely smaller.  The result and the checks
-    match ``profile_io.load_whomp_streams`` exactly -- required
-    ``dimensions`` present, every stream exactly ``access_count`` long.
-    """
-    kind, frames = _checked_frames(data)
-    if kind != "whomp":
-        raise BinaryFormatError(f"expected a WHOMP document, got {kind!r}")
-    meta: Optional[Dict[str, object]] = None
-    grammars: Dict[str, Tuple[int, Dict[int, List[int]]]] = {}
-    base_addresses: Optional[Dict[Tuple[int, int], int]] = None
-    lifetimes: Optional[List[Tuple[object, ...]]] = None
-    labels: Optional[Dict[str, str]] = None
-    for tag, payload in frames:
-        if tag == FRAME_GRAMMAR:
-            name, start, productions = _decode_grammar_tagged(payload)
-            if name in grammars:
-                raise BinaryFormatError(f"duplicate grammar frame {name!r}")
-            grammars[name] = (start, productions)
-        elif tag == FRAME_META:
-            meta = _decode_meta(payload, "access_count")
-        elif tag == FRAME_BASES:
-            base_addresses = {
-                (group, serial): address
-                for group, serial, address in _decode_bases(payload)
-            }
-        elif tag == FRAME_LIFETIMES:
-            lifetimes = [tuple(row) for row in _decode_lifetimes(payload)]
-        elif tag == FRAME_LABELS:
-            labels = _decode_labels(payload)
-        else:
-            raise BinaryFormatError(f"unexpected frame {tag:#x} in WHOMP")
-    if (
-        meta is None
-        or base_addresses is None
-        or lifetimes is None
-        or labels is None
-        or not grammars
-    ):
-        raise BinaryFormatError("WHOMP document is missing frames")
-    access_count = meta["access_count"]
-    streams = {
-        name: _expand_tagged(start, productions, access_count)
-        for name, (start, productions) in grammars.items()
-    }
-    missing = [name for name in dimensions if name not in streams]
-    if missing:
-        raise BinaryFormatError(f"missing dimension streams: {missing}")
-    for name, values in streams.items():
-        if len(values) != access_count:
-            raise BinaryFormatError(
-                f"{name} stream has {len(values)} symbols, "
-                f"expected {access_count}"
-            )
-    return {
-        "streams": streams,
-        "base_addresses": base_addresses,
-        "lifetimes": lifetimes,
-        "group_labels": {int(k): v for k, v in labels.items()},
-        "access_count": access_count,
-        "capture_completeness": meta["capture_completeness"],
-        "quarantined": meta["quarantined"],
-    }
 
 
 # -- stream protocol ----------------------------------------------------------

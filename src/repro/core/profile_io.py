@@ -21,10 +21,12 @@ truncated write, a flipped bit, or a hand-edited document does to the
 bytes, a loader either returns a valid profile or raises
 :class:`ProfileFormatError` -- never a ``KeyError``/``TypeError`` from
 half-decoded structure, and never unbounded work from a malicious
-document (a doubling grammar claiming a small ``access_count`` is cut
-off at the claimed length; internal totals are cross-checked).  The
-fuzz tests in ``tests/test_profile_io.py`` drive this with bit flips
-and truncations at every offset.
+document (a doubling grammar claiming a small ``access_count`` is
+refused from its arithmetic; internal totals are cross-checked).  Both
+encodings decode WHOMP through one stream builder and the one grammar
+expander in :mod:`repro.core.binformat`, and a JSON document loads only
+if BINCAP can carry it.  The fuzz tests in ``tests/test_profile_io.py``
+drive this with bit flips and truncations at every offset.
 
 :func:`save` / :func:`load` are the path-level API: atomic writes
 (temp file + ``os.replace``) and format sniffing, so a crash mid-save
@@ -36,7 +38,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import IO, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.baselines.dependence_lossless import DependenceProfile
 from repro.compression.lmad import LMAD, LMADProfileEntry, OverflowSummary
@@ -92,6 +94,44 @@ def _count_field(document: Dict[str, object], key: str) -> int:
     return value
 
 
+def document_meta(document: Dict[str, object]) -> Tuple[float, int]:
+    """The checked ``(capture_completeness, quarantined)`` of a WHOMP or
+    LEAP document, JSON or BINCAP alike: completeness a finite real in
+    [0, 1], quarantined a non-negative int."""
+    completeness = document.get("capture_completeness", 1.0)
+    if type(completeness) not in (int, float) or not 0 <= completeness <= 1:
+        raise ProfileFormatError(f"bad capture_completeness: {completeness!r}")
+    quarantined = document.get("quarantined", 0)
+    if type(quarantined) is not int or quarantined < 0:
+        raise ProfileFormatError(f"bad quarantined: {quarantined!r}")
+    return completeness, quarantined
+
+
+def _table(
+    rows: List[object], width: int, nullable: Optional[int] = None
+) -> List[Tuple[object, ...]]:
+    """``rows`` as tuples of ``width`` ints, where column ``nullable``
+    may also be None -- the only row shape a BINCAP table frame
+    carries."""
+    table = []
+    for row in rows:
+        row = tuple(row)
+        if len(row) != width or not all(
+            type(value) is int or (value is None and column == nullable)
+            for column, value in enumerate(row)
+        ):
+            raise ProfileFormatError(f"bad table row {list(row)!r}")
+        table.append(row)
+    return table
+
+
+def _labels(labels: Dict[str, object]) -> Dict[int, str]:
+    decoded = {int(key): value for key, value in labels.items()}
+    if not all(isinstance(value, str) for value in decoded.values()):
+        raise ProfileFormatError("group labels must be strings")
+    return decoded
+
+
 # -- grammar (de)serialization ------------------------------------------------
 
 
@@ -106,68 +146,6 @@ def _grammar_to_json(grammar: SequiturGrammar) -> Dict[str, object]:
                 encoded.append(["T", symbol])
         productions[str(rule_id)] = encoded
     return {"start": grammar.start.id, "productions": productions}
-
-
-def _expand_productions(
-    data: Dict[str, object], max_symbols: Optional[int] = None
-) -> List[object]:
-    """Expand serialized productions back into the terminal stream.
-
-    Expansion is iterative (explicit frame stack): rule chains in a
-    valid grammar can be arbitrarily deep, far past Python's recursion
-    limit, and must still load.  A rule re-entered while one of its own
-    expansions is in flight is a true cycle -- impossible in a grammar
-    produced by Sequitur -- and raises :class:`ProfileFormatError`.
-
-    ``max_symbols`` bounds the output length: a crafted document can
-    describe exponentially many terminals in linear space (a doubling
-    chain of rules), so a loader that knows the expected stream length
-    passes it and the expansion aborts the moment the claim is
-    exceeded, instead of filling memory first and failing later.
-    """
-    try:
-        productions = data["productions"]
-        start = str(data["start"])
-        if start not in productions:
-            raise ProfileFormatError(f"start rule {start!r} not in productions")
-        out: List[object] = []
-        # Each frame: [rule_id, rhs, next index].  ``active`` tracks the
-        # rules currently on the stack for cycle detection.
-        stack: List[List[object]] = [[start, productions[start], 0]]
-        active = {start}
-        while stack:
-            frame = stack[-1]
-            rule_id, rhs, index = frame
-            if index >= len(rhs):
-                stack.pop()
-                active.discard(rule_id)
-                continue
-            frame[2] = index + 1
-            tag, value = rhs[index]
-            if tag == "T":
-                out.append(value)
-                if max_symbols is not None and len(out) > max_symbols:
-                    raise ProfileFormatError(
-                        f"grammar expands past the claimed {max_symbols} symbols"
-                    )
-            elif tag == "R":
-                child = str(value)
-                if child in active:
-                    raise ProfileFormatError(
-                        f"grammar cycle through rule {child!r}"
-                    )
-                child_rhs = productions.get(child)
-                if child_rhs is None:
-                    raise ProfileFormatError(f"undefined rule {child!r}")
-                stack.append([child, child_rhs, 0])
-                active.add(child)
-            else:
-                raise ProfileFormatError(f"bad symbol tag {tag!r}")
-        return out
-    except ProfileFormatError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise ProfileFormatError(f"malformed grammar: {exc}") from exc
 
 
 # -- WHOMP ----------------------------------------------------------------
@@ -212,19 +190,24 @@ def load_whomp_streams(stream: IO[str]) -> Dict[str, object]:
 
 
 def _decode_whomp(document: Dict[str, object]) -> Dict[str, object]:
+    """The one WHOMP stream builder, for both encodings.
+
+    JSON documents arrive with JSON-shape grammars, which
+    :func:`binformat.tag_grammar` converts; BINCAP documents
+    (:func:`binformat.decode_tagged`) arrive already tagged.  Either way
+    every grammar expands through ``binformat._expand_tagged``, capped
+    at the claimed ``access_count``, and the tables are type-checked, so
+    a document that loads here also re-encodes to BINCAP.
+    """
     _require_version(document, "whomp")
     try:
         access_count = _count_field(document, "access_count")
-        # bottom-up memoized expansion (the ingest hot path); pathological
-        # grammar shapes are delegated back to the bounded iterative walker
-        streams = {
-            name: binformat.expand_productions_fast(
-                grammar_data,
-                max_symbols=access_count,
-                fallback=_expand_productions,
-            )
-            for name, grammar_data in document["grammars"].items()
-        }
+        completeness, quarantined = document_meta(document)
+        streams = {}
+        for name, grammar in document["grammars"].items():
+            if not isinstance(grammar, tuple):
+                grammar = binformat.tag_grammar(grammar)
+            streams[name] = binformat._expand_tagged(*grammar, access_count)
         missing = [name for name in DIMENSIONS if name not in streams]
         if missing:
             raise ProfileFormatError(f"missing dimension streams: {missing}")
@@ -234,24 +217,23 @@ def _decode_whomp(document: Dict[str, object]) -> Dict[str, object]:
                     f"{name} stream has {len(values)} symbols, "
                     f"expected {access_count}"
                 )
-        base_addresses = {
-            (group, serial): address
-            for group, serial, address in document["base_addresses"]
-        }
         return {
             "streams": streams,
-            "base_addresses": base_addresses,
-            "lifetimes": [tuple(row) for row in document["lifetimes"]],
-            "group_labels": {
-                int(k): v for k, v in document["group_labels"].items()
+            "base_addresses": {
+                (group, serial): address
+                for group, serial, address in _table(
+                    document["base_addresses"], 3
+                )
             },
+            "lifetimes": _table(document["lifetimes"], 5, nullable=3),
+            "group_labels": _labels(document["group_labels"]),
             "access_count": access_count,
-            "capture_completeness": document.get("capture_completeness", 1.0),
-            "quarantined": document.get("quarantined", 0),
+            "capture_completeness": completeness,
+            "quarantined": quarantined,
         }
     except ProfileFormatError:
         raise
-    except _DECODE_ERRORS as exc:
+    except _DECODE_ERRORS as exc:  # BinaryFormatError is a ValueError
         raise ProfileFormatError(f"malformed WHOMP profile: {exc}") from exc
 
 
@@ -333,18 +315,17 @@ def _decode_leap(document: Dict[str, object]) -> LeapProfile:
                 total_symbols=total,
                 summarized=bool(record.get("summarized", False)),
             )
+        completeness, quarantined = document_meta(document)
         return LeapProfile(
             entries=entries,
             kinds={int(k): AccessKind(v) for k, v in document["kinds"].items()},
             exec_counts={int(k): v for k, v in document["exec_counts"].items()},
-            group_labels={
-                int(k): v for k, v in document["group_labels"].items()
-            },
+            group_labels=_labels(document["group_labels"]),
             access_count=_count_field(document, "access_count"),
-            budget=document["budget"],
-            lifetimes=[tuple(row) for row in document["lifetimes"]],
-            capture_completeness=document.get("capture_completeness", 1.0),
-            quarantined=document.get("quarantined", 0),
+            budget=_count_field(document, "budget"),
+            lifetimes=_table(document["lifetimes"], 5, nullable=3),
+            capture_completeness=completeness,
+            quarantined=quarantined,
         )
     except ProfileFormatError:
         raise
@@ -529,9 +510,10 @@ def dumps_bytes(profile: object, fmt: str = "json") -> bytes:
 
 
 def profile_from_document(document: Dict[str, object]) -> object:
-    """Decode a JSON-shape document dict into its profile object,
-    dispatching on the ``format`` field (the common tail of
-    :func:`loads` and :func:`loads_bytes`)."""
+    """Decode a document dict into its profile object, dispatching on
+    the ``format`` field (the common tail of :func:`loads` and
+    :func:`loads_bytes`).  WHOMP grammars may be in JSON shape or in
+    the tagged form :func:`repro.core.binformat.decode_tagged` leaves."""
     fmt = document.get("format")
     decoder = _DECODERS.get(fmt)
     if decoder is None:
@@ -549,18 +531,14 @@ def loads(text: str) -> object:
     return profile_from_document(_load_document(io.StringIO(text)))
 
 
-def document_from_bytes(data: Union[bytes, bytearray]) -> Dict[str, object]:
-    """Decode either encoding back to its JSON-shape document dict.
-
-    Binary bytes (BINCAP magic) are frame-decoded and CRC-checked; any
-    other bytes must be a UTF-8 JSON object.  The result is the common
-    currency of the differ and the daemon's ``/get`` endpoint --
-    downstream code never needs to know which encoding arrived.
-    """
-    data = bytes(data)
+def _document(
+    data: bytes, decode_binary: Callable[[bytes], Dict[str, object]]
+) -> Dict[str, object]:
+    """The document dict of either encoding: BINCAP bytes (magic) go
+    through ``decode_binary``, anything else must be UTF-8 JSON."""
     try:
         if binformat.sniff_kind(data) is not None:
-            return binformat.decode_document(data)
+            return decode_binary(data)
     except binformat.BinaryFormatError as exc:
         raise ProfileFormatError(str(exc)) from exc
     try:
@@ -572,21 +550,27 @@ def document_from_bytes(data: Union[bytes, bytearray]) -> Dict[str, object]:
     return _load_document(io.StringIO(text))
 
 
+def document_from_bytes(data: Union[bytes, bytearray]) -> Dict[str, object]:
+    """Decode either encoding back to its JSON-shape document dict.
+
+    Binary bytes (BINCAP magic) are frame-decoded and CRC-checked; any
+    other bytes must be a UTF-8 JSON object.  The result is the common
+    currency of the differ and the daemon's ``/get`` endpoint --
+    downstream code never needs to know which encoding arrived.
+    """
+    return _document(bytes(data), binformat.decode_document)
+
+
 def loads_bytes(data: Union[bytes, bytearray]) -> object:
     """Decode a profile from bytes in either encoding (magic-routed).
 
-    Binary WHOMP documents take a fast path
-    (:func:`repro.core.binformat.decode_whomp_streams`) that expands
-    grammars straight off the wire encoding; it enforces the same
-    checks and returns the same stream dict as the document route.
+    Both encodings reach the same per-kind decoders; BINCAP WHOMP
+    grammars arrive there still tagged
+    (:func:`repro.core.binformat.decode_tagged`), so binary loads never
+    build the JSON-shape grammar at all.
     """
-    data = bytes(data)
-    try:
-        if binformat.sniff_kind(data) == "whomp":
-            return binformat.decode_whomp_streams(data, DIMENSIONS)
-    except binformat.BinaryFormatError as exc:
-        raise ProfileFormatError(str(exc)) from exc
-    return profile_from_document(document_from_bytes(data))
+    document = _document(bytes(data), binformat.decode_tagged)
+    return profile_from_document(document)
 
 
 #: canonical documents serialize their ``format`` field first, so a

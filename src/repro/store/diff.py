@@ -28,6 +28,7 @@ from repro.baselines.dependence_lossless import DependenceProfile
 from repro.core.profile_io import (
     ProfileFormatError,
     document_from_bytes,
+    document_meta,
     profile_from_document,
 )
 from repro.profilers.leap import LeapProfile
@@ -234,8 +235,7 @@ def diff_whomp_documents(
         len(doc_a.get("group_labels", {})), len(doc_b.get("group_labels", {}))
     )
     metrics["capture_completeness"] = _metric(
-        float(doc_a.get("capture_completeness", 1.0)),
-        float(doc_b.get("capture_completeness", 1.0)),
+        document_meta(doc_a)[0], document_meta(doc_b)[0]
     )
     return ProfileDiff(
         kind="whomp",

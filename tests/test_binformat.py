@@ -312,8 +312,10 @@ class TestDocumentRoundTrip:
     def test_dependence(self, document):
         assert decode_document(encode_document(document)) == document
 
-    @given(leap_documents())
-    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(whomp_documents(), leap_documents(), dependence_documents())
+    )
+    @settings(max_examples=40, deadline=None)
     def test_binary_equals_json_document(self, document):
         """The two encodings decode to the same document dict."""
         via_json = json.loads(json.dumps(document))
@@ -474,7 +476,18 @@ class TestStream:
             reader.feed(wire)
 
 
-# -- fast grammar expansion ---------------------------------------------------
+# -- grammar expansion --------------------------------------------------------
+
+
+def _tagged_both(grammar):
+    """``grammar``'s tagged form as each encoding reaches the expander:
+    converted from JSON shape, and decoded from a BINCAP grammar frame."""
+    from_json = bf.tag_grammar(grammar)
+    __, start, productions = bf._decode_grammar_tagged(
+        bf._encode_grammar("g", grammar)
+    )
+    assert (start, productions) == from_json
+    return [from_json, (start, productions)]
 
 
 class TestExpansion:
@@ -483,12 +496,13 @@ class TestExpansion:
             "start": 0,
             "productions": {
                 "0": [["R", 1], ["R", 1], ["T", 7]],
-                "1": [["T", 1], ["T", 2]],
+                "1": [["T", 1], ["T", -2]],
             },
         }
-        fast = bf.expand_productions_fast(data)
-        slow = pio._expand_productions(data)
-        assert fast == slow == [1, 2, 1, 2, 7]
+        for start, productions in _tagged_both(data):
+            bottom_up = bf._expand_tagged(start, productions, 5)
+            one_by_one = bf._expand_tagged_iterative(start, productions, 5)
+            assert bottom_up == one_by_one == [1, -2, 1, -2, 7]
 
     def test_grammar_bomb_rejected_before_expansion(self):
         # each rule doubles: 2**40 symbols claimed from 40 rules
@@ -498,15 +512,46 @@ class TestExpansion:
                 ["R", rule + 1], ["R", rule + 1]
             ]
         data = {"start": 0, "productions": productions}
-        with pytest.raises(BinaryFormatError):
-            bf.expand_productions_fast(data, max_symbols=10_000)
+        for start, tagged in _tagged_both(data):
+            with pytest.raises(BinaryFormatError, match="expands"):
+                bf._expand_tagged(start, tagged, 10_000)
 
     def test_cycle_rejected(self):
         data = {"start": 0, "productions": {"0": [["R", 0]]}}
-        with pytest.raises(BinaryFormatError):
-            bf.expand_productions_fast(data)
+        for start, productions in _tagged_both(data):
+            with pytest.raises(BinaryFormatError, match="cycle"):
+                bf._expand_tagged(start, productions, 10)
 
     def test_undefined_rule_rejected(self):
         data = {"start": 0, "productions": {"0": [["R", 9]]}}
-        with pytest.raises(BinaryFormatError):
-            bf.expand_productions_fast(data)
+        for start, productions in _tagged_both(data):
+            with pytest.raises(BinaryFormatError, match="undefined"):
+                bf._expand_tagged(start, productions, 10)
+
+    def test_deep_chain_takes_bounded_fallback(self, monkeypatch):
+        """A 3000-deep unshared chain sums to 3000 symbols of per-rule
+        expansion for a 1-symbol stream, past the bottom-up budget, so
+        both encodings must load it through the bounded walker."""
+        calls = []
+        walker = bf._expand_tagged_iterative
+
+        def spy(start, productions, max_symbols):
+            calls.append(max_symbols)
+            return walker(start, productions, max_symbols)
+
+        monkeypatch.setattr(bf, "_expand_tagged_iterative", spy)
+        chain = {str(i): [["R", i + 1]] for i in range(2999)}
+        chain["2999"] = [["T", -7]]
+        document = {
+            "format": "whomp", "version": 1, "access_count": 1,
+            "grammars": {
+                name: {"start": 0, "productions": chain}
+                for name in ("instruction", "group", "object", "offset")
+            },
+            "base_addresses": [], "lifetimes": [], "group_labels": {},
+        }
+        for data in (encode_document(document), json.dumps(document).encode()):
+            calls.clear()
+            streams = pio.loads_bytes(data)["streams"]
+            assert all(stream == [-7] for stream in streams.values())
+            assert calls == [1, 1, 1, 1]

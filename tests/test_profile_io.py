@@ -1,16 +1,24 @@
 """Tests for profile serialization round trips."""
 
+import functools
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dependence_lossless import LosslessDependenceProfiler
+from repro.compression.sequitur import SequiturGrammar
+from repro.core.binformat import BinaryFormatError, encode_document
 from repro.core.profile_io import (
     ProfileFormatError,
+    _grammar_to_json,
+    dumps,
     load_dependence,
     load_leap,
     load_whomp_streams,
+    loads_bytes,
     save_dependence,
     save_leap,
     save_whomp,
@@ -19,6 +27,7 @@ from repro.core.tuples import DIMENSIONS
 from repro.postprocess.dependence import analyze_dependences
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
+from repro.workloads.micro import LinkedListTraversal
 
 
 class TestWhompIO:
@@ -110,13 +119,39 @@ class TestDependenceIO:
             load_dependence(io.StringIO('{"format": "other"}'))
 
 
-class TestProductionExpansion:
-    """Regression tests for the iterative grammar expansion.
+def _whomp_with_grammar(grammar, access_count):
+    """A WHOMP document whose four dimensions share ``grammar``."""
+    return {
+        "format": "whomp",
+        "version": 1,
+        "access_count": access_count,
+        "grammars": {name: grammar for name in DIMENSIONS},
+        "base_addresses": [],
+        "lifetimes": [],
+        "group_labels": {},
+    }
 
-    The recursive implementation hit Python's ~1000-frame recursion
-    limit on deep-but-valid rule chains (its own ``depth > 10_000``
-    guard was unreachable); expansion must now handle arbitrary depth
-    while still rejecting true cycles.
+
+def _both_encodings(document):
+    """``document`` as JSON bytes and as BINCAP bytes."""
+    return [json.dumps(document).encode("utf-8"), encode_document(document)]
+
+
+def _load_streams(document):
+    """The four dimension streams of ``document``, loaded from each
+    encoding in turn; asserts the two encodings agree."""
+    json_data, binary_data = _both_encodings(document)
+    streams = loads_bytes(json_data)["streams"]
+    assert loads_bytes(binary_data)["streams"] == streams
+    return streams
+
+
+class TestProductionExpansion:
+    """The one grammar expander, reached through both encodings.
+
+    Expansion must handle rule chains far deeper than Python's
+    recursion limit while still rejecting true cycles, undefined rules,
+    bad symbol tags, and grammars that expand past the claimed length.
     """
 
     @staticmethod
@@ -125,75 +160,155 @@ class TestProductionExpansion:
         productions[str(depth - 1)] = [["T", terminal]]
         return {"start": 0, "productions": productions}
 
-    def test_deep_chain_expands(self):
-        from repro.core.profile_io import _expand_productions
+    @staticmethod
+    def _rejected(document, match):
+        for data in _both_encodings(document):
+            with pytest.raises(ProfileFormatError, match=match):
+                loads_bytes(data)
 
-        assert _expand_productions(self._chain(5000)) == [7]
+    def test_deep_chain_expands(self):
+        streams = _load_streams(_whomp_with_grammar(self._chain(5000), 1))
+        assert all(stream == [7] for stream in streams.values())
 
     def test_deep_chain_loads_as_whomp_stream(self):
-        document = {
-            "format": "whomp",
-            "version": 1,
-            "access_count": 1,
-            "grammars": {name: self._chain(3000) for name in DIMENSIONS},
-            "base_addresses": [],
-            "lifetimes": [],
-            "group_labels": {},
-        }
+        document = _whomp_with_grammar(self._chain(3000), 1)
         loaded = load_whomp_streams(io.StringIO(json.dumps(document)))
         assert all(stream == [7] for stream in loaded["streams"].values())
+        assert _load_streams(document) == loaded["streams"]
 
     def test_two_rule_cycle_rejected(self):
-        from repro.core.profile_io import _expand_productions
-
         cyclic = {
             "start": 0,
             "productions": {"0": [["R", 1]], "1": [["R", 0]]},
         }
-        with pytest.raises(ProfileFormatError, match="cycle"):
-            _expand_productions(cyclic)
+        self._rejected(_whomp_with_grammar(cyclic, 1), "cycle")
 
     def test_self_cycle_rejected(self):
-        from repro.core.profile_io import _expand_productions
-
-        with pytest.raises(ProfileFormatError, match="cycle"):
-            _expand_productions(
-                {"start": 0, "productions": {"0": [["T", 1], ["R", 0]]}}
-            )
+        cyclic = {"start": 0, "productions": {"0": [["T", 1], ["R", 0]]}}
+        self._rejected(_whomp_with_grammar(cyclic, 1), "cycle")
 
     def test_repeated_sibling_reference_is_not_a_cycle(self):
-        from repro.core.profile_io import _expand_productions
-
-        document = {
+        grammar = {
             "start": 0,
             "productions": {"0": [["R", 1], ["R", 1]], "1": [["T", 4]]},
         }
-        assert _expand_productions(document) == [4, 4]
+        streams = _load_streams(_whomp_with_grammar(grammar, 2))
+        assert all(stream == [4, 4] for stream in streams.values())
 
     def test_undefined_rule_rejected(self):
-        from repro.core.profile_io import _expand_productions
-
-        with pytest.raises(ProfileFormatError, match="undefined"):
-            _expand_productions({"start": 0, "productions": {"0": [["R", 9]]}})
+        grammar = {"start": 0, "productions": {"0": [["R", 9]]}}
+        self._rejected(_whomp_with_grammar(grammar, 1), "undefined")
 
     def test_bad_tag_rejected(self):
-        from repro.core.profile_io import _expand_productions
-
+        # JSON refuses it on load; BINCAP has no way to carry it at all
+        grammar = {"start": 0, "productions": {"0": [["X", 1]]}}
+        document = _whomp_with_grammar(grammar, 1)
         with pytest.raises(ProfileFormatError, match="tag"):
-            _expand_productions({"start": 0, "productions": {"0": [["X", 1]]}})
+            loads_bytes(json.dumps(document).encode("utf-8"))
+        with pytest.raises(BinaryFormatError, match="tag"):
+            encode_document(document)
 
     def test_expansion_bomb_capped(self):
         # A doubling grammar describes 2**40 symbols in 40 rules; the
         # loader must abort at its cap instead of materializing it.
-        from repro.core.profile_io import _expand_productions
-
         productions = {"39": [["T", 1], ["T", 1]]}
         for rule in range(39):
             productions[str(rule)] = [["R", rule + 1], ["R", rule + 1]]
-        with pytest.raises(ProfileFormatError, match="expands"):
-            _expand_productions(
-                {"start": 0, "productions": productions}, max_symbols=10_000
+        document = _whomp_with_grammar(
+            {"start": 0, "productions": productions}, 10_000
+        )
+        self._rejected(document, "expands")
+
+
+def _stringify_a_terminal(document):
+    for grammar in document["grammars"].values():
+        for rhs in grammar["productions"].values():
+            for symbol in rhs:
+                if symbol[0] == "T":
+                    symbol[1] = str(symbol[1])
+                    return
+
+
+#: edits that make a loadable document one BINCAP cannot carry
+_MUTATIONS = {
+    "string terminal": _stringify_a_terminal,
+    "lifetime row": lambda doc: doc["lifetimes"].append(["a"]),
+    "base row": lambda doc: doc["base_addresses"].append([1, 2, "zz"]),
+    "completeness": lambda doc: doc.update(capture_completeness="abc"),
+    "quarantined": lambda doc: doc.update(quarantined=-5),
+}
+
+
+_rows = st.lists(
+    st.tuples(
+        st.integers(-8, 50), st.integers(0, 50), st.integers(0, 1 << 40)
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def _loadable_whomp(draw):
+    length = draw(st.integers(1, 40))
+    grammars = {}
+    for name in DIMENSIONS:
+        grammar = SequiturGrammar()
+        grammar.feed_all(
+            draw(
+                st.lists(
+                    st.integers(-9, 9), min_size=length, max_size=length
+                )
             )
+        )
+        grammars[name] = _grammar_to_json(grammar)
+    return {
+        "format": "whomp",
+        "version": 1,
+        "access_count": length,
+        "capture_completeness": draw(st.floats(0.0, 1.0)),
+        "quarantined": draw(st.integers(0, 9)),
+        "grammars": grammars,
+        "base_addresses": [list(row) for row in draw(_rows)],
+        "lifetimes": [
+            [group, serial, alloc, None, 8]
+            for group, serial, alloc in draw(_rows)
+        ],
+        "group_labels": {"0": "heap"},
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _leap_text():
+    trace = LinkedListTraversal(nodes=12, sweeps=2).trace()
+    return dumps(LeapProfiler().profile(trace))
+
+
+class TestJsonCarriesOnlyWhatBincapCarries:
+    """A JSON document that loads must re-encode to BINCAP and load to
+    the same result; anything BINCAP cannot carry is refused on load."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_documents_load_only_if_bincap_carries_them(self, data):
+        kind = data.draw(st.sampled_from(["whomp", "leap"]))
+        if kind == "whomp":
+            document = data.draw(_loadable_whomp())
+            mutations = sorted(_MUTATIONS)
+        else:
+            document = json.loads(_leap_text())
+            mutations = ["completeness", "lifetime row", "quarantined"]
+        loads_bytes(json.dumps(document).encode("utf-8"))  # loads unmutated
+        mutation = data.draw(st.sampled_from(mutations))
+        _MUTATIONS[mutation](document)
+        json_data = json.dumps(document).encode("utf-8")
+        try:
+            loaded = loads_bytes(json_data)
+        except ProfileFormatError:
+            return
+        from_binary = loads_bytes(encode_document(document))
+        if kind == "leap":
+            loaded, from_binary = dumps(loaded), dumps(from_binary)
+        assert from_binary == loaded
 
 
 @pytest.mark.faults

@@ -228,6 +228,32 @@ class TestProfileStore:
         assert store.stats()["runs"] == 0
         assert store.stats()["blobs"] == 0
 
+    def test_ingest_rejects_bad_meta_fields(
+        self, tmp_path, leap_text, whomp_text
+    ):
+        """Completeness must be a finite real in [0, 1] and quarantined
+        a non-negative int, in both kinds and both encodings."""
+        from repro.core.binformat import encode_document
+
+        store = ProfileStore(str(tmp_path))
+        for text in (leap_text, whomp_text):
+            for field, value in (
+                ("capture_completeness", "abc"),
+                ("capture_completeness", 1.5),
+                ("quarantined", -5),
+                ("quarantined", "7"),
+            ):
+                document = json.loads(text)
+                document[field] = value
+                with pytest.raises(ProfileFormatError, match=field):
+                    store.ingest_bytes(json.dumps(document).encode(), "bad")
+            document = json.loads(text)
+            document["capture_completeness"] = float("nan")
+            with pytest.raises(ProfileFormatError, match="completeness"):
+                store.ingest_bytes(encode_document(document), "bad")
+        assert store.stats()["runs"] == 0
+        assert store.stats()["blobs"] == 0
+
     def test_binary_ingest_round_trips(self, tmp_path, simple_trace):
         store = ProfileStore(str(tmp_path))
         profile = LeapProfiler().profile(simple_trace)

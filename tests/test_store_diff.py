@@ -107,6 +107,13 @@ class TestDiffWhomp:
         assert "symbols_per_access" in drifted.metrics
         assert drifted.metrics["access_count"]["a"] == 64
 
+    def test_bad_completeness_is_a_format_error(self):
+        whomp = dumps(WhompProfiler().profile(make_trace(range(16))))
+        document = json.loads(whomp)
+        document["capture_completeness"] = "abc"
+        with pytest.raises(ProfileFormatError, match="completeness"):
+            diff_texts(whomp, json.dumps(document))
+
 
 class TestDiffDependence:
     def test_conflict_pair_changes(self):
