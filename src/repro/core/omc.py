@@ -136,6 +136,16 @@ class ObjectManager:
         start, __, record = hit
         return record.group_id, record.serial, address - start
 
+    def resolve(self, address: int) -> Optional[Tuple[int, int, ObjectRecord]]:
+        """The live object containing ``address`` as ``(start, end,
+        record)``, or ``None``."""
+        return self._live.resolve(address)
+
+    @property
+    def fresh(self) -> bool:
+        """True until the first object is registered."""
+        return not self._groups
+
     # -- auxiliary outputs (the run/alloc-dependent side channel) -----------
 
     @property

@@ -110,6 +110,39 @@ class ObjectRelativeAccess:
             raise ValueError(f"unknown dimension {name!r}") from None
 
 
+(
+    _SET_INSTRUCTION, _SET_GROUP, _SET_OBJECT, _SET_OFFSET, _SET_TIME, _SET_SIZE, _SET_KIND
+) = (vars(ObjectRelativeAccess)[name].__set__ for name in ObjectRelativeAccess.__slots__)
+_new_access = ObjectRelativeAccess.__new__
+
+
+def make_access(
+    instruction_id: int,
+    group: int,
+    object_serial: int,
+    offset: int,
+    time: int,
+    size: int,
+    kind: AccessKind,
+) -> ObjectRelativeAccess:
+    """``ObjectRelativeAccess(...)`` for the translation hot path.
+
+    It fills the slots directly instead of going through the frozen
+    dataclass's ``__init__``, which routes every field through
+    ``object.__setattr__``; that halves the cost of building a tuple.
+    The result is an ordinary, equal, still-frozen instance.
+    """
+    access = _new_access(ObjectRelativeAccess)
+    _SET_INSTRUCTION(access, instruction_id)
+    _SET_GROUP(access, group)
+    _SET_OBJECT(access, object_serial)
+    _SET_OFFSET(access, offset)
+    _SET_TIME(access, time)
+    _SET_SIZE(access, size)
+    _SET_KIND(access, kind)
+    return access
+
+
 #: The four dimensions of the paper's 4-tuple, in canonical order.  Time
 #: is the fifth, added for vertical decomposition's re-indexing.
 DIMENSIONS = ("instruction", "group", "object", "offset")

@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.omega import intersect_lmads
 from repro.baselines.dependence_lossless import DependenceProfile
+from repro.compression.lmad import LMAD
 from repro.core.events import AccessKind
 from repro.profilers.leap import LeapProfile
 
@@ -71,6 +72,39 @@ def _union_size(
     return min(total, universe)
 
 
+#: per dimension of an LMAD, the (least, greatest) value it takes
+Box = Tuple[Tuple[int, int], ...]
+Boxed = Tuple[LMAD, Box]
+
+
+def lmad_box(lmad: LMAD) -> Box:
+    """The LMAD's bounding box: each dimension moves monotonically from
+    its start to its last element."""
+    return tuple(
+        (start, start + (lmad.count - 1) * stride)
+        if stride >= 0
+        else (start + (lmad.count - 1) * stride, start)
+        for start, stride in zip(lmad.start, lmad.stride)
+    )
+
+
+def box_disjoint(store_box: Box, load_box: Box) -> bool:
+    """True when the boxes alone prove a store and a load LMAD cannot
+    conflict: their object or offset ranges do not overlap, or no store
+    time is earlier than any load time.  Most pairs are settled here
+    without solving the intersection."""
+    for dim in EQUAL_DIMS:
+        store_low, store_high = store_box[dim]
+        load_low, load_high = load_box[dim]
+        if store_high < load_low or load_high < store_low:
+            return True
+    return store_box[TIME_DIM][0] >= load_box[TIME_DIM][1]
+
+
+def _boxed(entry) -> List[Boxed]:
+    return [(lmad, lmad_box(lmad)) for lmad in entry.lmads]
+
+
 class LeapDependenceAnalyzer:
     """Compute the MDF table from a LEAP profile.
 
@@ -96,18 +130,18 @@ class LeapDependenceAnalyzer:
         by_group = self._entries_by_group(profile)
         for group, members in by_group.items():
             stores = [
-                (instr, entry)
+                (instr, _boxed(entry))
                 for instr, entry in members
                 if profile.kinds[instr] is AccessKind.STORE
             ]
             loads = [
-                (instr, entry)
+                (instr, _boxed(entry))
                 for instr, entry in members
                 if profile.kinds[instr] is AccessKind.LOAD
             ]
-            for load_id, load_entry in loads:
-                for store_id, store_entry in stores:
-                    conflicts = self._pair_conflicts(store_entry, load_entry)
+            for load_id, load_lmads in loads:
+                for store_id, store_lmads in stores:
+                    conflicts = self._pair_conflicts(store_lmads, load_lmads)
                     if conflicts:
                         pair = (store_id, load_id)
                         result.conflicts[pair] = (
@@ -123,12 +157,17 @@ class LeapDependenceAnalyzer:
             by_group.setdefault(group, []).append((instr, entry))
         return by_group
 
-    def _pair_conflicts(self, store_entry, load_entry) -> int:
-        """Conflicting load executions between two profile entries."""
+    def _pair_conflicts(
+        self, store_lmads: List[Boxed], load_lmads: List[Boxed]
+    ) -> int:
+        """Conflicting load executions between two profile entries,
+        each given as its boxed LMADs."""
         total = 0
-        for load_lmad in load_entry.lmads:
+        for load_lmad, load_box in load_lmads:
             progressions: List[Tuple[int, int, int]] = []
-            for store_lmad in store_entry.lmads:
+            for store_lmad, store_box in store_lmads:
+                if box_disjoint(store_box, load_box):
+                    continue
                 solution = intersect_lmads(
                     store_lmad, load_lmad, EQUAL_DIMS, time_dim=TIME_DIM
                 )

@@ -15,9 +15,9 @@ the standard hot-stream magnitude metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.compression.sequitur import Rule, SequiturGrammar
+from repro.compression.sequitur import Ref, SequiturGrammar
 from repro.core.tuples import ObjectRelativeAccess
 
 ObjectRef = Tuple[int, int]  # (group, object serial)
@@ -40,56 +40,66 @@ class HotStream:
         return self.occurrences * self.length
 
 
-def _rule_occurrences(grammar: SequiturGrammar) -> Dict[int, int]:
+Productions = Dict[int, List[object]]
+
+
+def _rule_occurrences(
+    grammar: SequiturGrammar, productions: Optional[Productions] = None
+) -> Dict[int, int]:
     """How many times each rule's expansion occurs in the full input.
 
     Computed top-down: the start rule occurs once; each reference to a
     rule inside rule R contributes R's own occurrence count.  Sequitur
     grammars are acyclic, so a memoized traversal suffices.
     """
-    counts: Dict[int, int] = {grammar.start.id: 1}
-    order: List[Rule] = []
+    if productions is None:
+        productions = grammar.to_productions()
+    start = grammar.start.id
+    counts: Dict[int, int] = {start: 1}
+    order: List[int] = []
     seen = set()
 
-    def visit(rule: Rule) -> None:
-        if rule.id in seen:
+    def visit(rule_id: int) -> None:
+        if rule_id in seen:
             return
-        seen.add(rule.id)
-        for symbol in rule.symbols():
-            if symbol.is_nonterminal:
-                visit(symbol.value)
-        order.append(rule)
+        seen.add(rule_id)
+        for symbol in productions[rule_id]:
+            if isinstance(symbol, Ref):
+                visit(symbol.rule_id)
+        order.append(rule_id)
 
-    visit(grammar.start)
+    visit(start)
     # Process parents before children: reverse postorder.
-    for rule in reversed(order):
-        parent_count = counts.get(rule.id, 0)
-        for symbol in rule.symbols():
-            if symbol.is_nonterminal:
-                counts[symbol.value.id] = (
-                    counts.get(symbol.value.id, 0) + parent_count
-                )
+    for rule_id in reversed(order):
+        parent_count = counts.get(rule_id, 0)
+        for symbol in productions[rule_id]:
+            if isinstance(symbol, Ref):
+                counts[symbol.rule_id] = counts.get(symbol.rule_id, 0) + parent_count
     return counts
 
 
-def _expansions(grammar: SequiturGrammar) -> Dict[int, List]:
+def _expansions(
+    grammar: SequiturGrammar, productions: Optional[Productions] = None
+) -> Dict[int, List]:
     """Memoized full expansion of every rule."""
+    if productions is None:
+        productions = grammar.to_productions()
     expansions: Dict[int, List] = {}
 
-    def expand(rule: Rule) -> List:
-        cached = expansions.get(rule.id)
+    def expand(rule_id: int) -> List:
+        cached = expansions.get(rule_id)
         if cached is not None:
             return cached
         out: List = []
-        for symbol in rule.symbols():
-            if symbol.is_nonterminal:
-                out.extend(expand(symbol.value))
+        for symbol in productions[rule_id]:
+            if isinstance(symbol, Ref):
+                out.extend(expand(symbol.rule_id))
             else:
-                out.append(symbol.value)
-        expansions[rule.id] = out
+                out.append(symbol)
+        expansions[rule_id] = out
         return out
 
-    expand(grammar.start)
+    expand(grammar.start.id)
     return expansions
 
 
@@ -115,14 +125,15 @@ def extract_hot_streams(
         if reference != previous:
             grammar.feed(reference)
             previous = reference
-    counts = _rule_occurrences(grammar)
-    expansions = _expansions(grammar)
+    productions = grammar.to_productions()
+    counts = _rule_occurrences(grammar, productions)
+    expansions = _expansions(grammar, productions)
     streams = []
-    for rule in grammar.rules():
-        if rule is grammar.start:
+    for rule_id in productions:
+        if rule_id == grammar.start.id:
             continue
-        expansion = expansions[rule.id]
-        occurrences = counts.get(rule.id, 0)
+        expansion = expansions[rule_id]
+        occurrences = counts.get(rule_id, 0)
         if (
             min_length <= len(expansion) <= max_length
             and occurrences >= min_occurrences

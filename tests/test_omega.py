@@ -10,6 +10,7 @@ from repro.analysis.omega import (
     solve_equality,
 )
 from repro.compression.lmad import LMAD
+from repro.postprocess.dependence import EQUAL_DIMS, TIME_DIM, box_disjoint, lmad_box
 
 
 def brute_force_pairs(w_start, w_stride, w_count, r_start, r_stride, r_count):
@@ -289,3 +290,47 @@ class TestEdgeCases:
         assert solution.is_empty == (not expected)
         if expected:
             assert solution.distinct_k2() == len({k2 for __, k2 in expected})
+
+
+_lmads = st.builds(
+    LMAD,
+    st.tuples(st.integers(0, 3), st.integers(0, 64), st.integers(0, 200)),
+    st.tuples(st.integers(-2, 2), st.integers(-8, 8), st.integers(-5, 5)),
+    st.integers(1, 12),
+)
+
+
+class TestBoxPrecheck:
+    """The MDF post-processor skips the solver for LMAD pairs whose
+    bounding boxes prove them conflict-free; the proof must be sound."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_lmads, _lmads)
+    def test_rejected_pairs_have_empty_intersections(self, writer, reader):
+        if box_disjoint(lmad_box(writer), lmad_box(reader)):
+            assert intersect_lmads(writer, reader, EQUAL_DIMS, time_dim=TIME_DIM).is_empty
+            assert not brute_force_intersection(writer, reader, EQUAL_DIMS, TIME_DIM)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lmads)
+    def test_box_bounds_every_element(self, lmad):
+        box = lmad_box(lmad)
+        for element in lmad.expand():
+            for value, (low, high) in zip(element, box):
+                assert low <= value <= high
+        assert box == tuple(
+            (min(first, last), max(first, last))
+            for first, last in zip(lmad.start, lmad.last)
+        )
+
+    def test_each_rule_rejects(self):
+        base = LMAD((0, 0, 100), (0, 8, 1), 10)  # offsets 0..72, times 100..109
+        other_object = LMAD((1, 0, 200), (0, 8, 1), 10)
+        other_offsets = LMAD((0, 80, 200), (0, 8, 1), 10)
+        earlier_reads = LMAD((0, 0, 50), (0, 8, 1), 51)  # times 50..100
+        overlapping = LMAD((0, 16, 105), (0, 8, 1), 5)
+        box = lmad_box(base)
+        assert box_disjoint(box, lmad_box(other_object))
+        assert box_disjoint(box, lmad_box(other_offsets))
+        assert box_disjoint(box, lmad_box(earlier_reads))
+        assert not box_disjoint(box, lmad_box(overlapping))

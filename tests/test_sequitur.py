@@ -201,3 +201,23 @@ def test_sequitur_low_alphabet_stress(sequence):
     grammar = compress(sequence)
     assert grammar.expand() == sequence
     grammar.check_invariants()
+
+
+def test_linked_symbols_stay_inside_the_compressor():
+    """Code outside the compressor reads grammars through
+    ``to_productions()``, never through the linked ``_Symbol`` nodes,
+    so the node representation can change freely."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    pattern = re.compile(r"_Symbol|is_nonterminal|\.symbols\(\)")
+    offenders = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "compression" / "sequitur.py"
+        and pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
