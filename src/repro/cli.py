@@ -54,9 +54,10 @@ from typing import List, Optional
 from repro.analysis.tracestats import characterize, format_statistics
 from repro.core.events import Trace
 from repro.core.profile_io import SERIALIZATIONS, save
+from repro.obs.export import MODES, emit
+from repro.obs.spans import NULL_TELEMETRY, Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
-from repro.telemetry import MODES, NULL_TELEMETRY, Telemetry, emit
 from repro.workloads.registry import all_names, create
 
 
@@ -472,14 +473,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     obs_state = None
     if trace_out:
-        from repro.obs import start_tracing
+        from repro.obs.trace import start_tracing
 
         obs_state = start_tracing(telemetry, trace_out=trace_out)
 
     def finish_trace() -> None:
         if obs_state is None:
             return
-        from repro.obs import finish_tracing
+        from repro.obs.trace import finish_tracing
 
         context, events = obs_state
         finish_tracing(

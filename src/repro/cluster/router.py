@@ -60,11 +60,11 @@ from repro.core.profile_io import document_from_bytes
 from repro.obs.context import TRACE_HEADER, current_header
 from repro.obs.events import EventLog
 from repro.obs.quantiles import DigestMerger
+from repro.obs.spans import Telemetry
 from repro.store.blobs import sha256_hex
 from repro.store.diff import detect_regressions, diff_blobs
 from repro.store.httpbody import RequestError
 from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
-from repro.telemetry import Telemetry
 
 #: seconds between background health probes of every shard
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -373,7 +373,9 @@ class ClusterRouter(HttpService):
         Each shard exports its per-endpoint QuantileDigests in wire
         form (``/metricsz?digests=1``); the router folds them together
         with :meth:`QuantileDigest.merge`, so cluster p50/p99 reflect
-        every shard's samples, not an average of averages.
+        every shard's samples, not an average of averages.  A shard
+        whose digests fail validation is left out of the merge, and its
+        ``shards`` row says ``"digests": "rejected: <reason>"``.
         """
         cluster = DigestMerger()
         shards: Dict[str, object] = {}
@@ -384,13 +386,19 @@ class ClusterRouter(HttpService):
             if answer is None or answer[0] != 200:
                 continue
             payload = self._json(answer[2])
-            digests = payload.get("latency_digests")
-            if isinstance(digests, dict):
-                cluster.absorb(digests)
-            shards[name] = {
+            row: Dict[str, object] = {
                 "endpoints": payload.get("endpoints"),
                 "cache": payload.get("cache"),
             }
+            digests = payload.get("latency_digests")
+            if digests is not None:
+                # a bad shard digest is the shard's fault: skip it and
+                # say so, never fail the client's scrape
+                try:
+                    cluster.absorb(digests)
+                except ValueError as exc:
+                    row["digests"] = f"rejected: {exc}"
+            shards[name] = row
         with self._metrics_lock:
             requests = self._requests
             errors = self._errors

@@ -47,7 +47,8 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.context import SuiteContext
-from repro.telemetry import MODES, NULL_TELEMETRY, Telemetry, emit
+from repro.obs.export import MODES, emit
+from repro.obs.spans import NULL_TELEMETRY, Telemetry
 
 EXPERIMENTS = {
     "fig3": (fig3.run, fig3.render),
@@ -392,7 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     obs_state = None
     if args.trace_out:
-        from repro.obs import start_tracing
+        from repro.obs.trace import start_tracing
 
         obs_state = start_tracing(telemetry, trace_out=args.trace_out)
     sweep = _Sweep(
@@ -437,7 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         atomic_write_text(args.json, json.dumps(sweep.records, indent=2))
         print(f"JSON results written to {args.json}")
     if obs_state is not None:
-        from repro.obs import finish_tracing
+        from repro.obs.trace import finish_tracing
 
         context, events = obs_state
         finish_tracing(

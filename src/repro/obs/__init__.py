@@ -1,154 +1,33 @@
-"""TRACELINK: distributed tracing and structured logging for the pipeline.
+"""Observability: spans, metrics, trace ids, events, and SLOs.
 
-PR 1 gave the repo a telemetry substrate (spans, counters, exporters);
-this package gives that substrate a *frame of reference* that survives
-process and network boundaries -- the same shift the paper makes for
-addresses.  One traced invocation gets:
+The paper's Table 1 measures the profilers themselves -- dilation
+factors, profile sizes, capture rates.  This package is the repo's own
+measurement substrate, one model for a CLI run, a daemon request, and
+a cluster request that crosses processes:
 
-* a :class:`~repro.obs.context.TraceContext` (128-bit trace id)
-  propagated into fork-pool workers by the executor and across HTTP by
-  the ``X-Repro-Trace`` header;
-* an :class:`~repro.obs.events.EventLog` -- a bounded ring plus an
-  optional crash-safe JSONL sink -- with one schema-versioned record
-  per pipeline stage, worker retry, fault injection, quarantine, and
-  daemon request;
-* p50/p95/p99 latency estimation
-  (:class:`~repro.obs.quantiles.QuantileDigest`) behind the daemon's
+* :mod:`repro.obs.spans` -- :class:`~repro.obs.spans.Telemetry`, the
+  facade threaded through the pipeline: a nestable span tree timing
+  each stage plus a metric :class:`~repro.obs.registry.Registry`.
+  Every instrumented component defaults to ``NULL_TELEMETRY``, whose
+  operations are no-ops; counts are published once per stage
+  boundary, never per event;
+* :mod:`repro.obs.registry` -- counters, gauges, and distributions,
+  the last being :class:`~repro.obs.quantiles.QuantileDigest`, the
+  same mergeable p50/p95/p99 estimator behind the daemons'
   ``/metricsz`` and the SLO checker;
-* a durable trace document (:mod:`repro.obs.trace`) stored in the
-  profile store as its own document kind and rendered by the
-  ``repro-obs`` CLI (``tail`` / ``trace show`` / ``top`` / ``flame`` /
-  ``slo check``).
+* :mod:`repro.obs.export` -- the report / JSON / Prometheus exporters
+  behind ``--telemetry`` and the one span-tree renderer;
+* :mod:`repro.obs.context` -- the 128-bit trace id, propagated into
+  fork-pool workers by the executor and across HTTP by the
+  ``X-Repro-Trace`` header;
+* :mod:`repro.obs.events` -- a bounded ring plus an optional
+  crash-safe JSONL sink, one schema-versioned record per stage exit,
+  worker retry, fault, quarantine, and daemon request;
+* :mod:`repro.obs.trace` -- ``start_tracing`` / ``finish_tracing`` and
+  the durable trace document stored in the profile store and rendered
+  by the ``repro-obs`` CLI (:mod:`repro.obs.cli`; SLOs in
+  :mod:`repro.obs.slo`).
 
-The CLIs wire it up through two helpers::
-
-    context, events = start_tracing(telemetry, trace_out=path)
-    ...  # run the pipeline
-    document = finish_tracing(telemetry, context, events)
+This ``__init__`` imports no submodule, so the profilers, which need
+only spans and metrics, never load the trace, event, or SLO layers.
 """
-
-from __future__ import annotations
-
-from typing import Dict, Optional, Tuple
-
-from repro.obs.context import (
-    TRACE_HEADER,
-    TraceContext,
-    activate,
-    current,
-    current_header,
-    set_current,
-)
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EventLog,
-    filter_events,
-    read_events,
-)
-from repro.obs.quantiles import QuantileDigest, digest_of
-from repro.obs.slo import (
-    SloError,
-    SloResult,
-    SloRule,
-    evaluate_slos,
-    load_slo_file,
-    render_slo_results,
-)
-from repro.obs.trace import (
-    build_trace_document,
-    folded_stacks,
-    render_top,
-    render_trace_tree,
-    top_from_spans,
-    top_spans,
-)
-from repro.telemetry.spans import Telemetry
-
-
-def start_tracing(
-    telemetry: Telemetry,
-    trace_out: Optional[str] = None,
-    context: Optional[TraceContext] = None,
-    capacity: Optional[int] = None,
-) -> Tuple[TraceContext, EventLog]:
-    """Attach a trace context and event log to ``telemetry``.
-
-    Installs the context as the process's ambient one (so fork-pool
-    workers inherit it) and, when ``trace_out`` is given, mirrors every
-    event into that JSONL file.  Returns ``(context, events)`` for
-    :func:`finish_tracing`.
-    """
-    if context is None:
-        context = TraceContext.new()
-    events = (
-        EventLog(capacity=capacity, path=trace_out)
-        if capacity is not None
-        else EventLog(path=trace_out)
-    )
-    telemetry.trace_id = context.trace_id
-    telemetry.events = events
-    set_current(context)
-    return context, events
-
-
-def finish_tracing(
-    telemetry: Telemetry,
-    context: TraceContext,
-    events: EventLog,
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Close out one traced invocation.
-
-    Builds the canonical trace document from the telemetry's top-level
-    spans and the trace's event records, appends a final ``trace``
-    record (carrying the span trees, so a JSONL log alone can render
-    the tree), flushes the sink, and clears the ambient context.
-    Returns the document, ready for the profile store.
-    """
-    document = build_trace_document(
-        context.trace_id,
-        [span.to_plain() for span in telemetry.spans()],
-        events.tail(),
-        meta=meta,
-    )
-    events.emit(
-        "trace",
-        trace=context.trace_id,
-        span=context.span_id,
-        spans=document["spans"],
-        meta=document["meta"],
-    )
-    events.flush()
-    if current() is context:
-        set_current(None)
-    return document
-
-
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "EventLog",
-    "QuantileDigest",
-    "SloError",
-    "SloResult",
-    "SloRule",
-    "TRACE_HEADER",
-    "TraceContext",
-    "activate",
-    "build_trace_document",
-    "current",
-    "current_header",
-    "digest_of",
-    "evaluate_slos",
-    "filter_events",
-    "finish_tracing",
-    "folded_stacks",
-    "load_slo_file",
-    "read_events",
-    "render_slo_results",
-    "render_top",
-    "render_trace_tree",
-    "set_current",
-    "start_tracing",
-    "top_from_spans",
-    "top_spans",
-]

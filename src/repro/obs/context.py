@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 #: HTTP header carrying the trace context across the client/daemon hop.
 TRACE_HEADER = "X-Repro-Trace"
@@ -183,7 +183,3 @@ def current_header() -> Optional[str]:
     """The ambient context as a header value, or ``None``."""
     context = current()
     return context.to_header() if context is not None else None
-
-
-def __dir__() -> Iterator[str]:  # pragma: no cover - introspection sugar
-    return iter(sorted(globals()))

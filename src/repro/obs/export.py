@@ -1,18 +1,21 @@
 """Telemetry exporters: human report, JSON, Prometheus text exposition.
 
-One :class:`~repro.telemetry.spans.Telemetry` object renders three ways:
+One :class:`~repro.obs.spans.Telemetry` object renders three ways:
 
-* :func:`render_report` -- the operator view: an indented span tree with
+* :func:`render_report` -- the operator view: the span tree with
   per-stage wall time, call counts, and throughput, followed by the
   metric catalog.  This is what ``--telemetry report`` prints.
 * :func:`render_json` -- the machine view, mirroring the experiments
   runner's ``--json`` convention.
 * :func:`render_prometheus` -- the scrape view, in the Prometheus text
-  exposition format (``# TYPE`` comments, ``_bucket{le=...}`` histogram
-  series, spans as ``repro_span_seconds_total{span="..."}``).
+  exposition format (``# TYPE`` comments, distributions as
+  ``summary`` series, spans as ``repro_span_seconds_total{span="..."}``).
 
-Metric names use dots internally (``whomp.grammar_rules``) and are
-sanitized to underscores with a ``repro_`` prefix for Prometheus.
+The span tree is drawn by :func:`render_span_tree` over
+:meth:`~repro.obs.spans.Span.to_plain` trees, the same renderer behind
+``repro-obs trace show``.  Metric names use dots internally
+(``whomp.grammar_rules``) and are sanitized to underscores with a
+``repro_`` prefix for Prometheus.
 """
 
 from __future__ import annotations
@@ -20,16 +23,17 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, Iterable, List, Optional
 
-from repro.telemetry.registry import Counter, Gauge, Histogram
-from repro.telemetry.spans import Span, Telemetry
+from repro.obs.quantiles import SUMMARY_QUANTILES, QuantileDigest
+from repro.obs.registry import Counter, Gauge
+from repro.obs.spans import Telemetry
 
 #: Exporter mode names accepted by the CLIs' ``--telemetry`` flag.
 MODES = ("report", "json", "prom")
 
 
-def _format_seconds(seconds: float) -> str:
+def format_seconds(seconds: float) -> str:
     if seconds >= 1.0:
         return f"{seconds:8.3f}s "
     return f"{seconds * 1e3:8.2f}ms"
@@ -43,31 +47,101 @@ def _format_rate(rate: float) -> str:
     return f"{rate:.0f}"
 
 
+def _span_line(span: Dict[str, object]) -> str:
+    seconds = float(span.get("seconds", 0.0))
+    items = int(span.get("items", 0))
+    detail = f"{format_seconds(seconds)}  x{int(span.get('calls', 0))}"
+    if items:
+        unit = str(span.get("unit", "items"))
+        detail += f"  {items} {unit}"
+        if seconds > 0.0:
+            detail += f" ({_format_rate(items / seconds)} {unit}/s)"
+    span_id = span.get("span_id")
+    if span_id:
+        detail += f"  [{span_id}]"
+    return detail
+
+
+def _ordered_children(span: Dict[str, object]) -> List[Dict[str, object]]:
+    children = [
+        child for child in span.get("children", ()) if isinstance(child, dict)
+    ]
+    # Shared-timeline order: spans absorbed from workers carry absolute
+    # start offsets, so sorting on them interleaves worker and parent
+    # stages the way they actually ran.  Zero (never entered under a
+    # wall clock) sorts last, in creation order.
+    indexed = list(enumerate(children))
+    indexed.sort(
+        key=lambda pair: (
+            float(pair[1].get("start_ts") or 0.0) or float("inf"),
+            pair[0],
+        )
+    )
+    return [child for __, child in indexed]
+
+
+def render_span_tree(spans: Iterable[Dict[str, object]]) -> List[str]:
+    """Plain span trees as ASCII lines: wall time, calls, throughput,
+    span id, and the start offset on the shared timeline."""
+    roots = _ordered_children({"children": list(spans)})
+    starts = [
+        float(span.get("start_ts") or 0.0)
+        for span in roots
+        if float(span.get("start_ts") or 0.0) > 0.0
+    ]
+    epoch = min(starts) if starts else 0.0
+    lines: List[str] = []
+
+    def walk(span: Dict[str, object], prefix: str, is_last: bool) -> None:
+        connector = "`-- " if is_last else "|-- "
+        name = str(span.get("name", "?"))
+        offset = ""
+        start = float(span.get("start_ts") or 0.0)
+        if start > 0.0 and epoch > 0.0:
+            offset = f" @+{start - epoch:.3f}s"
+        # the name column ends at the same place at every depth
+        lines.append(
+            f"{prefix}{connector}{name.ljust(24 - len(prefix))} "
+            f"{_span_line(span)}{offset}"
+        )
+        children = _ordered_children(span)
+        child_prefix = prefix + ("    " if is_last else "|   ")
+        for index, child in enumerate(children):
+            walk(child, child_prefix, index == len(children) - 1)
+
+    for index, span in enumerate(roots):
+        walk(span, "", index == len(roots) - 1)
+    return lines
+
+
+def _quantiles(digest: QuantileDigest) -> Dict[str, Optional[float]]:
+    return {f"p{int(q * 100)}": digest.quantile(q) for q in SUMMARY_QUANTILES}
+
+
 def render_report(telemetry: Telemetry) -> str:
     """The human-readable telemetry report."""
     lines: List[str] = ["== telemetry report =="]
-    spans = telemetry.spans()
+    spans = [span.to_plain() for span in telemetry.spans()]
     if spans:
         lines.append("span tree (wall time / calls / throughput):")
-        for top in spans:
-            for depth, span in top.walk():
-                detail = f"{_format_seconds(span.seconds)}  x{span.calls}"
-                if span.items:
-                    detail += (
-                        f"  {span.items} {span.unit}"
-                        f"  ({_format_rate(span.throughput)} {span.unit}/s)"
-                    )
-                lines.append(f"  {'  ' * depth}{span.name:<{24 - 2 * depth}} {detail}")
+        lines.extend(f"  {line}" for line in render_span_tree(spans))
     metrics = list(telemetry.registry)
     if metrics:
         lines.append("metrics:")
         for metric in metrics:
-            if isinstance(metric, Histogram):
+            if isinstance(metric, QuantileDigest):
+                fields = {
+                    "min": metric.minimum,
+                    "max": metric.maximum,
+                    **_quantiles(metric),
+                }
+                shown = " ".join(
+                    f"{key}={'-' if value is None else f'{value:g}'}"
+                    for key, value in fields.items()
+                )
                 lines.append(
-                    f"  {metric.name:<32} n={metric.count} sum={metric.sum:g} "
-                    f"min={metric.minimum if metric.minimum is not None else '-'} "
-                    f"max={metric.maximum if metric.maximum is not None else '-'} "
-                    f"mean={metric.mean:g}"
+                    f"  {metric.name:<32} n={metric.count} "
+                    f"sum={metric.sum:g} {shown}"
                 )
             else:
                 value = metric.value
@@ -76,21 +150,6 @@ def render_report(telemetry: Telemetry) -> str:
     if len(lines) == 1:
         lines.append("(no spans or metrics recorded)")
     return "\n".join(lines)
-
-
-def _span_to_dict(span: Span) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "name": span.name,
-        "seconds": span.seconds,
-        "calls": span.calls,
-    }
-    if span.items:
-        out["items"] = span.items
-        out["unit"] = span.unit
-        out["throughput"] = span.throughput
-    if span.children:
-        out["children"] = [_span_to_dict(c) for c in span.children.values()]
-    return out
 
 
 def telemetry_to_dict(telemetry: Telemetry) -> Dict[str, object]:
@@ -103,20 +162,16 @@ def telemetry_to_dict(telemetry: Telemetry) -> Dict[str, object]:
             counters[metric.name] = metric.value
         elif isinstance(metric, Gauge):
             gauges[metric.name] = metric.value
-        elif isinstance(metric, Histogram):
+        else:
             histograms[metric.name] = {
                 "count": metric.count,
                 "sum": metric.sum,
                 "min": metric.minimum,
                 "max": metric.maximum,
-                "buckets": [
-                    {"le": bound if bound != float("inf") else "+Inf",
-                     "count": count}
-                    for bound, count in metric.cumulative_buckets()
-                ],
+                **_quantiles(metric),
             }
     return {
-        "spans": [_span_to_dict(s) for s in telemetry.spans()],
+        "spans": [span.to_plain() for span in telemetry.spans()],
         "counters": counters,
         "gauges": gauges,
         "histograms": histograms,
@@ -148,11 +203,13 @@ def render_prometheus(telemetry: Telemetry) -> str:
         if metric.help:
             lines.append(f"# HELP {name} {metric.help}")
         lines.append(f"# TYPE {name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            for bound, count in metric.cumulative_buckets():
-                lines.append(
-                    f'{name}_bucket{{le="{_prom_value(bound)}"}} {count}'
-                )
+        if isinstance(metric, QuantileDigest):
+            if metric.count:
+                for q in SUMMARY_QUANTILES:
+                    lines.append(
+                        f'{name}{{quantile="{q}"}} '
+                        f"{_prom_value(metric.quantile(q))}"
+                    )
             lines.append(f"{name}_sum {_prom_value(metric.sum)}")
             lines.append(f"{name}_count {metric.count}")
         else:

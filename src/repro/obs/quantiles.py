@@ -1,9 +1,10 @@
-"""Streaming quantile estimation for request latencies.
+"""Streaming quantile estimation: the one distribution type.
 
 The SLO layer needs p50/p95/p99 over thousands of request latencies
-without keeping the samples.  The estimator here is a **geometric
-bucket histogram** (the HDR-histogram idea, sized for wall-clock
-seconds): bucket upper edges grow by a fixed factor from
+without keeping the samples, and the metric registry needs the same
+for allocation sizes and LMADs per entry.  The estimator here is a
+**geometric bucket histogram** (the HDR-histogram idea, sized for
+wall-clock seconds): bucket upper edges grow by a fixed factor from
 ``min_value`` to ``max_value``, so memory is a few hundred integers
 and the relative error of any quantile is bounded by the growth
 factor -- with the default 1.07, about 3.5% -- independent of the
@@ -15,7 +16,9 @@ midpoint, values below ``min_value`` clamp into the first bucket and
 values above ``max_value`` into the overflow bucket (whose estimate is
 the exact observed maximum).  Digests merge, so per-endpoint digests
 can be combined into a service-wide one, and round-trip through plain
-data for ``/metricsz`` and trace documents.  :class:`DigestMerger`
+data for ``/metricsz`` and trace documents.  A digest registered in a
+:class:`~repro.obs.registry.Registry` carries a ``name`` and ``help``
+and exports as a Prometheus ``summary``.  :class:`DigestMerger`
 keeps one digest per key behind a lock: the serving daemons' per-endpoint
 latencies and the cluster router's merge of its shards' digests.
 """
@@ -51,19 +54,25 @@ class QuantileDigest:  # repro: synchronized-externally
     1000
     """
 
-    __slots__ = ("min_value", "max_value", "growth", "_edges", "_counts",
-                 "count", "sum", "minimum", "maximum")
+    __slots__ = ("name", "help", "min_value", "max_value", "growth",
+                 "_edges", "_counts", "count", "sum", "minimum", "maximum")
+
+    kind = "summary"
 
     def __init__(
         self,
         min_value: float = DEFAULT_MIN_VALUE,
         max_value: float = DEFAULT_MAX_VALUE,
         growth: float = DEFAULT_GROWTH,
+        name: str = "",
+        help: str = "",
     ) -> None:
         if not 0 < min_value < max_value:
             raise ValueError("need 0 < min_value < max_value")
         if growth <= 1.0:
             raise ValueError("growth factor must exceed 1.0")
+        self.name = name
+        self.help = help
         self.min_value = min_value
         self.max_value = max_value
         self.growth = growth
@@ -140,11 +149,13 @@ class QuantileDigest:  # repro: synchronized-externally
 
     # -- composition / wire form ---------------------------------------
 
+    @property
+    def geometry(self) -> Tuple[float, float, float]:
+        return self.min_value, self.max_value, self.growth
+
     def merge(self, other: "QuantileDigest") -> None:
         """Fold ``other`` into this digest (must share the geometry)."""
-        if (self.min_value, self.max_value, self.growth) != (
-            other.min_value, other.max_value, other.growth
-        ):
+        if self.geometry != other.geometry:
             raise ValueError("cannot merge digests with different geometry")
         for index, bucket_count in enumerate(other._counts):
             self._counts[index] += bucket_count
@@ -185,23 +196,34 @@ class QuantileDigest:  # repro: synchronized-externally
 
     @classmethod
     def from_plain(cls, data: Dict[str, object]) -> "QuantileDigest":
-        digest = cls(
-            min_value=float(data["min_value"]),
-            max_value=float(data["max_value"]),
-            growth=float(data["growth"]),
-        )
-        counts = [int(c) for c in data["counts"]]
+        """The inverse of :meth:`to_plain`; ``ValueError`` on any
+        missing field, mismatched geometry, or inconsistent count --
+        a wire form from another process is never trusted."""
+        try:
+            digest = cls(
+                min_value=float(data["min_value"]),
+                max_value=float(data["max_value"]),
+                growth=float(data["growth"]),
+            )
+            counts = [int(c) for c in data["counts"]]
+            count = int(data["count"])
+            total = float(data["sum"])
+            minimum, maximum = data.get("minimum"), data.get("maximum")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed digest: {exc!r}") from None
         if len(counts) != len(digest._counts):
             raise ValueError("digest geometry does not match its counts")
+        if any(c < 0 for c in counts):
+            raise ValueError("digest has a negative bucket count")
+        if sum(counts) != count:
+            raise ValueError("digest bucket counts do not sum to its count")
+        if count and (minimum is None or maximum is None):
+            raise ValueError("non-empty digest lacks its minimum or maximum")
         digest._counts = counts
-        digest.count = int(data["count"])
-        digest.sum = float(data["sum"])
-        digest.minimum = (
-            float(data["minimum"]) if data.get("minimum") is not None else None
-        )
-        digest.maximum = (
-            float(data["maximum"]) if data.get("maximum") is not None else None
-        )
+        digest.count = count
+        digest.sum = total
+        digest.minimum = float(minimum) if minimum is not None else None
+        digest.maximum = float(maximum) if maximum is not None else None
         return digest
 
     def __repr__(self) -> str:
@@ -230,15 +252,28 @@ class DigestMerger:
             digest.observe(seconds)
 
     def absorb(self, plains: Dict[str, object]) -> None:
-        """Merge a ``{key: QuantileDigest.to_plain()}`` table in."""
-        for key, plain in plains.items():
-            incoming = QuantileDigest.from_plain(plain)
-            with self._lock:
-                digest = self._digests.get(key)
-                if digest is None:
-                    self._digests[key] = incoming
+        """Merge a ``{key: QuantileDigest.to_plain()}`` table in.
+
+        All or nothing: a malformed entry or a geometry mismatch raises
+        ``ValueError`` before any digest is touched.
+        """
+        if not isinstance(plains, dict):
+            raise ValueError("digest table is not an object")
+        incoming = {
+            key: QuantileDigest.from_plain(plain)
+            for key, plain in plains.items()
+        }
+        with self._lock:
+            for key, digest in incoming.items():
+                existing = self._digests.get(key)
+                if existing is not None and existing.geometry != digest.geometry:
+                    raise ValueError(f"digest {key!r} has a different geometry")
+            for key, digest in incoming.items():
+                existing = self._digests.get(key)
+                if existing is None:
+                    self._digests[key] = digest
                 else:
-                    digest.merge(incoming)
+                    existing.merge(digest)
 
     def summaries(self) -> Dict[str, Dict[str, object]]:
         with self._lock:

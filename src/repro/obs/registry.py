@@ -1,17 +1,19 @@
 """Metric primitives and the named-metric registry.
 
-The telemetry registry is the pipeline's flight recorder: every stage
-registers the counters, gauges, and histograms it wants to expose under
-a dotted name (``probe.accesses``, ``whomp.grammar_rules``), and the
-exporters in :mod:`repro.telemetry.export` render the whole registry in
-one pass.  Three metric kinds cover everything the profilers need:
+The registry is the pipeline's flight recorder: every stage registers
+the metrics it wants to expose under a dotted name (``probe.accesses``,
+``whomp.grammar_rules``), and the exporters in :mod:`repro.obs.export`
+render the whole registry in one pass.  Three metric kinds cover
+everything the profilers need:
 
 * :class:`Counter` -- monotonically increasing event count
   (accesses fired, symbols discarded);
 * :class:`Gauge` -- a point-in-time value that can move both ways
   (live footprint bytes, capture rate);
-* :class:`Histogram` -- a bucketed distribution with sum/min/max
-  (allocation sizes, LMADs per entry).
+* :class:`~repro.obs.quantiles.QuantileDigest` -- a distribution with
+  count/sum/min/max and bounded-error quantiles (allocation sizes,
+  LMADs per entry).  It is the same mergeable type behind the daemons'
+  request latencies, so there is one distribution type, not two.
 
 Everything is dependency-free and single-threaded by design: the
 profilers are synchronous pipelines, so metrics are plain Python
@@ -20,7 +22,9 @@ attributes with no locking on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
+
+from repro.obs.quantiles import QuantileDigest
 
 
 class Counter:
@@ -79,71 +83,7 @@ class Gauge:
         return f"Gauge({self.name}={self._value})"
 
 
-#: Default histogram bucket upper bounds: powers of two spanning one
-#: byte to one MiB, a good fit for sizes and per-entry counts alike.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(2.0 ** p for p in range(0, 21, 2))
-
-
-class Histogram:
-    """A cumulative-bucket distribution (Prometheus histogram semantics).
-
-    ``bounds`` are the inclusive upper edges of the finite buckets; an
-    implicit ``+Inf`` bucket catches the rest.  Count, sum, min, and max
-    are tracked exactly regardless of bucketing.
-    """
-
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "sum",
-                 "minimum", "maximum")
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.bounds: Tuple[float, ...] = tuple(sorted(bounds))
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum: float = 0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-
-    def observe(self, value: Union[int, float]) -> None:
-        self.count += 1
-        self.sum += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative count) pairs, ending with +Inf."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bounds, self.bucket_counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), self.count))
-        return out
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}: n={self.count} sum={self.sum})"
-
-
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Gauge, QuantileDigest]
 
 
 class Registry:  # repro: synchronized-externally
@@ -167,7 +107,7 @@ class Registry:  # repro: synchronized-externally
                     f"{existing.kind}, requested {cls.kind}"
                 )
             return existing
-        metric = cls(name, help=help, **kwargs)
+        metric = cls(name=name, help=help, **kwargs)
         self._metrics[name] = metric
         return metric
 
@@ -177,10 +117,10 @@ class Registry:  # repro: synchronized-externally
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(
-        self, name: str, help: str = "", bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, bounds=bounds)
+    def histogram(self, name: str, help: str = "", **geometry) -> QuantileDigest:
+        """A registered :class:`QuantileDigest`; ``geometry`` is its
+        ``min_value``/``max_value``/``growth`` on first creation."""
+        return self._get_or_create(QuantileDigest, name, help, **geometry)
 
     # -- introspection -------------------------------------------------
 
@@ -203,6 +143,6 @@ class Registry:  # repro: synchronized-externally
     def value(self, name: str) -> Union[int, float, None]:
         """Shortcut: the current value of a counter or gauge."""
         metric = self._metrics.get(name)
-        if metric is None or isinstance(metric, Histogram):
+        if metric is None or isinstance(metric, QuantileDigest):
             return None
         return metric.value

@@ -10,7 +10,7 @@ Re-entering the same name under the same parent merges into one node
 exploding the tree.
 
 :class:`Telemetry` bundles a span tree with a
-:class:`~repro.telemetry.registry.Registry` and is what gets threaded
+:class:`~repro.obs.registry.Registry` and is what gets threaded
 through the pipeline.  :class:`NullTelemetry` is the disabled fast
 path: every operation is a no-op against shared singletons.  Counts
 are published at stage boundaries, so no per-event hot path consults
@@ -23,7 +23,8 @@ import os
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.telemetry.registry import Counter, Gauge, Histogram, Registry
+from repro.obs.quantiles import QuantileDigest
+from repro.obs.registry import Counter, Gauge, Registry
 
 
 class Span:
@@ -259,8 +260,8 @@ class Telemetry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self.registry.gauge(name, help)
 
-    def histogram(self, name: str, help: str = "", **kwargs) -> Histogram:
-        return self.registry.histogram(name, help, **kwargs)
+    def histogram(self, name: str, help: str = "", **geometry) -> QuantileDigest:
+        return self.registry.histogram(name, help, **geometry)
 
 
 class _NullMetric:
@@ -339,7 +340,7 @@ class NullTelemetry(Telemetry):
     def gauge(self, name: str, help: str = "") -> Gauge:  # type: ignore[override]
         return self._null_metric  # type: ignore[return-value]
 
-    def histogram(self, name: str, help: str = "", **kwargs) -> Histogram:  # type: ignore[override]
+    def histogram(self, name: str, help: str = "", **geometry) -> QuantileDigest:  # type: ignore[override]
         return self._null_metric  # type: ignore[return-value]
 
 

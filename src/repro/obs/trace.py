@@ -1,5 +1,11 @@
 """Trace documents: assembling, persisting, and rendering one trace.
 
+The CLIs open and close one traced invocation with two helpers::
+
+    context, events = start_tracing(telemetry, trace_out=path)
+    ...  # run the pipeline
+    document = finish_tracing(telemetry, context, events)
+
 A *trace document* is the durable form of one traced invocation: the
 trace id, the span trees every participant contributed (the CLI's own
 plus the worker trees grafted back through the pool), and the
@@ -11,10 +17,9 @@ profiles.
 
 Rendering is deliberately plain text:
 
-* :func:`render_trace_tree` -- the ``repro-obs trace show`` view: an
-  ASCII tree with per-span wall time, call counts, and item
-  throughput, children ordered on the shared wall-clock timeline the
-  spans' start offsets define;
+* :func:`render_trace_tree` -- the ``repro-obs trace show`` view: the
+  span tree drawn by :func:`repro.obs.export.render_span_tree`, the
+  same renderer as ``--telemetry report``;
 * :func:`top_spans` -- the hottest span paths across a run,
   aggregated from ``stage`` events;
 * :func:`folded_stacks` -- ``parent;child;grandchild <microseconds>``
@@ -29,6 +34,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 # The document version (and the validating decoder) live with the other
 # formats in core.profile_io; builders and validators must agree.
 from repro.core.profile_io import TRACE_FORMAT_VERSION as TRACE_DOCUMENT_VERSION
+from repro.obs.context import TraceContext, current, set_current
+from repro.obs.events import EventLog
+from repro.obs.export import format_seconds, render_span_tree
+from repro.obs.spans import Telemetry
 
 
 def build_trace_document(
@@ -39,7 +48,7 @@ def build_trace_document(
 ) -> Dict[str, object]:
     """Assemble the canonical trace document for one invocation.
 
-    ``spans`` are :meth:`repro.telemetry.spans.Span.to_plain` trees
+    ``spans`` are :meth:`repro.obs.spans.Span.to_plain` trees
     (typically the root's top-level children); ``events`` are event-log
     records, filtered here to the trace's own.
     """
@@ -56,88 +65,72 @@ def build_trace_document(
     }
 
 
-# -- tree rendering ----------------------------------------------------------
+def start_tracing(
+    telemetry: Telemetry,
+    trace_out: Optional[str] = None,
+    context: Optional[TraceContext] = None,
+    capacity: Optional[int] = None,
+) -> Tuple[TraceContext, EventLog]:
+    """Attach a trace context and event log to ``telemetry``.
 
-
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    return f"{seconds * 1e3:.2f}ms"
-
-
-def _format_rate(rate: float) -> str:
-    if rate >= 1e6:
-        return f"{rate / 1e6:.2f}M"
-    if rate >= 1e3:
-        return f"{rate / 1e3:.1f}k"
-    return f"{rate:.0f}"
-
-
-def _span_line(span: Dict[str, object]) -> str:
-    seconds = float(span.get("seconds", 0.0))
-    calls = int(span.get("calls", 0))
-    items = int(span.get("items", 0))
-    detail = f"{_format_seconds(seconds)}  x{calls}"
-    if items:
-        unit = str(span.get("unit", "items"))
-        detail += f"  {items} {unit}"
-        if seconds > 0.0:
-            detail += f" ({_format_rate(items / seconds)} {unit}/s)"
-    span_id = span.get("span_id")
-    if span_id:
-        detail += f"  [{span_id}]"
-    return detail
-
-
-def _ordered_children(span: Dict[str, object]) -> List[Dict[str, object]]:
-    children = [
-        child for child in span.get("children", ()) if isinstance(child, dict)
-    ]
-    # Shared-timeline order: spans absorbed from workers carry absolute
-    # start offsets, so sorting on them interleaves worker and parent
-    # stages the way they actually ran.  Zero (never entered under a
-    # wall clock) sorts last, in creation order.
-    indexed = list(enumerate(children))
-    indexed.sort(
-        key=lambda pair: (
-            float(pair[1].get("start_ts") or 0.0) or float("inf"),
-            pair[0],
-        )
+    Installs the context as the process's ambient one (so fork-pool
+    workers inherit it) and, when ``trace_out`` is given, mirrors every
+    event into that JSONL file.  Returns ``(context, events)`` for
+    :func:`finish_tracing`.
+    """
+    if context is None:
+        context = TraceContext.new()
+    events = (
+        EventLog(capacity=capacity, path=trace_out)
+        if capacity is not None
+        else EventLog(path=trace_out)
     )
-    return [child for __, child in indexed]
+    telemetry.trace_id = context.trace_id
+    telemetry.events = events
+    set_current(context)
+    return context, events
+
+
+def finish_tracing(
+    telemetry: Telemetry,
+    context: TraceContext,
+    events: EventLog,
+    meta: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """Close out one traced invocation.
+
+    Builds the canonical trace document from the telemetry's top-level
+    spans and the trace's event records, appends a final ``trace``
+    record (carrying the span trees, so a JSONL log alone can render
+    the tree), flushes the sink, and clears the ambient context.
+    Returns the document, ready for the profile store.
+    """
+    document = build_trace_document(
+        context.trace_id,
+        [span.to_plain() for span in telemetry.spans()],
+        events.tail(),
+        meta=meta,
+    )
+    events.emit(
+        "trace",
+        trace=context.trace_id,
+        span=context.span_id,
+        spans=document["spans"],
+        meta=document["meta"],
+    )
+    events.flush()
+    if current() is context:
+        set_current(None)
+    return document
+
+
+# -- tree rendering ----------------------------------------------------------
 
 
 def render_trace_tree(document: Dict[str, object]) -> str:
     """The ASCII span tree of one trace document."""
     lines: List[str] = [f"trace {document.get('trace_id', '?')}"]
-    spans = [
-        span for span in document.get("spans", ()) if isinstance(span, dict)
-    ]
-    starts = [
-        float(span.get("start_ts") or 0.0)
-        for span in spans
-        if float(span.get("start_ts") or 0.0) > 0.0
-    ]
-    epoch = min(starts) if starts else 0.0
-
-    def walk(span: Dict[str, object], prefix: str, is_last: bool) -> None:
-        connector = "`-- " if is_last else "|-- "
-        name = str(span.get("name", "?"))
-        offset = ""
-        start = float(span.get("start_ts") or 0.0)
-        if start > 0.0 and epoch > 0.0:
-            offset = f" @+{start - epoch:.3f}s"
-        lines.append(
-            f"{prefix}{connector}{name:<20} {_span_line(span)}{offset}"
-        )
-        children = _ordered_children(span)
-        child_prefix = prefix + ("    " if is_last else "|   ")
-        for index, child in enumerate(children):
-            walk(child, child_prefix, index == len(children) - 1)
-
-    ordered = _ordered_children({"children": spans})
-    for index, span in enumerate(ordered):
-        walk(span, "", index == len(ordered) - 1)
+    lines.extend(render_span_tree(document.get("spans", ())))
     events = document.get("events", ())
     if events:
         lines.append(f"({len(events)} event record(s) in this trace)")
@@ -212,7 +205,7 @@ def render_top(rows: List[Dict[str, object]]) -> str:
     lines = [f"{'wall time':>12}  {'calls':>6}  {'items':>10}  path"]
     for row in rows:
         lines.append(
-            f"{_format_seconds(float(row['seconds'])):>12}  "
+            f"{format_seconds(float(row['seconds'])):>12}  "
             f"{row['calls']:>6}  {row['items']:>10}  {row['path']}"
         )
     if len(lines) == 1:

@@ -47,7 +47,7 @@ import traceback
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.obs.context import TraceContext, activate, current, current_header
-from repro.telemetry.spans import Telemetry, coalesce
+from repro.obs.spans import Telemetry, coalesce
 
 #: default retry cap per chunk (attempts = retries + 1)
 DEFAULT_RETRIES = 2

@@ -95,7 +95,7 @@ def profile_workload_documents(task):
     When an ambient :class:`~repro.obs.context.TraceContext` is active
     (the executor re-activates the submitter's, see
     :func:`repro.parallel.executor._run_chunk`), the workload runs
-    under a traced :class:`~repro.telemetry.spans.Telemetry` and
+    under a traced :class:`~repro.obs.spans.Telemetry` and
     ``meta["span"]`` carries the worker's span tree -- stamped with the
     shared trace id -- back to the parent for ``absorb_plain``.
     """
@@ -103,9 +103,9 @@ def profile_workload_documents(task):
 
     from repro.core.profile_io import dumps_bytes
     from repro.obs.context import current
+    from repro.obs.spans import NULL_TELEMETRY, Telemetry
     from repro.profilers.leap import LeapProfiler
     from repro.profilers.whomp import WhompProfiler
-    from repro.telemetry import NULL_TELEMETRY, Telemetry
     from repro.workloads.registry import create
 
     name, scale, seed, profiler = task[:4]
@@ -157,14 +157,14 @@ def run_experiment(task):
     contained here, as data, so one failed experiment cannot void a
     sweep); ``error`` is the failure text or ``None``; ``span_data`` is
     the worker's span tree as plain data (see
-    :meth:`repro.telemetry.spans.Span.to_plain`) or ``None``.
+    :meth:`repro.obs.spans.Span.to_plain`) or ``None``.
     """
     import time
     import traceback
 
     from repro.experiments.context import SuiteContext
     from repro.experiments.runner import EXPERIMENTS
-    from repro.telemetry import NULL_TELEMETRY, Telemetry
+    from repro.obs.spans import NULL_TELEMETRY, Telemetry
 
     name, scale, seed, measure_speed, with_telemetry, fault_spec, ledger_dir = task
     injector = None

@@ -22,8 +22,8 @@ from repro.compression.lmad import DEFAULT_BUDGET, LMADProfileEntry
 from repro.core.events import AccessKind
 from repro.core.omc import ObjectManager
 from repro.core.scc import VerticalLMADSCC
+from repro.obs.spans import Telemetry
 from repro.profilers.pipeline import ProfilerPipeline
-from repro.telemetry.spans import Telemetry
 
 #: bytes per serialized LMAD record: 3-d start + 3-d stride at 8 bytes
 #: each, plus an 8-byte count.

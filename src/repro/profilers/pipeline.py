@@ -27,7 +27,7 @@ from repro.core.cdc import OnlineCDC, translate_trace
 from repro.core.events import Trace
 from repro.core.omc import ObjectManager
 from repro.core.tuples import WILD_GROUP
-from repro.telemetry.spans import Telemetry, coalesce
+from repro.obs.spans import Telemetry, coalesce
 
 
 class ProfilerPipeline:

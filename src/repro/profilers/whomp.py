@@ -21,8 +21,8 @@ from repro.compression.sequitur import SequiturGrammar
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
 from repro.core.tuples import DIMENSIONS, WILD_GROUP
+from repro.obs.spans import Telemetry
 from repro.profilers.pipeline import ProfilerPipeline
-from repro.telemetry.spans import Telemetry
 
 
 @dataclass

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.events import AccessKind, AllocEvent, Trace
+from repro.obs.spans import coalesce
 from repro.runtime.allocator import Allocator, make_allocator
 from repro.runtime.linker import Linker, StaticObject, Symbol, SymbolTable
 from repro.runtime.memory import AddressSpace, MemoryError_
 from repro.runtime.probes import ProbeBus, TraceRecorder
-from repro.telemetry.spans import coalesce
 
 #: Allocation-site prefix used for static objects; the OMC treats each
 #: static symbol as its own group, as WHOMP derives groups of statics
@@ -67,7 +67,7 @@ class Process:
         run yields a :class:`Trace`.  When false the process runs
         uninstrumented -- the "native" baseline for dilation timing.
     ``telemetry``
-        Optional :class:`~repro.telemetry.spans.Telemetry`; when enabled,
+        Optional :class:`~repro.obs.spans.Telemetry`; when enabled,
         :meth:`finish` publishes the probe firings and the trace's
         footprint, read off the recorded trace (so a run without
         ``record_trace`` publishes nothing).
@@ -267,7 +267,10 @@ def _publish_trace_metrics(trace: Trace, telemetry) -> None:
     live_gauge = telemetry.gauge("trace.live_bytes", "currently allocated object bytes")
     live = peak = live_gauge.value
     histogram = telemetry.histogram(
-        "trace.alloc_size_bytes", "allocation size distribution"
+        "trace.alloc_size_bytes",
+        "allocation size distribution",
+        min_value=1.0,
+        max_value=float(1 << 32),
     )
     for event in trace.object_events():
         if isinstance(event, AllocEvent):

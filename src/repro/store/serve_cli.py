@@ -43,10 +43,11 @@ import sys
 from typing import List, Optional
 
 from repro.core.profile_io import SERIALIZATIONS, ProfileFormatError
+from repro.obs.export import MODES, emit
+from repro.obs.spans import NULL_TELEMETRY, Telemetry
 from repro.store.diff import detect_regressions, diff_blobs, render_diff
 from repro.store.query import QueryEngine
 from repro.store.store import ProfileStore
-from repro.telemetry import MODES, NULL_TELEMETRY, Telemetry, emit
 from repro.workloads.registry import SPEC_BENCHMARKS
 
 #: the bundled "eight workloads": the SPEC suite plus the micro kernel
@@ -205,7 +206,7 @@ def _post_document(url: str, data: bytes, workload: str):
 
 
 def _run_ingest(args: argparse.Namespace) -> int:
-    from repro.obs import start_tracing
+    from repro.obs.trace import start_tracing
 
     if not args.root and not args.url:
         print("ingest requires --root and/or --url", file=sys.stderr)
@@ -435,7 +436,7 @@ def _close_ingest_trace(args, telemetry, context, events, store) -> None:
     way so scripts can chase it through ``repro-obs`` and ``/tracez``.
     """
     from repro.core.profile_io import dumps
-    from repro.obs import finish_tracing
+    from repro.obs.trace import finish_tracing
 
     document = finish_tracing(
         telemetry, context, events, meta={"command": "ingest"}

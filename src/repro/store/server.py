@@ -58,14 +58,14 @@ from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 
 from repro.obs.events import EventLog
+from repro.obs.export import render_prometheus
 from repro.obs.quantiles import SUMMARY_QUANTILES
+from repro.obs.spans import Telemetry
 from repro.store.diff import detect_regressions, diff_blobs
 from repro.store.httpbody import RequestError
 from repro.store.query import QueryEngine
 from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
 from repro.store.store import ProfileStore
-from repro.telemetry import Telemetry
-from repro.telemetry.export import render_prometheus
 
 #: default cap on concurrently served request bodies
 DEFAULT_MAX_CONCURRENT = 8
@@ -207,20 +207,13 @@ class StoreServer(HttpService):
                     counters[metric.name] = metric.value
                 elif kind == "gauge":
                     gauges[metric.name] = metric.value
-            latency = self.telemetry.registry.get("store.http.latency_seconds")
-            latency_summary = None
-            if latency is not None and getattr(latency, "count", 0):
-                latency_summary = {
-                    "count": latency.count,
-                    "mean_seconds": latency.mean,
-                    "max_seconds": latency.maximum,
-                }
+        endpoints = self.latency.summaries()
         hits, misses, evictions = self.store.cache.stats()
         out: Dict[str, object] = {
             "counters": counters,
             "gauges": gauges,
-            "latency": latency_summary,
-            "endpoints": self.latency.summaries(),
+            "latency": endpoints.get("*"),
+            "endpoints": endpoints,
             "cache": {
                 "hits": hits,
                 "misses": misses,

@@ -45,15 +45,12 @@ from repro.core.profile_io import ProfileFormatError
 from repro.obs.context import TRACE_HEADER, TraceContext, activate
 from repro.obs.events import EventLog
 from repro.obs.quantiles import DigestMerger
+from repro.obs.spans import Telemetry, coalesce
 from repro.store.httpbody import RequestError, iter_body, read_body
-from repro.telemetry import Telemetry, coalesce
 
 #: default cap on one request body / streamed document (64 MiB); a
 #: profile document larger than this is a client bug, not a workload
 DEFAULT_MAX_BODY_BYTES = 64 << 20
-
-#: request-latency histogram buckets (seconds)
-LATENCY_BUCKETS = tuple(0.0001 * (4 ** p) for p in range(8))
 
 
 class RawBody:
@@ -101,7 +98,7 @@ class HttpService:
     Subclasses implement :meth:`route` and set :attr:`metric_prefix`.
     """
 
-    #: telemetry namespace of the request counters and histogram
+    #: telemetry namespace of the request counters
     metric_prefix = "service.http"
 
     def __init__(
@@ -325,11 +322,6 @@ class HttpService:
                 self.telemetry.counter(
                     f"{prefix}.errors_total", "requests answered >= 400"
                 ).inc()
-            self.telemetry.histogram(
-                f"{prefix}.latency_seconds",
-                "request wall time",
-                bounds=LATENCY_BUCKETS,
-            ).observe(seconds)
             # Span accumulation without the (thread-hostile) context
             # stack: one child per endpoint under serve/.
             span = self.telemetry.root.child("serve").child(endpoint)

@@ -29,6 +29,7 @@ from repro.cluster.loadgen import (
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ShardSupervisor
 from repro.obs.events import EventLog, read_events
+from repro.obs.quantiles import digest_of
 from repro.store.blobs import sha256_hex
 
 
@@ -275,6 +276,32 @@ class TestObservability:
         )
         # the merge carries every shard's samples
         assert cluster_all["count"] == shard_counts
+
+    def test_metricsz_skips_a_shard_with_bad_digests(self):
+        good = {
+            "endpoints": {},
+            "latency_digests": {"*": digest_of([0.01, 0.02]).to_plain()},
+        }
+        broken = digest_of([0.5]).to_plain()
+        broken["counts"][0] = -1
+        bad = {"endpoints": {}, "latency_digests": {"*": broken}}
+        answers = {"good": good, "bad": bad}
+        router = ClusterRouter(port=0, probe_interval=0)
+        router.health.alive_shards = lambda: ["good", "bad"]
+        router._try_shard = lambda name, method, path, **kw: (
+            200, {}, json.dumps(answers[name]).encode("utf-8")
+        )
+        router.start()
+        try:
+            with urllib.request.urlopen(router.url + "/metricsz") as r:
+                status = r.status
+                payload = json.loads(r.read().decode("utf-8"))
+        finally:
+            router.stop()
+        assert status == 200
+        assert payload["cluster"]["endpoints"]["*"]["count"] == 2
+        assert "digests" not in payload["shards"]["good"]
+        assert payload["shards"]["bad"]["digests"].startswith("rejected: ")
 
     def test_trace_header_propagates_to_shards(self, cluster, documents):
         workload, __, data = documents[0]

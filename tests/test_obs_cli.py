@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import EventLog, TraceContext, finish_tracing, start_tracing
 from repro.obs.cli import main
-from repro.telemetry import Telemetry
+from repro.obs.context import TraceContext
+from repro.obs.events import EventLog
+from repro.obs.spans import Telemetry
+from repro.obs.trace import finish_tracing, start_tracing
 
 TRACE_A = "a" * 32
 TRACE_B = "b" * 32

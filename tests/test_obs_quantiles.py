@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.obs.quantiles import QuantileDigest, digest_of
+from repro.obs.quantiles import DigestMerger, QuantileDigest, digest_of
 
 #: the digest's advertised worst-case relative error at growth 1.07 is
 #: ~3.5%; test against a slightly looser bound to stay float-safe
@@ -134,3 +134,57 @@ class TestComposition:
             json.loads(json.dumps(digest.to_plain()))
         )
         assert clone.quantile(0.5) == digest.quantile(0.5)
+
+
+class TestWireValidation:
+    """``from_plain`` never trusts a wire form from another process."""
+
+    @staticmethod
+    def plain(**overrides):
+        data = digest_of([0.001, 0.01, 0.1]).to_plain()
+        data.update(overrides)
+        return data
+
+    def test_rejects_negative_bucket_count(self):
+        data = self.plain()
+        data["counts"][0] = -1
+        data["count"] = sum(data["counts"])
+        with pytest.raises(ValueError, match="negative"):
+            QuantileDigest.from_plain(data)
+
+    def test_rejects_counts_not_summing_to_count(self):
+        with pytest.raises(ValueError, match="sum"):
+            QuantileDigest.from_plain(self.plain(count=4))
+
+    def test_rejects_nonempty_digest_without_extremes(self):
+        for field in ("minimum", "maximum"):
+            with pytest.raises(ValueError, match="minimum or maximum"):
+                QuantileDigest.from_plain(self.plain(**{field: None}))
+
+    def test_rejects_missing_field(self):
+        data = self.plain()
+        del data["counts"]
+        with pytest.raises(ValueError, match="malformed"):
+            QuantileDigest.from_plain(data)
+
+    def test_rejects_non_mapping(self):
+        with pytest.raises(ValueError, match="malformed"):
+            QuantileDigest.from_plain([1, 2, 3])
+
+    def test_rejects_geometry_mismatch(self):
+        data = self.plain()
+        data["counts"] = data["counts"][:-1]
+        with pytest.raises(ValueError, match="geometry"):
+            QuantileDigest.from_plain(data)
+
+    def test_merger_absorb_is_all_or_nothing(self):
+        merger = DigestMerger()
+        merger.observe("ingest", 0.01)
+        bad = QuantileDigest(growth=1.5)
+        bad.observe(0.02)
+        with pytest.raises(ValueError, match="geometry"):
+            merger.absorb(
+                {"get": self.plain(), "ingest": bad.to_plain()}
+            )
+        assert set(merger.summaries()) == {"ingest"}
+        assert merger.summaries()["ingest"]["count"] == 1

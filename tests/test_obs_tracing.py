@@ -6,21 +6,13 @@ import urllib.request
 import pytest
 
 from repro.core.profile_io import dumps, loads
-from repro.obs import (
-    TRACE_HEADER,
-    TraceContext,
-    build_trace_document,
-    finish_tracing,
-    read_events,
-    set_current,
-    start_tracing,
-)
-from repro.obs.context import current
+from repro.obs.context import TRACE_HEADER, TraceContext, current, set_current
+from repro.obs.events import read_events
+from repro.obs.spans import Span, Telemetry
+from repro.obs.trace import build_trace_document, finish_tracing, start_tracing
 from repro.parallel import ParallelExecutor, fork_available
 from repro.store import ProfileStore
 from repro.store.server import StoreServer
-from repro.telemetry import Telemetry
-from repro.telemetry.spans import Span
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"

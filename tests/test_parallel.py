@@ -14,6 +14,7 @@ from repro.compression.lmad import LMADCompressor
 from repro.compression.rle import DeltaRleCodec
 from repro.compression.sequitur import SequiturGrammar
 from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
+from repro.obs.spans import Telemetry
 from repro.parallel import (
     ParallelExecutor,
     WorkerCrashError,
@@ -23,7 +24,6 @@ from repro.parallel import (
 from repro.parallel.workers import shard_round_robin
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
-from repro.telemetry import Telemetry
 from repro.workloads.registry import create
 
 needs_fork = pytest.mark.skipif(

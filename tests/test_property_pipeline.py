@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from repro.core.cdc import OnlineCDC, translate_trace_list
 from repro.core.events import AccessKind
 from repro.core.profile_io import dumps_bytes
+from repro.obs.spans import Telemetry
 from repro.parallel import fork_available
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.resilience import Quarantine
 from repro.runtime.process import Process
-from repro.telemetry import Telemetry
 
 
 @st.composite

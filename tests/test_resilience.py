@@ -18,6 +18,7 @@ from repro.compression.lmad import LMADCompressor
 from repro.core.events import AccessEvent, AccessKind, AllocEvent, Trace
 from repro.core.fsutil import atomic_write_text
 from repro.core.tuples import WILD_GROUP, WILD_OBJECT, ObjectRelativeAccess
+from repro.obs.spans import Telemetry
 from repro.parallel import (
     ParallelExecutor,
     TaskOutcome,
@@ -34,7 +35,6 @@ from repro.resilience import (
     parse_fault_spec,
     quarantine_stream,
 )
-from repro.telemetry import Telemetry
 from repro.workloads.registry import create
 
 pytestmark = pytest.mark.faults

@@ -10,12 +10,12 @@ import pytest
 
 from repro.core.events import AccessKind
 from repro.core.profile_io import dumps
+from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.runtime.process import Process
 from repro.store import ProfileStore
 from repro.store.server import StoreServer
-from repro.telemetry import Telemetry
 
 
 def make_leap_text(offsets):

@@ -20,11 +20,11 @@ from repro.core import binformat as bf
 from repro.core import profile_io as pio
 from repro.core.binformat import StreamWriter
 from repro.core.events import AccessKind
+from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.runtime.process import Process
 from repro.store import ProfileStore
 from repro.store.server import StoreServer
-from repro.telemetry import Telemetry
 
 
 def make_leap_bytes(offsets, fmt="binary"):

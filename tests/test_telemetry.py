@@ -1,24 +1,24 @@
 """Unit tests for the telemetry subsystem: registry, spans, exporters."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Registry,
-    Telemetry,
-    coalesce,
+import repro
+from repro.obs.export import (
     render,
     render_json,
     render_prometheus,
     render_report,
     telemetry_to_dict,
 )
-from repro.telemetry.registry import Counter, Gauge, Histogram
-from repro.telemetry.spans import Span
+from repro.obs.quantiles import QuantileDigest
+from repro.obs.registry import Counter, Gauge, Registry
+from repro.obs.spans import NULL_TELEMETRY, NullTelemetry, Span, Telemetry, coalesce
 
 
 class TestCounter:
@@ -48,7 +48,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_count_sum_min_max_mean(self):
-        histogram = Histogram("h", bounds=(1, 10, 100))
+        histogram = Registry().histogram("h")
         for value in (1, 5, 50, 500):
             histogram.observe(value)
         assert histogram.count == 4
@@ -57,15 +57,21 @@ class TestHistogram:
         assert histogram.maximum == 500
         assert histogram.mean == 139
 
-    def test_cumulative_buckets(self):
-        histogram = Histogram("h", bounds=(1, 10, 100))
+    def test_registered_digest_is_a_summary(self):
+        registry = Registry()
+        histogram = registry.histogram("h", "sizes", min_value=1.0, max_value=1e6)
+        assert isinstance(histogram, QuantileDigest)
+        assert (histogram.name, histogram.help, histogram.kind) == (
+            "h", "sizes", "summary"
+        )
+        assert registry.histogram("h") is histogram
+        assert registry.value("h") is None
         for value in (1, 5, 50, 500):
             histogram.observe(value)
-        buckets = dict(histogram.cumulative_buckets())
-        assert buckets[1] == 1
-        assert buckets[10] == 2
-        assert buckets[100] == 3
-        assert buckets[float("inf")] == 4
+        assert abs(histogram.quantile(0.5) - 50) <= 50 * 0.07
+        assert abs(histogram.quantile(0.99) - 500) <= 500 * 0.07
+        with pytest.raises(TypeError):
+            registry.counter("h")
 
 
 class TestRegistry:
@@ -221,7 +227,7 @@ def _sample_telemetry():
             span.add_items(100, "symbols")
     telemetry.counter("probe.accesses", "accesses fired").inc(100)
     telemetry.gauge("leap.capture_rate").set(0.85)
-    histogram = telemetry.histogram("trace.alloc_size_bytes", bounds=(16, 256))
+    histogram = telemetry.histogram("trace.alloc_size_bytes")
     histogram.observe(8)
     histogram.observe(1024)
     return telemetry
@@ -251,6 +257,14 @@ class TestJsonExporter:
         (compression,) = pipeline["children"]
         assert compression["items"] == 100
 
+    def test_histogram_entry_is_a_summary(self):
+        data = telemetry_to_dict(_sample_telemetry())
+        entry = data["histograms"]["trace.alloc_size_bytes"]
+        assert set(entry) == {"count", "sum", "min", "max", "p50", "p95", "p99"}
+        assert (entry["count"], entry["sum"]) == (2, 1032)
+        assert (entry["min"], entry["max"]) == (8, 1024)
+        assert 8 <= entry["p50"] <= entry["p95"] <= entry["p99"] <= 1024
+
     def test_dict_form_has_all_sections(self):
         data = telemetry_to_dict(Telemetry())
         assert set(data) == {"spans", "counters", "gauges", "histograms"}
@@ -279,11 +293,19 @@ class TestPrometheusExporter:
         assert "repro_probe_accesses 100" in text
         assert "probe.accesses" not in text
 
-    def test_histogram_series(self):
-        text = render_prometheus(_sample_telemetry())
-        assert 'repro_trace_alloc_size_bytes_bucket{le="16"} 1' in text
-        assert 'repro_trace_alloc_size_bytes_bucket{le="+Inf"} 2' in text
-        assert "repro_trace_alloc_size_bytes_count 2" in text
+    def test_summary_series(self):
+        lines = render_prometheus(_sample_telemetry()).splitlines()
+        assert "# TYPE repro_trace_alloc_size_bytes summary" in lines
+        quantiles = [
+            line for line in lines
+            if line.startswith("repro_trace_alloc_size_bytes{quantile=")
+        ]
+        assert [line.split('"')[1] for line in quantiles] == [
+            "0.5", "0.95", "0.99"
+        ]
+        assert "repro_trace_alloc_size_bytes_sum 1032" in lines
+        assert "repro_trace_alloc_size_bytes_count 2" in lines
+        assert not any("_bucket{" in line for line in lines)
 
     def test_span_series(self):
         text = render_prometheus(_sample_telemetry())
@@ -299,3 +321,33 @@ class TestRenderDispatch:
         assert render(telemetry, "prom").startswith("#")
         with pytest.raises(ValueError):
             render(telemetry, "xml")
+
+
+class TestImportWeight:
+    def test_profilers_load_only_spans_and_metrics(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.profilers.whomp, repro.profilers.leap; "
+                "print(' '.join(sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout.split()
+        assert "repro.obs.spans" in loaded
+        heavy = {
+            "repro.obs.slo",
+            "repro.obs.trace",
+            "repro.obs.events",
+            "repro.obs.cli",
+            "repro.core.profile_io",
+        }
+        assert heavy.isdisjoint(loaded)

@@ -5,7 +5,7 @@ Three properties matter:
 * instrumented runs populate the documented metric names and span tree;
 * telemetry never changes profiler *outputs* (instrumented and null
   runs produce identical profiles);
-* the :class:`~repro.telemetry.NullTelemetry` default keeps the hot
+* the :class:`~repro.obs.spans.NullTelemetry` default keeps the hot
   paths within noise of a hand-rolled uninstrumented loop.
 """
 
@@ -20,11 +20,11 @@ from repro.core.cdc import translate_trace
 from repro.core.events import AccessKind
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
+from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.resilience import Quarantine
 from repro.runtime.process import Process
-from repro.telemetry import Telemetry
 from repro.workloads.registry import create
 
 PROFILERS = pytest.mark.parametrize(
