@@ -23,7 +23,9 @@ are kept (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd
+from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -105,12 +107,29 @@ class OverflowSummary:
             self.granularity = tuple(0 for __ in symbol)
             self._anchor = symbol
             return
-        self.minimum = tuple(min(a, b) for a, b in zip(self.minimum, symbol))
-        self.maximum = tuple(max(a, b) for a, b in zip(self.maximum, symbol))
-        assert self._anchor is not None and self.granularity is not None
+        self.minimum = tuple(map(min, self.minimum, symbol))
+        self.maximum = tuple(map(max, self.maximum, symbol))
         self.granularity = tuple(
-            gcd(g, abs(s - a))
-            for g, s, a in zip(self.granularity, symbol, self._anchor)
+            map(gcd, self.granularity, map(sub, symbol, self._anchor))
+        )
+
+    def add_all(self, symbols: Sequence[Sequence[int]]) -> None:
+        """:meth:`add` each of ``symbols`` in turn, one pass per
+        dimension: min, max and gcd do not depend on the order."""
+        if not symbols:
+            return
+        if self.minimum is None:
+            self.add(tuple(symbols[0]))
+            symbols = symbols[1:]
+            if not symbols:
+                return
+        self.count += len(symbols)
+        columns = list(zip(*symbols))
+        self.minimum = tuple(map(min, self.minimum, map(min, columns)))
+        self.maximum = tuple(map(max, self.maximum, map(max, columns)))
+        self.granularity = tuple(
+            gcd(g, *map(sub, column, repeat(a)))
+            for g, column, a in zip(self.granularity, columns, self._anchor)
         )
 
 
@@ -158,6 +177,9 @@ class LMADCompressor:
         self._open_start: Optional[Vector] = None
         self._open_stride: Optional[Vector] = None
         self._open_count = 0
+        #: the term that would extend the open descriptor (None until
+        #: its stride is fixed)
+        self._next: Optional[Vector] = None
         self._fed = 0
         self._finished = False
         self._summarized = False
@@ -173,6 +195,10 @@ class LMADCompressor:
                 f"expected {self.dims}-dimensional symbol, got {len(vector)}"
             )
         self._fed += 1
+        if vector == self._next:
+            self._open_count += 1
+            self._next = tuple(map(add, vector, self._open_stride))
+            return
         if self._summarized:
             self.overflow.add(vector)
             return
@@ -181,27 +207,63 @@ class LMADCompressor:
             return
         if self._open_count == 1:
             # Second element fixes the stride.
-            self._open_stride = tuple(
-                b - a for a, b in zip(self._open_start, vector)
-            )
+            stride = tuple(map(sub, vector, self._open_start))
+            self._open_stride = stride
             self._open_count = 2
-            return
-        assert self._open_stride is not None
-        expected = tuple(
-            s + self._open_count * d
-            for s, d in zip(self._open_start, self._open_stride)
-        )
-        if vector == expected:
-            self._open_count += 1
+            self._next = tuple(map(add, vector, stride))
             return
         self._close_open()
         self._open(vector)
 
     def feed_all(self, symbols: Iterable[Sequence[int]]) -> None:
+        """:meth:`feed` each symbol, with the same result.
+
+        Symbols that extend the open descriptor are taken inline.  Once
+        the budget is full and no descriptor is open, every remaining
+        symbol spills, so the rest of the stream goes to the overflow
+        summary in one pass.
+        """
+        if self._finished:
+            raise RuntimeError("compressor already finished")
+        symbols = iter(symbols)
+        budget = self.budget
         for symbol in symbols:
-            self.feed(symbol)
+            if self._summarized or (
+                self._open_start is None and len(self.lmads) >= budget
+            ):
+                self._spill([symbol, *symbols])
+                return
+            vector = tuple(symbol)
+            if vector == self._next:
+                self._fed += 1
+                self._open_count += 1
+                self._next = tuple(map(add, vector, self._open_stride))
+            else:
+                self.feed(vector)
+
+    def _spill(self, symbols: List[Sequence[int]]) -> None:
+        """Send ``symbols`` to the overflow summary, as :meth:`feed`
+        would once nothing can open a descriptor."""
+        dims = self.dims
+        bad = None
+        if any(map(dims.__ne__, map(len, symbols))):
+            bad = next(i for i, symbol in enumerate(symbols) if len(symbol) != dims)
+            symbols, rejected = symbols[:bad], symbols[bad]
+        self._fed += len(symbols)
+        self.overflow.add_all(symbols)
+        if (
+            not self._summarized
+            and self.overflow_cap is not None
+            and self.overflow.count > self.overflow_cap
+        ):
+            self._summarize()
+        if bad is not None:
+            raise ValueError(
+                f"expected {dims}-dimensional symbol, got {len(rejected)}"
+            )
 
     def _open(self, vector: Vector) -> None:
+        self._next = None
         if len(self.lmads) >= self.budget:
             # Budget exhausted: lossy path.
             self.overflow.add(vector)
@@ -253,6 +315,7 @@ class LMADCompressor:
         self._open_start = None
         self._open_stride = None
         self._open_count = 0
+        self._next = None
 
     def finish(self) -> "LMADProfileEntry":
         """Close the open descriptor and return the packaged result."""

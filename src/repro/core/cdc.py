@@ -7,19 +7,24 @@ stream to the separation and compression component." (Section 2.3)
 
 Two modes are provided:
 
-* :func:`translate_trace` -- offline: walk a recorded :class:`Trace`,
-  drive the OMC from its object events, and yield the translated stream.
-  Each trace is resolved once; later calls replay the kept columns.
-* :class:`OnlineCDC` -- online: a probe sink that translates and forwards
-  each access as it fires, for profilers attached directly to a running
-  process (this is how Table 1's dilation is measured).
+* :func:`translate_columns` -- walk a :class:`Trace`, drive the OMC
+  from its object events, and return the translated stream as integer
+  columns.  Each trace is resolved once; later calls replay the kept
+  columns.  :func:`translate_trace` streams the same translation as
+  :class:`ObjectRelativeAccess` tuples.  The profilers' online sessions
+  translate each chunk of probe firings this way too (Table 1's
+  dilation is measured through them).
+* :class:`OnlineCDC` -- a probe sink that translates and forwards each
+  access as it fires, one tuple at a time.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Callable, Iterator, List, MutableSequence, Optional, Sequence, Tuple
+from typing import (
+    Callable, Iterable, Iterator, List, MutableSequence, Optional, Sequence, Tuple,
+)
 
 from repro.core.events import AccessKind, AllocEvent, ObjectEvent, Trace
 from repro.core.omc import ObjectManager
@@ -28,6 +33,14 @@ from repro.core.tuples import WILD_GROUP, WILD_OBJECT, ObjectRelativeAccess, mak
 
 #: (group, object, offset) columns, one entry per access of a trace
 Translation = Tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+#: the translated stream as columns, in :func:`make_access`'s argument
+#: order: instruction, group, object, offset, time, size, kind.  The
+#: kind column is an iterator, read once.
+Columns = Tuple[
+    Sequence[int], Sequence[int], Sequence[int], Sequence[int],
+    Sequence[int], Sequence[int], Iterable[AccessKind],
+]
 
 
 def translate_trace(
@@ -42,14 +55,25 @@ def translate_trace(
 
     The caller may pass (and keep) the ``omc`` to read auxiliary outputs
     afterwards; by default a fresh one is created.  The OMC holds its
-    final state from the first access yielded on.
+    final state from the first access yielded on.  Translation is that
+    of :func:`translate_columns`, memo included.
+    """
+    yield from map(make_access, *translate_columns(trace, omc))
+
+
+def translate_columns(trace: Trace, omc: Optional[ObjectManager] = None) -> Columns:
+    """Translate a whole trace into the object-relative :data:`Columns`.
+
+    ``omc`` is driven through every object event of the trace, as by
+    :func:`translate_trace`; a free of an untracked address raises
+    :class:`~repro.core.omc.TranslationError`.
 
     A trace is translated once.  With a fresh OMC, the (group, object,
     offset) columns are kept on the trace, keyed by ``refine_by_type``
     and ``len(trace)``, so WHOMP and LEAP profiling one trace resolve
     each address once.  A later call with a fresh OMC replays only the
     object events into it, which rebuilds the same groups, records and
-    live index, and streams the kept columns.  An OMC that already
+    live index, and returns the kept columns.  An OMC that already
     holds objects is translated against as it is, without the memo.
     """
     if omc is None:
@@ -67,15 +91,8 @@ def translate_trace(
                 _apply(omc, event)
     instructions, __, sizes, times = trace.access_columns()
     groups, serials, offsets = translation
-    yield from map(
-        make_access,
-        instructions,
-        groups,
-        serials,
-        offsets,
-        times,
-        sizes,
-        trace.access_kinds(),
+    return (
+        instructions, groups, serials, offsets, times, sizes, trace.access_kinds()
     )
 
 
@@ -139,12 +156,13 @@ def translate_trace_list(
 
 
 class OnlineCDC:
-    """Probe sink translating accesses on the fly.
+    """Probe sink translating accesses on the fly, one at a time.
 
     ``consumer`` receives each :class:`ObjectRelativeAccess` as it is
-    produced -- typically a profiler's SCC.  The CDC owns the global
-    time-stamp counter, incremented after every collected access, per
-    Section 2.2.
+    produced.  The CDC owns the global time-stamp counter, incremented
+    after every collected access, per Section 2.2.  The profilers'
+    online sessions do not use it: they buffer firings into chunks and
+    translate each with :func:`translate_columns`.
     """
 
     def __init__(

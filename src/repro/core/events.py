@@ -90,9 +90,10 @@ class FreeEvent:
 TraceEvent = Union[AccessEvent, AllocEvent, FreeEvent]
 ObjectEvent = Union[AllocEvent, FreeEvent]
 
-#: the byte code of each access kind in the packed kind column
+#: the access kinds; a kind's index here is its byte code in the packed
+#: kind column (``_KINDS.index`` compares by identity first, where a
+#: dict lookup would run ``Enum.__hash__`` in Python)
 _KINDS = (AccessKind.LOAD, AccessKind.STORE)
-_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 class Trace:
@@ -118,9 +119,13 @@ class Trace:
 
     Consumers may keep data derived from the trace on it with
     :meth:`cache`; recording any event drops it.
+
+    ``clock`` is the time of the first access recorded: a trace that
+    holds one chunk of a longer run starts where the chunk before it
+    ended.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: int = 0) -> None:
         self._instructions: MutableSequence = array("q")
         self._addresses: MutableSequence = array("q")
         self._sizes: MutableSequence = array("q")
@@ -129,7 +134,7 @@ class Trace:
         self._kinds: MutableSequence = bytearray()
         self._packed = True
         self._objects: List[Tuple[int, ObjectEvent]] = []
-        self._clock = 0
+        self._clock = clock
         self._cached: Dict[Hashable, object] = {}
 
     # -- recording ----------------------------------------------------
@@ -158,14 +163,14 @@ class Trace:
         self._cached.clear()
         if self._packed:
             try:
-                code = _KIND_CODES[kind]
+                code = _KINDS.index(kind)
                 self._instructions.append(instruction_id)
                 self._addresses.append(address)
                 self._sizes.append(size)
                 self._times.append(time)
                 self._kinds.append(code)
                 return
-            except (KeyError, TypeError, OverflowError):
+            except (ValueError, TypeError, OverflowError):
                 self._unpack()
         self._instructions.append(instruction_id)
         self._addresses.append(address)

@@ -2,8 +2,8 @@
 
 The paper's Section 2.3 framework connects an instrumented program's
 probes to the OMC/CDC/SCC pipeline.  The pieces all exist as separate
-classes (:class:`~repro.runtime.process.Process`,
-:class:`~repro.core.cdc.OnlineCDC`, the SCCs, the profilers); this
+classes (:class:`~repro.runtime.process.Process`, the CDC's
+:func:`~repro.core.cdc.translate_columns`, the SCCs, the profilers); this
 module provides the one-call compositions a profile consumer wants:
 
 * :func:`collect_trace` -- run a workload, get the trace;
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Union
 
+from repro.compression.lmad import DEFAULT_BUDGET
 from repro.core.events import Trace
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
@@ -59,18 +60,11 @@ def profile_trace(
                 refine_by_type=refine_by_type, telemetry=telemetry
             ).profile(trace)
         elif name == "leap":
-            profiler = (
-                LeapProfiler(
-                    budget=budget,
-                    refine_by_type=refine_by_type,
-                    telemetry=telemetry,
-                )
-                if budget is not None
-                else LeapProfiler(
-                    refine_by_type=refine_by_type, telemetry=telemetry
-                )
-            )
-            results[name] = profiler.profile(trace)
+            results[name] = LeapProfiler(
+                budget=DEFAULT_BUDGET if budget is None else budget,
+                refine_by_type=refine_by_type,
+                telemetry=telemetry,
+            ).profile(trace)
         else:
             raise ValueError(
                 f"unknown profiler {name!r}; choose from {PROFILERS}"
@@ -119,10 +113,9 @@ class ProfilingSession:
             if name == "whomp":
                 self._sessions[name] = WhompProfiler().attach(self.process.bus)
             elif name == "leap":
-                profiler = (
-                    LeapProfiler(budget=budget) if budget is not None else LeapProfiler()
-                )
-                self._sessions[name] = profiler.attach(self.process.bus)
+                self._sessions[name] = LeapProfiler(
+                    budget=DEFAULT_BUDGET if budget is None else budget
+                ).attach(self.process.bus)
             else:
                 raise ValueError(
                     f"unknown profiler {name!r}; choose from {PROFILERS}"

@@ -13,17 +13,21 @@ Two concrete SCCs are provided, one per profiler:
   ``(instruction, group)`` sub-stream over (object, offset, time)
   triples.
 
-Both are *online*: they consume one :class:`ObjectRelativeAccess` at a
-time, so they can sit behind an :class:`~repro.core.cdc.OnlineCDC` or be
-fed from an offline translated stream.
+Both can consume one :class:`ObjectRelativeAccess` at a time (the
+streaming driver, or an :class:`~repro.core.cdc.OnlineCDC`), or
+decompose the translation's :data:`~repro.core.cdc.Columns` in one
+stage and compress the sub-streams in the next (the staged driver and
+the online sessions).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compression.lmad import DEFAULT_BUDGET, LMADCompressor, LMADProfileEntry
 from repro.compression.sequitur import SequiturGrammar
+from repro.core.cdc import Columns
 from repro.core.events import AccessKind
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
 
@@ -54,25 +58,19 @@ class HorizontalSequiturSCC:
         self.grammars["object"].feed(access.object_serial)
         self.grammars["offset"].feed(access.offset)
 
-    # -- staged interface (telemetry-timed profiling) ------------------
+    # -- staged interface ------------------------------------------------
     #
     # ``consume`` interleaves decomposition and compression per access;
-    # the staged pair below runs each phase over the whole stream so the
-    # profilers can time them as separate spans.  Output is identical.
+    # the staged pair below runs each phase over a whole batch of
+    # columns, so the profilers can time them as separate spans.  Output
+    # is identical.
 
-    def decompose(
-        self, accesses: Iterable[ObjectRelativeAccess]
-    ) -> Dict[str, List[int]]:
-        """Horizontal decomposition: the four dimension streams."""
-        accesses = list(accesses)
-        return {
-            "instruction": [a.instruction_id for a in accesses],
-            "group": [a.group for a in accesses],
-            "object": [a.object_serial for a in accesses],
-            "offset": [a.offset for a in accesses],
-        }
+    def decompose(self, columns: Columns) -> Dict[str, Sequence[int]]:
+        """Horizontal decomposition: the four dimension streams are the
+        translation's first four columns."""
+        return dict(zip(DIMENSIONS, columns))
 
-    def compress_streams(self, streams: Dict[str, List[int]]) -> None:
+    def compress_streams(self, streams: Dict[str, Sequence[int]]) -> None:
         """Feed each decomposed dimension stream to its compressor."""
         for name, values in streams.items():
             feed = self.grammars[name].feed
@@ -139,27 +137,33 @@ class VerticalLMADSCC:
             self._exec_counts.get(access.instruction_id, 0) + 1
         )
 
-    # -- staged interface (telemetry-timed profiling) ------------------
+    # -- staged interface ------------------------------------------------
 
     def decompose(
-        self, accesses: Iterable[ObjectRelativeAccess]
+        self, columns: Columns
     ) -> Dict[Tuple[int, int], List[Tuple[int, int, int]]]:
-        """Vertical decomposition: (instruction, group) -> triple stream.
+        """Vertical decomposition: (instruction, group) -> triple stream,
+        one group-by over the translation's columns.
 
         Also tracks the side tables (kinds, execution counts) exactly as
-        per-access :meth:`consume` would.
+        per-access :meth:`consume` would, in first-occurrence order.
         """
+        instructions, groups, serials, offsets, times, __, kinds = columns
         substreams: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-        for access in accesses:
-            key = (access.instruction_id, access.group)
+        first_kinds = self._kinds
+        for instruction, group, serial, offset, time, kind in zip(
+            instructions, groups, serials, offsets, times, kinds
+        ):
+            key = (instruction, group)
             stream = substreams.get(key)
             if stream is None:
                 stream = substreams[key] = []
-            stream.append((access.object_serial, access.offset, access.time))
-            self._kinds.setdefault(access.instruction_id, access.kind)
-            self._exec_counts[access.instruction_id] = (
-                self._exec_counts.get(access.instruction_id, 0) + 1
-            )
+                # an instruction first shows up in a new substream
+                first_kinds.setdefault(instruction, kind)
+            stream.append((serial, offset, time))
+        exec_counts = self._exec_counts
+        for instruction, count in Counter(instructions).items():
+            exec_counts[instruction] = exec_counts.get(instruction, 0) + count
         return substreams
 
     def compress_streams(

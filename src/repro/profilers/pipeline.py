@@ -13,7 +13,10 @@ SCC they plug in, so everything else lives here, once:
 * the counts, published once at a stage boundary rather than per
   event;
 * the online session that attaches the same pipeline to a live
-  :class:`~repro.runtime.probes.ProbeBus`.
+  :class:`~repro.runtime.probes.ProbeBus`.  It buffers probe firings
+  into a chunk and runs each chunk through the staged driver's stages:
+  probes -> chunk -> :func:`~repro.core.cdc.translate_columns` ->
+  decompose -> compress.
 
 A profiler supplies its SCC, its pool fan-out, and the profile it
 builds; this module never asks which profiler it serves.
@@ -21,13 +24,17 @@ builds; this module never asks which profiler it serves.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.cdc import OnlineCDC, translate_trace
-from repro.core.events import Trace
+from repro.core.cdc import Columns, translate_columns, translate_trace
+from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
-from repro.core.tuples import WILD_GROUP
+from repro.core.tuples import WILD_GROUP, make_access
 from repro.obs.spans import Telemetry, coalesce
+
+#: accesses an online session buffers before it translates and
+#: compresses them
+CHUNK = 4096
 
 
 class ProfilerPipeline:
@@ -109,36 +116,48 @@ class ProfilerPipeline:
         self, trace: Trace, omc: ObjectManager, scc, mark: int, pool: bool
     ):
         """Each paper stage under its own span.  Staging materializes
-        the translated and the decomposed streams; the profile is
-        identical to the streaming loop's."""
+        the decomposed streams; the profile is identical to the
+        streaming loop's."""
         telemetry = self.telemetry
         with telemetry.span(self.span_name) as whole:
-            with telemetry.span("translation") as span:
-                translated = list(translate_trace(trace, omc))
-                accesses = list(self._kept(translated))
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("decomposition") as span:
-                streams = scc.decompose(accesses)
-                span.add_items(len(accesses), "accesses")
-            with telemetry.span("compression") as span:
-                if pool:
-                    from repro.parallel import ParallelExecutor
-
-                    executor = ParallelExecutor(jobs=self.jobs, telemetry=telemetry)
-                    self._compress_in_pool(scc, streams, executor)
-                else:
-                    scc.compress_streams(streams)
-                span.add_items(sum(len(s) for s in streams.values()), "symbols")
-            whole.add_items(len(accesses), "accesses")
+            translated, wild, kept = self._run_stages(trace, omc, scc, pool)
+            whole.add_items(kept, "accesses")
         if telemetry.enabled:
-            self._count_translation(
-                len(translated),
-                sum(1 for access in translated if access.group == WILD_GROUP),
-            )
-        profile = self._package(scc, omc, len(accesses), mark)
+            self._count_translation(translated, wild)
+        profile = self._package(scc, omc, kept, mark)
         if telemetry.enabled:
             self._record_metrics(profile, telemetry)
         return profile
+
+    def _run_stages(
+        self, trace: Trace, omc: ObjectManager, scc, pool: bool = False
+    ) -> Tuple[int, int, int]:
+        """Translate ``trace`` against ``omc``, drop what the quarantine
+        takes, decompose, and compress into ``scc``, each stage under
+        its own span.  Returns the accesses translated, the wild ones
+        among them, and the accesses kept."""
+        telemetry = self.telemetry
+        with telemetry.span("translation") as span:
+            columns = translate_columns(trace, omc)
+            translated = len(columns[0])
+            wild = columns[1].count(WILD_GROUP)
+            if self.quarantine is not None:
+                columns = self._kept_columns(columns)
+            kept = len(columns[0])
+            span.add_items(kept, "accesses")
+        with telemetry.span("decomposition") as span:
+            streams = scc.decompose(columns)
+            span.add_items(kept, "accesses")
+        with telemetry.span("compression") as span:
+            if pool:
+                from repro.parallel import ParallelExecutor
+
+                executor = ParallelExecutor(jobs=self.jobs, telemetry=telemetry)
+                self._compress_in_pool(scc, streams, executor)
+            else:
+                scc.compress_streams(streams)
+            span.add_items(sum(map(len, streams.values())), "symbols")
+        return translated, wild, kept
 
     # -- shared plumbing --------------------------------------------------
 
@@ -149,6 +168,15 @@ class ProfilerPipeline:
         from repro.resilience.degraded import quarantine_stream
 
         return quarantine_stream(stream, self.quarantine)
+
+    def _kept_columns(self, columns: Columns) -> Columns:
+        """``columns`` filtered through the quarantine, as accesses and
+        back (degraded mode only)."""
+        kept = [
+            (a.instruction_id, a.group, a.object_serial, a.offset, a.time, a.size, a.kind)
+            for a in self._kept(map(make_access, *columns))
+        ]
+        return tuple(map(list, zip(*kept))) if kept else tuple([] for __ in columns)
 
     def _quarantine_mark(self) -> int:
         return self.quarantine.total if self.quarantine is not None else 0
@@ -195,7 +223,16 @@ class ProfilerPipeline:
 
 
 class OnlineSession:
-    """A live pipeline: OnlineCDC -> the profiler's SCC.
+    """A live pipeline: probes -> chunk -> the profiler's stages.
+
+    Probe firings are buffered into a chunk :class:`Trace`, and every
+    :data:`CHUNK` accesses (and at :meth:`finish`) the chunk is
+    translated against the session's OMC, decomposed and compressed
+    exactly as the staged offline run does it.  Object events keep their
+    places inside the chunk, so translation stays exact under address
+    reuse.  A free of an untracked address raises
+    :class:`~repro.core.omc.TranslationError` at the flush that applies
+    it, not at the probe.
 
     Detach (or just call :meth:`finish`) when the program completes.
     """
@@ -203,26 +240,67 @@ class OnlineSession:
     def __init__(self, profiler: ProfilerPipeline, bus) -> None:
         self._profiler = profiler
         self._bus = bus
-        self._scc = profiler._new_scc()
         self._mark = profiler._quarantine_mark()
-        consumer = self._scc.consume
-        if profiler.quarantine is not None:
-            from repro.resilience.degraded import quarantine_consumer
-
-            consumer = quarantine_consumer(consumer, profiler.quarantine)
-        self._cdc = OnlineCDC(
-            consumer, ObjectManager(refine_by_type=profiler.refine_by_type)
+        self._sink = _ChunkSink(
+            profiler,
+            profiler._new_scc(),
+            ObjectManager(refine_by_type=profiler.refine_by_type),
         )
         self._profile = None
-        bus.attach(self._cdc)
+        bus.attach(self._sink)
 
     def finish(self):
-        """Detach, publish the CDC counts and return the profile.  Later
-        calls return the same profile and publish nothing."""
+        """Detach, flush, publish the CDC counts and return the
+        profile.  Later calls return the same profile and publish
+        nothing."""
         if self._profile is None:
-            self._bus.detach(self._cdc)
-            profiler, cdc = self._profiler, self._cdc
-            profiler._count_translation(cdc.clock, cdc.wild)
-            kept = cdc.clock - profiler._quarantined_since(self._mark)
-            self._profile = profiler._package(self._scc, cdc.omc, kept, self._mark)
+            self._bus.detach(self._sink)
+            sink = self._sink
+            sink.flush()
+            profiler = self._profiler
+            profiler._count_translation(sink.translated, sink.wild)
+            self._profile = profiler._package(
+                sink.scc, sink.omc, sink.kept, self._mark
+            )
         return self._profile
+
+
+class _ChunkSink:
+    """The session's probe sink: appends each firing to a chunk trace
+    whose clock continues the run's, and flushes it through the
+    profiler's stages.  It holds the OMC and the SCC, not the session,
+    so the two do not form a reference cycle."""
+
+    def __init__(self, profiler: ProfilerPipeline, scc, omc: ObjectManager) -> None:
+        self.profiler = profiler
+        self.scc = scc
+        self.omc = omc
+        #: accesses flushed so far, the wild ones among them, and those
+        #: the quarantine let through
+        self.translated = self.wild = self.kept = 0
+        self._chunk = Trace()
+
+    def on_access(
+        self, instruction_id: int, address: int, size: int, kind: AccessKind
+    ) -> None:
+        chunk = self._chunk
+        chunk.record_access(instruction_id, address, size, kind)
+        if chunk.access_count >= CHUNK:
+            self.flush()
+
+    def on_alloc(
+        self, address: int, size: int, site: str, type_name: Optional[str]
+    ) -> None:
+        self._chunk.record_alloc(address, size, site, type_name)
+
+    def on_free(self, address: int) -> None:
+        self._chunk.record_free(address)
+
+    def flush(self) -> None:
+        """Translate, decompose and compress the buffered chunk."""
+        chunk = self._chunk
+        self._chunk = Trace(clock=self.translated + chunk.access_count)
+        translated, wild, kept = self.profiler._run_stages(chunk, self.omc, self.scc)
+        self.translated += translated
+        self.wild += wild
+        self.kept += kept

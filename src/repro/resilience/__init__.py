@@ -25,11 +25,7 @@ counters are documented in README's "Resilience" section.
 # -- profiles, checkpoints, manifests, JSON results -- goes through it.
 from repro.core.fsutil import atomic_write_text
 from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.degraded import (
-    Quarantine,
-    quarantine_consumer,
-    quarantine_stream,
-)
+from repro.resilience.degraded import Quarantine, quarantine_stream
 from repro.resilience.faults import FaultInjector, FaultPlan, parse_fault_spec
 
 __all__ = [
@@ -39,6 +35,5 @@ __all__ = [
     "FaultPlan",
     "Quarantine",
     "parse_fault_spec",
-    "quarantine_consumer",
     "quarantine_stream",
 ]

@@ -122,19 +122,3 @@ def quarantine_stream(
             yield access
         else:
             quarantine.add(reason, access)
-
-
-def quarantine_consumer(consumer, quarantine: Quarantine):
-    """Per-access variant of :func:`quarantine_stream` for the online
-    pipeline: wraps an SCC ``consume`` callable."""
-
-    def guarded(access: ObjectRelativeAccess) -> None:
-        reason = access.malformation()
-        if reason is None and access.wild:
-            reason = "wild"
-        if reason is None:
-            consumer(access)
-        else:
-            quarantine.add(reason, access)
-
-    return guarded

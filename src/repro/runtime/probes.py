@@ -8,7 +8,8 @@ probes are introduced at object creation and destruction points."
 Here instrumentation is a bus between the simulated process and any
 number of probe sinks.  A sink is anything implementing the three
 ``on_*`` callbacks: a :class:`TraceRecorder` for offline profiling, or a
-profiler's CDC directly for online profiling (the paper's
+profiler's online session, which buffers firings into chunks and
+translates each chunk as offline profiling would (the paper's decoupled
 thread-to-thread communication, minus the threads).
 """
 

@@ -172,3 +172,80 @@ def test_lmad_counts_always_consistent(values, budget):
     assert sum(l.count for l in entry.lmads) == entry.captured_symbols
     # captured prefix is exact
     assert entry.expand() == [(v,) for v in values[: entry.captured_symbols]]
+
+
+@st.composite
+def kernel_case(draw):
+    """A stream of linear runs and noise, fed in several batches, with
+    a budget and an overflow cap small enough to be crossed."""
+    dims = draw(st.integers(1, 3))
+    budget = draw(st.integers(1, 40))
+    cap = draw(st.one_of(st.none(), st.integers(1, 50)))
+    coordinate = st.integers(-30, 30)
+    vector = st.tuples(*[coordinate] * dims)
+    symbols = []
+    for __ in range(draw(st.integers(0, 12))):
+        start, stride = draw(vector), draw(vector)
+        for index in range(draw(st.integers(1, 15))):
+            symbols.append(tuple(s + index * d for s, d in zip(start, stride)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=4)))
+    return dims, budget, cap, symbols, cuts
+
+
+def _entry_fields(entry):
+    overflow = entry.overflow
+    return (
+        entry.lmads, entry.total_symbols, entry.summarized, overflow.count,
+        overflow.minimum, overflow.maximum, overflow.granularity,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_case())
+def test_feed_all_equals_a_feed_loop(case):
+    dims, budget, cap, symbols, cuts = case
+    one_by_one = LMADCompressor(dims, budget, overflow_cap=cap)
+    for symbol in symbols:
+        one_by_one.feed(symbol)
+    batched = LMADCompressor(dims, budget, overflow_cap=cap)
+    for low, high in zip([0, *cuts], [*cuts, len(symbols)]):
+        batched.feed_all(symbols[low:high])
+    expected, got = one_by_one.finish(), batched.finish()
+    assert _entry_fields(got) == _entry_fields(expected)
+    assert got == expected
+
+
+def test_feed_all_crosses_the_overflow_cap():
+    symbols = [(i * i,) for i in range(200)]  # quadratic: nothing chains
+    one_by_one = LMADCompressor(1, budget=3, overflow_cap=20)
+    for symbol in symbols:
+        one_by_one.feed(symbol)
+    batched = LMADCompressor(1, budget=3, overflow_cap=20)
+    batched.feed_all(symbols)
+    entry = batched.finish()
+    assert entry.summarized and entry.lmads == ()
+    assert entry == one_by_one.finish()
+    assert entry.overflow.count == 200
+    assert (entry.overflow.minimum, entry.overflow.maximum) == ((0,), (199 * 199,))
+
+
+def test_feed_all_after_finish_rejected():
+    compressor = LMADCompressor(dims=1)
+    compressor.finish()
+    with pytest.raises(RuntimeError):
+        compressor.feed_all([(1,)])
+
+
+def test_wrong_dimension_in_the_spilled_tail_rejected():
+    head = [(0, 0), (5, 1), (9, 9), (2, 7)]  # budget 1: all but two spill
+    symbols = head + [(3,), (4, 4)]
+    one_by_one = LMADCompressor(dims=2, budget=1)
+    with pytest.raises(ValueError):
+        for symbol in symbols:
+            one_by_one.feed(symbol)
+    batched = LMADCompressor(dims=2, budget=1)
+    with pytest.raises(ValueError):
+        batched.feed_all(symbols)
+    # the symbols before the bad one were taken, as a feed loop takes them
+    assert batched.finish() == one_by_one.finish()
+    assert batched.symbols_fed == len(head)

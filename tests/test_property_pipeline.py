@@ -4,8 +4,11 @@ A hypothesis strategy generates random-but-valid process scripts
 (allocations, frees, loads/stores into live blocks); every generated
 trace must satisfy the library's global invariants: WHOMP losslessness,
 online/offline agreement, translation consistency, LEAP accounting, and
-byte-identical profiles from every path through the profiler pipeline.
+byte-identical profiles from every path through the profiler pipeline,
+wherever the online session's chunk boundaries fall.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from repro.core.events import AccessKind
 from repro.core.profile_io import dumps_bytes
 from repro.obs.spans import Telemetry
 from repro.parallel import fork_available
+from repro.profilers import pipeline
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.resilience import Quarantine
@@ -192,3 +196,72 @@ def test_every_pipeline_path_gives_identical_documents(
         assert document == reference, path
     wild = sum(1 for operation in operations if operation[0] == "wild")
     assert profiles["streaming"].quarantined == (wild if degraded else 0)
+
+
+def _online_and_offline_documents(factory, degraded, drive):
+    """BINCAP of ``factory``'s online profile of ``drive(process)`` and
+    of its offline profile of the recorded trace."""
+
+    def make():
+        return factory(quarantine=Quarantine() if degraded else None)
+
+    process = Process()
+    session = make().attach(process.bus)
+    drive(process)
+    online = session.finish()
+    offline = make().profile(process.trace)
+    return dumps_bytes(online, "binary"), dumps_bytes(offline, "binary")
+
+
+CHUNKS = (1, 7, pipeline.CHUNK)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
+@pytest.mark.parametrize(
+    "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+)
+@settings(max_examples=15, deadline=None)
+@given(operations=process_script(wild=True))
+def test_online_equals_offline_at_any_chunk_size(
+    factory, degraded, chunk, operations
+):
+    with mock.patch.object(pipeline, "CHUNK", chunk):
+        online, offline = _online_and_offline_documents(
+            factory, degraded, lambda process: run_script(operations, process)
+        )
+    assert online == offline
+
+
+def _reuse_across_a_chunk_boundary(process):
+    """Free a block, then malloc the same address again, with a chunk
+    boundary (at sizes 2--4) between the free and the new block."""
+    ld = process.instruction("ld", AccessKind.LOAD)
+    st = process.instruction("st", AccessKind.STORE)
+    first = process.malloc("site-a", 64)
+    other = process.malloc("site-b", 32)
+    process.load(ld, first)
+    process.load(ld, first + 8)
+    process.free(first)
+    process.store(st, other)
+    process.store(st, other + 8)
+    second = process.malloc("site-c", 64)
+    assert second == first
+    for offset in range(0, 64, 8):
+        process.load(ld, second + offset)
+    process.free(second)
+    process.free(other)
+    process.finish()
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 4, 5, 7, pipeline.CHUNK))
+@pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
+@pytest.mark.parametrize(
+    "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+)
+def test_address_reuse_across_a_chunk_boundary(factory, degraded, chunk):
+    with mock.patch.object(pipeline, "CHUNK", chunk):
+        online, offline = _online_and_offline_documents(
+            factory, degraded, _reuse_across_a_chunk_boundary
+        )
+    assert online == offline

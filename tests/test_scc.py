@@ -15,6 +15,14 @@ def access(i, g, o, f, t, kind=AccessKind.LOAD):
     return ObjectRelativeAccess(i, g, o, f, t, 8, kind)
 
 
+def columns_of(stream):
+    """The translation's columns, transposed from a tuple stream."""
+    return tuple(zip(*(
+        (a.instruction_id, a.group, a.object_serial, a.offset, a.time, a.size, a.kind)
+        for a in stream
+    )))
+
+
 class TestHorizontalSCC:
     def test_streams_match_dimensions(self, simple_trace):
         scc = HorizontalSequiturSCC()
@@ -104,7 +112,7 @@ class TestStagedEqualsStreaming:
             streaming.consume(item)
 
         staged = VerticalLMADSCC()
-        substreams = staged.decompose(stream)
+        substreams = staged.decompose(columns_of(stream))
         staged.compress_streams(substreams)
 
         streaming_entries = streaming.finish()
@@ -124,7 +132,7 @@ class TestStagedEqualsStreaming:
             streaming.consume(item)
 
         staged = HorizontalSequiturSCC()
-        staged.compress_streams(staged.decompose(stream))
+        staged.compress_streams(staged.decompose(columns_of(stream)))
 
         for dim in DIMENSIONS:
             assert (
