@@ -67,10 +67,12 @@ def test_pool_deadline_overhead(benchmark):
     unbounded = ParallelExecutor(jobs=2, timeout=None)
     bounded = ParallelExecutor(jobs=2, timeout=120.0, retries=2)
 
-    unbounded.map(_busy, tasks)  # warm the fork machinery
-    unbounded_seconds = _best_of(unbounded.map, _busy, tasks)
-    benchmark.pedantic(bounded.map, args=(_busy, tasks), rounds=3, iterations=1)
-    bounded_seconds = _best_of(bounded.map, _busy, tasks)
+    unbounded.map_outcomes(_busy, tasks)  # warm the fork machinery
+    unbounded_seconds = _best_of(unbounded.map_outcomes, _busy, tasks)
+    benchmark.pedantic(
+        bounded.map_outcomes, args=(_busy, tasks), rounds=3, iterations=1
+    )
+    bounded_seconds = _best_of(bounded.map_outcomes, _busy, tasks)
     dilation = bounded_seconds / unbounded_seconds
     benchmark.extra_info["unbounded_seconds"] = unbounded_seconds
     benchmark.extra_info["bounded_seconds"] = bounded_seconds

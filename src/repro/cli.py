@@ -25,13 +25,11 @@ Subcommands::
     repro-profile list
         List registered workloads.
 
-``run`` and ``lang`` accept ``--jobs N`` to compress the decomposed
-streams in up to N worker processes (profile outputs are identical to
-the serial run) and ``--degraded`` to quarantine untrustworthy tuples
-instead of failing (profiles then report a capture-completeness ratio;
-see README's "Resilience" section).  Every profiling subcommand accepts
-``--telemetry [report|json|prom]``
-(optionally with ``--telemetry-out PATH``) to self-profile the pipeline:
+``run`` and ``lang`` accept ``--degraded`` to quarantine untrustworthy
+tuples instead of failing (profiles then report a capture-completeness
+ratio; see README's "Resilience" section).  Every profiling subcommand
+accepts ``--telemetry [report|json|prom]`` (optionally with
+``--telemetry-out PATH``) to self-profile the pipeline:
 a span tree timing trace collection, translation, decomposition, and
 compression, plus the metric registry described in README's
 "Observability" section.
@@ -89,7 +87,7 @@ def _collect_lang_trace(path: str, telemetry=None) -> Trace:
 
 def _write_profiles(
     trace: Trace, profiler: str, out_dir: str, stem: str, telemetry=None,
-    jobs: int = 1, degraded: bool = False, fmt: str = "json",
+    degraded: bool = False, fmt: str = "json",
 ) -> None:
     """Profile ``trace`` and write each profile atomically (a crash
     mid-write leaves the previous file, never a truncated one).
@@ -108,7 +106,7 @@ def _write_profiles(
     suffix = "json" if fmt == "json" else "bin"
     if profiler in ("whomp", "both"):
         profile = WhompProfiler(
-            telemetry=telemetry, jobs=jobs, quarantine=quarantine
+            telemetry=telemetry, quarantine=quarantine
         ).profile(trace)
         path = os.path.join(out_dir, f"{stem}.whomp.{suffix}")
         save(profile, path, fmt=fmt)
@@ -123,7 +121,7 @@ def _write_profiles(
         )
     if profiler in ("leap", "both"):
         profile = LeapProfiler(
-            telemetry=telemetry, jobs=jobs, quarantine=quarantine
+            telemetry=telemetry, quarantine=quarantine
         ).profile(trace)
         path = os.path.join(out_dir, f"{stem}.leap.{suffix}")
         save(profile, path, fmt=fmt)
@@ -323,17 +321,6 @@ def _run_check(
     return 1 if had_diagnostics else 0
 
 
-def _add_jobs_argument(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="compress decomposed streams with up to N worker processes "
-        "(0 = all CPUs; 1 = serial; output is identical either way)",
-    )
-
-
 def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--telemetry",
@@ -379,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile file encoding: json (readable) or binary (compact "
         "BINCAP, *.whomp.bin / *.leap.bin)",
     )
-    _add_jobs_argument(run)
     _add_telemetry_arguments(run)
 
     lang = sub.add_parser("lang", help="profile a mini-IR source file")
@@ -397,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile file encoding: json (readable) or binary (compact "
         "BINCAP, *.whomp.bin / *.leap.bin)",
     )
-    _add_jobs_argument(lang)
     _add_telemetry_arguments(lang)
 
     check = sub.add_parser(
@@ -500,7 +485,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"trace: {trace.access_count} accesses")
         _write_profiles(
             trace, args.profiler, args.out, args.workload, telemetry=telemetry,
-            jobs=args.jobs, degraded=args.degraded, fmt=args.fmt,
+            degraded=args.degraded, fmt=args.fmt,
         )
         finish_trace()
         emit(telemetry, telemetry_mode, args.telemetry_out)
@@ -534,7 +519,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         stem = os.path.splitext(os.path.basename(args.source))[0]
         _write_profiles(
             trace, args.profiler, args.out, stem, telemetry=telemetry,
-            jobs=args.jobs, degraded=args.degraded, fmt=args.fmt,
+            degraded=args.degraded, fmt=args.fmt,
         )
         finish_trace()
         emit(telemetry, telemetry_mode, args.telemetry_out)

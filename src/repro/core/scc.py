@@ -77,15 +77,6 @@ class HorizontalSequiturSCC:
             for value in values:
                 feed(value)
 
-    def adopt_grammars(self, grammars: Dict[str, object]) -> None:
-        """Install compressors produced elsewhere (pool workers): the
-        merge step of the parallel WHOMP path.  Every dimension must be
-        covered, and dimension order is preserved."""
-        missing = [name for name in DIMENSIONS if name not in grammars]
-        if missing:
-            raise ValueError(f"missing dimension grammars: {missing}")
-        self.grammars = {name: grammars[name] for name in DIMENSIONS}
-
     def total_size(self) -> int:
         """Combined grammar size across the four dimensions."""
         return sum(grammar.size() for grammar in self.grammars.values())
@@ -121,7 +112,6 @@ class VerticalLMADSCC:
         self._compressors: Dict[Tuple[int, int], LMADCompressor] = {}
         self._kinds: Dict[int, AccessKind] = {}
         self._exec_counts: Dict[int, int] = {}
-        self._adopted: "Dict[Tuple[int, int], LMADProfileEntry] | None" = None
 
     def consume(self, access: ObjectRelativeAccess) -> None:
         key = (access.instruction_id, access.group)
@@ -179,17 +169,8 @@ class VerticalLMADSCC:
                 self._compressors[key] = compressor
             compressor.feed_all(triples)
 
-    def adopt_entries(
-        self, entries: Dict[Tuple[int, int], LMADProfileEntry]
-    ) -> None:
-        """Install already-closed entries (pool workers): the merge step
-        of the parallel LEAP path.  :meth:`finish` then returns them."""
-        self._adopted = dict(entries)
-
     def finish(self) -> Dict[Tuple[int, int], LMADProfileEntry]:
         """Close all compressors and return the entries."""
-        if self._adopted is not None:
-            return dict(self._adopted)
         return {key: comp.finish() for key, comp in self._compressors.items()}
 
     @property

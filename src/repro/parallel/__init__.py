@@ -1,15 +1,15 @@
-"""Process-pool fan-out for the profiling pipeline.
+"""Process-pool fan-out of whole jobs.
 
-The paper's decompositions (Section 2.3) are also its parallelism
-seams: horizontally decomposed dimension streams and vertically
-decomposed ``(instruction, group)`` substreams are independent by
-construction, so each can be compressed in its own worker process and
-the results merged without any coordination beyond the final join.
+``repro-experiments --jobs`` runs one experiment per task,
+``repro-serve ingest --jobs`` profiles one workload per task, and
+``repro-cluster bench --jobs`` runs one load generator per task.
+A single profile is never split: its translation, decomposition and
+compression run in one process (Figure 4 has no parallel step).
 
 :mod:`repro.parallel.executor` provides the pool wrapper (worker
 bootstrap, chunked submission, crash/interrupt handling, serial
 fallback); :mod:`repro.parallel.workers` holds the top-level worker
-functions the profilers and the experiment runner fan out to.
+functions the experiment runner and the store ingest fan out to.
 """
 
 from repro.parallel.executor import (

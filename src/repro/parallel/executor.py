@@ -5,9 +5,8 @@ A thin, predictable wrapper over :mod:`multiprocessing`:
 * **Serial fallback.**  ``jobs <= 1``, a platform without the ``fork``
   start method, or a task list shorter than two items all run inline in
   the calling process -- same results, no pool, no pickling.  (``fork``
-  is required because the profilers ship closed-over grammar classes
-  and large streams to the workers; ``spawn`` would re-import the world
-  per worker and still require every argument to cross a pipe.)
+  is required because ``spawn`` would re-import the world per worker
+  and make every argument cross a pipe.)
 * **Worker bootstrap.**  Workers ignore ``SIGINT`` so a Ctrl-C lands
   only in the parent, which terminates the pool and re-raises
   :class:`KeyboardInterrupt` cleanly instead of leaking children.
@@ -82,8 +81,7 @@ class WorkerCrashError(RuntimeError):
 
     def __reduce__(self):
         # RuntimeError's default pickling would drop every keyword
-        # attribute; the context must survive nested pool boundaries
-        # (an experiment worker re-raising a profiler worker's crash).
+        # attribute; the context must survive crossing a pool boundary.
         return (
             type(self),
             (
@@ -200,7 +198,7 @@ class ParallelExecutor:
     """Map a picklable function over tasks with up to ``jobs`` workers.
 
     >>> executor = ParallelExecutor(jobs=1)
-    >>> executor.map(abs, [-2, 3, -4])
+    >>> [outcome.value for outcome in executor.map_outcomes(abs, [-2, 3, -4])]
     [2, 3, 4]
     """
 
@@ -240,30 +238,6 @@ class ParallelExecutor:
         so stragglers rebalance without paying IPC per task."""
         return max(1, task_count // (workers * 4))
 
-    def map(
-        self,
-        function: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        label: str = "parallel-map",
-    ) -> List[Any]:
-        """Apply ``function`` to every task; results in task order.
-
-        Falls back to an inline serial loop when only one worker would
-        be used (single job, single task, or no ``fork``).  The first
-        task-raised exception surfaces as :class:`WorkerCrashError`
-        (with context) on the pool path, or propagates raw on the
-        inline path -- matching where the code actually ran.
-        """
-        tasks = list(tasks)
-        workers = self.effective_jobs(len(tasks)) if fork_available() else 1
-        if workers <= 1:
-            return [function(task) for task in tasks]
-        outcomes = self._pool_outcomes(function, tasks, workers, label, None)
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-        return [outcome.value for outcome in outcomes]
-
     def map_outcomes(
         self,
         function: Callable[[Any], Any],
@@ -271,10 +245,12 @@ class ParallelExecutor:
         label: str = "parallel-map",
         progress: Optional[Callable[[int, TaskOutcome], None]] = None,
     ) -> List[TaskOutcome]:
-        """Like :meth:`map`, but contains failures instead of raising.
+        """Apply ``function`` to every task; one :class:`TaskOutcome`
+        per task, in task order.
 
-        Each task yields a :class:`TaskOutcome`; a task function that
-        raises produces an outcome carrying the contextualized
+        Runs inline when only one worker would be used (single job,
+        single task, or no ``fork``).  A task function that raises
+        produces an outcome carrying the contextualized
         :class:`WorkerCrashError` while its neighbours keep their
         results.  ``progress`` (if given) is called in the parent as
         ``progress(task_index, outcome)``, in task order, as outcomes

@@ -1,4 +1,5 @@
-"""Top-level worker functions for the process-pool fan-outs.
+"""Top-level worker functions for the whole-job process-pool fan-outs:
+one workload per store-ingest task, one experiment per runner task.
 
 Everything here must be picklable by reference (module-level, no
 closures): the executor ships ``(function, task)`` payloads through the
@@ -14,66 +15,6 @@ activations.
 # repro: workers
 
 from __future__ import annotations
-
-from typing import Dict, List, Tuple
-
-from repro.compression.lmad import LMADCompressor, LMADProfileEntry
-
-#: task: (dimension name, stream values, compressor factory)
-DimensionTask = Tuple[str, List[int], type]
-
-#: task: (budget, overflow_cap, [(key, triples), ...]) -- one shard of
-#: LEAP substreams
-LeapShardTask = Tuple[
-    int,
-    "int | None",
-    List[Tuple[Tuple[int, int], List[Tuple[int, int, int]]]],
-]
-
-
-def compress_dimension(task: DimensionTask):
-    """WHOMP worker: compress one horizontal dimension stream.
-
-    Returns ``(name, compressor)``; the compressor object (e.g. a
-    :class:`~repro.compression.sequitur.SequiturGrammar`) rides back to
-    the parent via pickle, so it must round-trip exactly.
-    """
-    name, values, compressor_factory = task
-    compressor = compressor_factory()
-    feed = compressor.feed
-    for value in values:
-        feed(value)
-    return name, compressor
-
-
-def compress_leap_shard(
-    task: LeapShardTask,
-) -> List[Tuple[Tuple[int, int], LMADProfileEntry]]:
-    """LEAP worker: LMAD-compress one shard of (instruction, group)
-    substreams, returning closed profile entries keyed as given."""
-    budget, overflow_cap, items = task
-    out: List[Tuple[Tuple[int, int], LMADProfileEntry]] = []
-    for key, triples in items:
-        compressor = LMADCompressor(
-            dims=3, budget=budget, overflow_cap=overflow_cap
-        )
-        compressor.feed_all(triples)
-        out.append((key, compressor.finish()))
-    return out
-
-
-def shard_round_robin(items: List, shards: int) -> List[List]:
-    """Deal ``items`` into ``shards`` lists round-robin.
-
-    Round-robin (rather than contiguous slicing) balances LEAP shards:
-    hot instructions cluster by id, so contiguous slices would hand one
-    worker all the heavy substreams.
-    """
-    shards = max(1, shards)
-    dealt: List[List] = [[] for __ in range(shards)]
-    for index, item in enumerate(items):
-        dealt[index % shards].append(item)
-    return [shard for shard in dealt if shard]
 
 
 def profile_workload_documents(task):

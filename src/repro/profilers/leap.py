@@ -135,11 +135,10 @@ class LeapProfiler(ProfilerPipeline):
         budget: int = DEFAULT_BUDGET,
         refine_by_type: bool = False,
         telemetry: Optional[Telemetry] = None,
-        jobs: int = 1,
         quarantine=None,
         overflow_cap: Optional[int] = None,
     ) -> None:
-        super().__init__(refine_by_type, telemetry, jobs, quarantine)
+        super().__init__(refine_by_type, telemetry, quarantine)
         self.budget = budget
         #: overflow backstop per entry: past this many budget-spilled
         #: symbols an entry degrades to a pure summary descriptor (see
@@ -148,21 +147,6 @@ class LeapProfiler(ProfilerPipeline):
 
     def _new_scc(self) -> VerticalLMADSCC:
         return VerticalLMADSCC(budget=self.budget, overflow_cap=self.overflow_cap)
-
-    def _compress_in_pool(self, scc, substreams, executor) -> None:
-        """The independent ``(instruction, group)`` substreams are dealt
-        round-robin into shards, one pool worker per shard, and the
-        closed entries merge back keyed exactly as serial
-        :meth:`VerticalLMADSCC.finish` would produce them."""
-        from repro.parallel.workers import compress_leap_shard, shard_round_robin
-
-        shards = shard_round_robin(
-            list(substreams.items()), executor.effective_jobs(len(substreams))
-        )
-        tasks = [(self.budget, self.overflow_cap, shard) for shard in shards]
-        results = executor.map(compress_leap_shard, tasks, label="leap-substreams")
-        merged = {key: entry for shard_out in results for key, entry in shard_out}
-        scc.adopt_entries({key: merged[key] for key in substreams})
 
     def _build_profile(
         self, scc, omc: ObjectManager, access_count: int,

@@ -5,9 +5,10 @@ each access object-relative, and a pluggable SCC decomposes and
 compresses the translated stream.  WHOMP and LEAP differ only in the
 SCC they plug in, so everything else lives here, once:
 
-* the drivers -- a streaming loop that feeds the SCC one access at a
-  time, and a staged run (translation, decomposition, compression, each
-  under its own span) that compresses inline or in a process pool;
+* the two drivers -- a streaming loop that feeds the SCC one access at
+  a time, and a staged run (translation, decomposition, compression,
+  each under its own span) through the one stage function the online
+  session also calls;
 * degraded mode: the quarantine filter and the completeness
   accounting;
 * the counts, published once at a stage boundary rather than per
@@ -18,8 +19,8 @@ SCC they plug in, so everything else lives here, once:
   probes -> chunk -> :func:`~repro.core.cdc.translate_columns` ->
   decompose -> compress.
 
-A profiler supplies its SCC, its pool fan-out, and the profile it
-builds; this module never asks which profiler it serves.
+A profiler supplies its SCC and the profile it builds; this module
+never asks which profiler it serves.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class ProfilerPipeline:
     """Translate -> decompose -> compress -> package, around one SCC.
 
     Subclasses set :attr:`span_name` and implement :meth:`_new_scc`,
-    :meth:`_compress_in_pool`, :meth:`_build_profile` and
-    :meth:`_record_metrics`.
+    :meth:`_build_profile` and :meth:`_record_metrics`.
     """
 
     #: the span the staged run opens around its three stage spans
@@ -52,12 +52,10 @@ class ProfilerPipeline:
         self,
         refine_by_type: bool = False,
         telemetry: Optional[Telemetry] = None,
-        jobs: int = 1,
         quarantine=None,
     ) -> None:
         self.refine_by_type = refine_by_type
         self.telemetry = coalesce(telemetry)
-        self.jobs = jobs
         #: a :class:`~repro.resilience.degraded.Quarantine` enables
         #: degraded mode: untrustworthy tuples are diverted to it and
         #: the profile reports its ``capture_completeness``
@@ -68,11 +66,6 @@ class ProfilerPipeline:
     def _new_scc(self):
         """A fresh SCC with ``consume``, ``decompose`` and
         ``compress_streams``."""
-        raise NotImplementedError
-
-    def _compress_in_pool(self, scc, streams, executor) -> None:
-        """Compress the decomposed ``streams`` in ``executor``'s pool
-        workers and install the results into ``scc``."""
         raise NotImplementedError
 
     def _build_profile(
@@ -90,47 +83,35 @@ class ProfilerPipeline:
     def profile(self, trace: Trace):
         """Profile a recorded trace.
 
-        Serial runs under null telemetry stream each translated access
-        straight into the SCC.  Otherwise the run is staged, so each
-        stage can be timed, and compression fans out to a pool when
-        ``jobs`` resolves to more than one worker.  Every path yields
-        the same profile.
+        Under null telemetry each translated access streams straight
+        into the SCC.  With telemetry enabled the run is staged, so each
+        stage can be timed.  Both drivers yield the same profile.
         """
         omc = ObjectManager(refine_by_type=self.refine_by_type)
         scc = self._new_scc()
         mark = self._quarantine_mark()
-        pool = False
-        if self.jobs != 1:
-            from repro.parallel import resolve_jobs
-
-            pool = resolve_jobs(self.jobs) > 1
-        if pool or self.telemetry.enabled:
-            return self._profile_staged(trace, omc, scc, mark, pool)
+        if self.telemetry.enabled:
+            return self._profile_staged(trace, omc, scc, mark)
         count = 0
         for access in self._kept(translate_trace(trace, omc)):
             scc.consume(access)
             count += 1
         return self._package(scc, omc, count, mark)
 
-    def _profile_staged(
-        self, trace: Trace, omc: ObjectManager, scc, mark: int, pool: bool
-    ):
-        """Each paper stage under its own span.  Staging materializes
-        the decomposed streams; the profile is identical to the
-        streaming loop's."""
-        telemetry = self.telemetry
-        with telemetry.span(self.span_name) as whole:
-            translated, wild, kept = self._run_stages(trace, omc, scc, pool)
+    def _profile_staged(self, trace: Trace, omc: ObjectManager, scc, mark: int):
+        """Each paper stage under its own span, plus the counts and
+        quality gauges.  Staging materializes the decomposed streams;
+        the profile is identical to the streaming loop's."""
+        with self.telemetry.span(self.span_name) as whole:
+            translated, wild, kept = self._run_stages(trace, omc, scc)
             whole.add_items(kept, "accesses")
-        if telemetry.enabled:
-            self._count_translation(translated, wild)
+        self._count_translation(translated, wild)
         profile = self._package(scc, omc, kept, mark)
-        if telemetry.enabled:
-            self._record_metrics(profile, telemetry)
+        self._record_metrics(profile, self.telemetry)
         return profile
 
     def _run_stages(
-        self, trace: Trace, omc: ObjectManager, scc, pool: bool = False
+        self, trace: Trace, omc: ObjectManager, scc
     ) -> Tuple[int, int, int]:
         """Translate ``trace`` against ``omc``, drop what the quarantine
         takes, decompose, and compress into ``scc``, each stage under
@@ -149,13 +130,7 @@ class ProfilerPipeline:
             streams = scc.decompose(columns)
             span.add_items(kept, "accesses")
         with telemetry.span("compression") as span:
-            if pool:
-                from repro.parallel import ParallelExecutor
-
-                executor = ParallelExecutor(jobs=self.jobs, telemetry=telemetry)
-                self._compress_in_pool(scc, streams, executor)
-            else:
-                scc.compress_streams(streams)
+            scc.compress_streams(streams)
             span.add_items(sum(map(len, streams.values())), "symbols")
         return translated, wild, kept
 

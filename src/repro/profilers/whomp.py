@@ -111,24 +111,13 @@ class WhompProfiler(ProfilerPipeline):
         refine_by_type: bool = False,
         compressor=None,
         telemetry: Optional[Telemetry] = None,
-        jobs: int = 1,
         quarantine=None,
     ) -> None:
-        super().__init__(refine_by_type, telemetry, jobs, quarantine)
+        super().__init__(refine_by_type, telemetry, quarantine)
         self.compressor = compressor if compressor is not None else SequiturGrammar
 
     def _new_scc(self) -> HorizontalSequiturSCC:
         return HorizontalSequiturSCC(compressor=self.compressor)
-
-    def _compress_in_pool(self, scc, streams, executor) -> None:
-        """The four independent dimension streams compress in up to
-        four pool workers and the grammars merge back; the compressor
-        factory must be a picklable (module-level) class."""
-        from repro.parallel.workers import compress_dimension
-
-        tasks = [(name, streams[name], self.compressor) for name in DIMENSIONS]
-        results = executor.map(compress_dimension, tasks, label="whomp-dimensions")
-        scc.adopt_grammars(dict(results))
 
     def _build_profile(
         self, scc, omc: ObjectManager, access_count: int,

@@ -94,9 +94,10 @@ class TestExecutorPropagation:
     def test_fork_workers_join_the_trace_as_children(self):
         telemetry = Telemetry()
         context, __ = start_tracing(telemetry)
-        results = ParallelExecutor(jobs=2, telemetry=telemetry).map(
+        outcomes = ParallelExecutor(jobs=2, telemetry=telemetry).map_outcomes(
             _observed_context, list(range(8)), label="probe"
         )
+        results = [outcome.value for outcome in outcomes]
         assert all(r is not None for r in results)
         # same trace everywhere...
         assert {r[0] for r in results} == {context.trace_id}
@@ -106,10 +107,11 @@ class TestExecutorPropagation:
 
     @needs_fork
     def test_untraced_runs_hand_workers_no_context(self):
-        results = ParallelExecutor(jobs=2).map(
+        outcomes = ParallelExecutor(jobs=2).map_outcomes(
             _observed_context, list(range(4))
         )
-        assert results == [None] * 4
+        assert [outcome.value for outcome in outcomes] == [None] * 4
+        assert all(outcome.ok for outcome in outcomes)
 
 
 class TestFinishTracing:

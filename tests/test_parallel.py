@@ -1,9 +1,6 @@
-"""Tests for the process-pool subsystem and the parallel profilers.
-
-The contract under test is the tentpole's: parallel output must be
-*bit-identical* to serial output — same grammar productions, same LMAD
-entries, same side tables — because the decomposed substreams are
-independent by construction and the merge is a pure reassembly.
+"""Tests for the process-pool executor and for the picklability of
+compressors and profiles (whole profiles cross the pool in the
+experiment and ingest fan-outs).
 """
 
 import pickle
@@ -11,9 +8,7 @@ import pickle
 import pytest
 
 from repro.compression.lmad import LMADCompressor
-from repro.compression.rle import DeltaRleCodec
 from repro.compression.sequitur import SequiturGrammar
-from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.obs.spans import Telemetry
 from repro.parallel import (
     ParallelExecutor,
@@ -21,7 +16,6 @@ from repro.parallel import (
     fork_available,
     resolve_jobs,
 )
-from repro.parallel.workers import shard_round_robin
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.workloads.registry import create
@@ -39,39 +33,46 @@ def _explode(value):
     raise ValueError(f"boom on {value}")
 
 
+def _values(outcomes):
+    return [outcome.value for outcome in outcomes]
+
+
 class TestExecutor:
     def test_serial_fallback_preserves_order(self):
         executor = ParallelExecutor(jobs=1)
-        assert executor.map(_square, [3, 1, 2]) == [9, 1, 4]
+        assert _values(executor.map_outcomes(_square, [3, 1, 2])) == [9, 1, 4]
 
     def test_single_task_runs_inline(self):
         # One task never justifies a pool, whatever jobs says.
         executor = ParallelExecutor(jobs=8)
         assert executor.effective_jobs(1) == 1
-        assert executor.map(_square, [5]) == [25]
+        assert _values(executor.map_outcomes(_square, [5])) == [25]
 
     def test_empty_task_list(self):
-        assert ParallelExecutor(jobs=4).map(_square, []) == []
+        assert ParallelExecutor(jobs=4).map_outcomes(_square, []) == []
 
     @needs_fork
     def test_pool_results_in_task_order(self):
         executor = ParallelExecutor(jobs=2)
         tasks = list(range(23))
-        assert executor.map(_square, tasks) == [t * t for t in tasks]
+        assert _values(executor.map_outcomes(_square, tasks)) == [
+            t * t for t in tasks
+        ]
 
     @needs_fork
     def test_worker_exception_surfaces_as_crash_error(self):
         executor = ParallelExecutor(jobs=2)
-        with pytest.raises(WorkerCrashError) as excinfo:
-            executor.map(_explode, [1, 2])
-        assert "ValueError" in str(excinfo.value)
-        assert "boom" in excinfo.value.worker_traceback
+        outcomes = executor.map_outcomes(_explode, [1, 2])
+        for outcome in outcomes:
+            assert isinstance(outcome.error, WorkerCrashError)
+            assert "ValueError" in str(outcome.error)
+            assert "boom" in outcome.error.worker_traceback
 
     @needs_fork
     def test_pool_telemetry(self):
         telemetry = Telemetry()
         executor = ParallelExecutor(jobs=2, telemetry=telemetry)
-        executor.map(_square, [1, 2, 3], label="squares")
+        executor.map_outcomes(_square, [1, 2, 3], label="squares")
         assert telemetry.registry.value("parallel.pools_total") == 1
         assert telemetry.registry.value("parallel.tasks_total") == 3
         assert telemetry.find_span("squares") is not None
@@ -87,12 +88,6 @@ class TestExecutor:
     def test_chunksize_heuristic(self):
         assert ParallelExecutor._chunksize(100, 4) == 6
         assert ParallelExecutor._chunksize(3, 4) == 1
-
-    def test_shard_round_robin_balances_and_drops_empties(self):
-        shards = shard_round_robin(list(range(7)), 3)
-        assert shards == [[0, 3, 6], [1, 4], [2, 5]]
-        assert shard_round_robin([1], 4) == [[1]]
-        assert shard_round_robin([], 4) == []
 
 
 class TestPickling:
@@ -146,75 +141,3 @@ class TestPickling:
         assert leap_clone.entries == leap.entries
         assert leap_clone.kinds == leap.kinds
         assert leap_clone.exec_counts == leap.exec_counts
-
-
-@needs_fork
-class TestParallelProfilers:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return create("micro.array", scale=0.2).trace()
-
-    def test_whomp_parallel_identical(self, trace):
-        serial = WhompProfiler().profile(trace)
-        parallel = WhompProfiler(jobs=2).profile(trace)
-        assert {
-            name: grammar.to_productions()
-            for name, grammar in parallel.grammars.items()
-        } == {
-            name: grammar.to_productions()
-            for name, grammar in serial.grammars.items()
-        }
-        assert list(parallel.grammars) == list(serial.grammars)
-        assert parallel.base_addresses == serial.base_addresses
-        assert parallel.lifetimes == serial.lifetimes
-        assert parallel.group_labels == serial.group_labels
-        assert parallel.access_count == serial.access_count
-        assert parallel.size_bytes_varint() == serial.size_bytes_varint()
-        assert parallel.reconstruct_accesses() == serial.reconstruct_accesses()
-
-    def test_whomp_parallel_with_alternate_compressor(self, trace):
-        serial = WhompProfiler(compressor=DeltaRleCodec).profile(trace)
-        parallel = WhompProfiler(compressor=DeltaRleCodec, jobs=2).profile(trace)
-        assert {
-            name: codec.expand() for name, codec in parallel.grammars.items()
-        } == {name: codec.expand() for name, codec in serial.grammars.items()}
-
-    def test_whomp_parallel_telemetry_spans(self, trace):
-        telemetry = Telemetry()
-        WhompProfiler(jobs=2, telemetry=telemetry).profile(trace)
-        for stage in ("translation", "decomposition", "compression"):
-            span = telemetry.find_span(f"whomp/{stage}")
-            assert span is not None and span.seconds >= 0.0
-        assert telemetry.registry.value("whomp.profile_symbols") > 0
-
-    def test_leap_parallel_identical(self, trace):
-        serial = LeapProfiler().profile(trace)
-        parallel = LeapProfiler(jobs=3).profile(trace)
-        assert parallel.entries == serial.entries
-        assert list(parallel.entries) == list(serial.entries)
-        assert parallel.kinds == serial.kinds
-        assert parallel.exec_counts == serial.exec_counts
-        assert parallel.group_labels == serial.group_labels
-        assert parallel.access_count == serial.access_count
-        assert parallel.size_bytes() == serial.size_bytes()
-
-    def test_leap_parallel_respects_budget(self, trace):
-        serial = LeapProfiler(budget=2).profile(trace)
-        parallel = LeapProfiler(budget=2, jobs=2).profile(trace)
-        assert parallel.entries == serial.entries
-        assert parallel.accesses_captured() == serial.accesses_captured()
-
-
-class TestAdoption:
-    def test_horizontal_adopt_requires_all_dimensions(self):
-        scc = HorizontalSequiturSCC()
-        with pytest.raises(ValueError):
-            scc.adopt_grammars({"instruction": SequiturGrammar()})
-
-    def test_vertical_adopted_entries_returned_by_finish(self):
-        scc = VerticalLMADSCC()
-        compressor = LMADCompressor(dims=3)
-        compressor.feed_all([(0, i, i) for i in range(4)])
-        entries = {(1, 0): compressor.finish()}
-        scc.adopt_entries(entries)
-        assert scc.finish() == entries

@@ -3,11 +3,12 @@
 A hypothesis strategy generates random-but-valid process scripts
 (allocations, frees, loads/stores into live blocks); every generated
 trace must satisfy the library's global invariants: WHOMP losslessness,
-online/offline agreement, translation consistency, LEAP accounting, and
-byte-identical profiles from every path through the profiler pipeline,
-wherever the online session's chunk boundaries fall.
+online/offline agreement, translation consistency, LEAP accounting and
+exactness, and byte-identical profiles from every path through the
+profiler pipeline, wherever the online session's chunk boundaries fall.
 """
 
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -18,7 +19,6 @@ from repro.core.cdc import OnlineCDC, translate_trace_list
 from repro.core.events import AccessKind
 from repro.core.profile_io import dumps_bytes
 from repro.obs.spans import Telemetry
-from repro.parallel import fork_available
 from repro.profilers import pipeline
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
@@ -27,11 +27,13 @@ from repro.runtime.process import Process
 
 
 @st.composite
-def process_script(draw, wild=False):
+def process_script(draw, wild=False, sweeps=False):
     """A list of abstract operations over a bounded object population.
 
     ``wild`` adds loads from an untracked block, which translate to the
     wild group (and divert to the quarantine in degraded mode).
+    ``sweeps`` adds strided runs of loads by one instruction over one
+    block, which LEAP fits with descriptors longer than two.
     """
     operations = []
     live = 0
@@ -40,6 +42,16 @@ def process_script(draw, wild=False):
         if wild and choice == 9:
             operations.append(
                 ("wild", draw(st.integers(0, 7)), draw(st.integers(0, 1)))
+            )
+        elif sweeps and choice == 8 and live:
+            operations.append(
+                (
+                    "sweep",
+                    draw(st.integers(0, live - 1)),
+                    draw(st.integers(1, 16)),
+                    draw(st.integers(0, 2)),
+                    draw(st.integers(0, 1)),
+                )
             )
         elif choice == 0 or live == 0:
             operations.append(("alloc", draw(st.integers(1, 4)), draw(st.integers(8, 256))))
@@ -76,6 +88,19 @@ def run_script(operations, process):
                 instr = process.instruction(name, AccessKind.LOAD)
                 instructions[name] = instr
             process.load(instr, pool + slot * 8)
+        elif operation[0] == "sweep":
+            __, index, count, stride_slot, instr_slot = operation
+            address, size = blocks[index % len(blocks)]
+            stride = stride_slot * 8
+            if stride:
+                count = min(count, (size - 8) // stride + 1)
+            name = f"sw{instr_slot}"
+            instr = instructions.get(name)
+            if instr is None:
+                instr = process.instruction(name, AccessKind.LOAD)
+                instructions[name] = instr
+            for step in range(count):
+                process.load(instr, address + step * stride)
         elif operation[0] == "alloc":
             __, site, size = operation
             address = process.malloc(f"site{site}", size)
@@ -158,8 +183,9 @@ def test_leap_accounting_on_random_scripts(operations, budget):
 
 
 def _profiles_by_path(factory, operations, degraded):
-    """``factory(**options)`` run down each pipeline path over one
-    script, each with its own quarantine in degraded mode."""
+    """The recorded trace of one script, and ``factory(**options)`` run
+    down each pipeline path over it, each with its own quarantine in
+    degraded mode."""
 
     def make(**options):
         return factory(quarantine=Quarantine() if degraded else None, **options)
@@ -173,9 +199,7 @@ def _profiles_by_path(factory, operations, degraded):
         "staged": make(telemetry=Telemetry()).profile(trace),
         "online": session.finish(),
     }
-    if fork_available():
-        profiles["pool"] = make(jobs=2).profile(trace)
-    return profiles
+    return trace, profiles
 
 
 @pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
@@ -187,7 +211,7 @@ def _profiles_by_path(factory, operations, degraded):
 def test_every_pipeline_path_gives_identical_documents(
     factory, degraded, operations
 ):
-    profiles = _profiles_by_path(factory, operations, degraded)
+    __, profiles = _profiles_by_path(factory, operations, degraded)
     documents = {
         path: dumps_bytes(profile, "binary") for path, profile in profiles.items()
     }
@@ -196,6 +220,36 @@ def test_every_pipeline_path_gives_identical_documents(
         assert document == reference, path
     wild = sum(1 for operation in operations if operation[0] == "wild")
     assert profiles["streaming"].quarantined == (wild if degraded else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    operations=process_script(wild=True, sweeps=True),
+    budget=st.integers(1, 30),
+    overflow_cap=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_leap_descriptors_are_exact_where_they_claim_capture(
+    operations, budget, overflow_cap
+):
+    # Section 4.1: descriptors keep each substream's initial linear
+    # runs, so what an entry captures is exactly a prefix of its
+    # (instruction, group) substream, on every pipeline path.
+    trace, profiles = _profiles_by_path(
+        partial(LeapProfiler, budget=budget, overflow_cap=overflow_cap),
+        operations,
+        degraded=False,
+    )
+    substreams = {}
+    for access in translate_trace_list(trace):
+        substreams.setdefault((access.instruction_id, access.group), []).append(
+            (access.object_serial, access.offset, access.time)
+        )
+    for path, profile in profiles.items():
+        assert profile.entries.keys() == substreams.keys(), path
+        for key, entry in profile.entries.items():
+            substream = substreams[key]
+            assert entry.total_symbols == len(substream), (path, key)
+            assert entry.expand() == substream[: entry.captured_symbols], (path, key)
 
 
 def _online_and_offline_documents(factory, degraded, drive):
