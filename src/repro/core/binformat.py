@@ -28,9 +28,12 @@ the previous row -- object serials and base addresses in the OMC
 tables, allocation/free timestamps in lifetime rows, LMAD start vectors
 within an entry -- which is what makes object-relative streams so
 compressible: consecutive rows differ by small amounts by construction.
-A grammar symbol is one tagged varint (:func:`tag_grammar`), and that
-tagged form is also what both encodings hand the one grammar expander,
-:func:`_expand_tagged`, on load.
+:data:`SCHEMAS` declares each kind once, as its frames and each table
+frame's row of column types; :func:`encode_document`,
+:func:`decode_tagged` and :func:`check_document` (the JSON loaders'
+check) all walk it.  A grammar symbol is one tagged varint
+(:func:`tag_grammar`), and that tagged form is also what both encodings
+hand the one grammar expander, :func:`_expand_tagged`, on load.
 
 The same frame layer carries the **stream protocol** used by
 ``repro-serve ingest --stream``: a :class:`StreamWriter` emits
@@ -50,7 +53,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 #: binary document magic: \x89 catches 7-bit strips, RPB names the
 #: format, \r\n\x1a\n catches newline translation (the PNG trick)
@@ -62,19 +65,25 @@ BINARY_VERSION = 1
 #: bumped when the stream protocol changes
 STREAM_VERSION = 1
 
-# -- frame tags ---------------------------------------------------------------
+#: the ``version`` of every JSON-shape document BINCAP carries
+DOCUMENT_VERSION = 1
+
+#: most dimensions an LMAD or an overflow bound may have
+_MAX_DIMS = 64
+
+# -- frame tags (SCHEMAS declares what each document frame holds) -------------
 
 FRAME_HEADER = 0x01  # uvarint version, token kind
-FRAME_META = 0x02  # kind-specific scalars
-FRAME_GRAMMAR = 0x03  # one WHOMP dimension grammar
-FRAME_BASES = 0x04  # (group, serial) -> base address rows
-FRAME_LIFETIMES = 0x05  # (group, serial, alloc, free, size) rows
-FRAME_LABELS = 0x06  # group id -> label rows
-FRAME_ENTRY = 0x07  # one LEAP (instruction, group) entry
-FRAME_KINDS = 0x08  # LEAP instruction -> load/store rows
-FRAME_EXECS = 0x09  # LEAP instruction -> exec count rows
-FRAME_CONFLICTS = 0x0A  # dependence (store, load, count) rows
-FRAME_COUNTS = 0x0B  # dependence load/store count rows
+FRAME_META = 0x02
+FRAME_GRAMMAR = 0x03
+FRAME_BASES = 0x04
+FRAME_LIFETIMES = 0x05
+FRAME_LABELS = 0x06
+FRAME_ENTRY = 0x07
+FRAME_KINDS = 0x08
+FRAME_EXECS = 0x09
+FRAME_CONFLICTS = 0x0A
+FRAME_COUNTS = 0x0B
 FRAME_END = 0x0F  # 4-byte LE CRC32 of everything before this frame
 
 FRAME_STREAM_BEGIN = 0x10  # uvarint stream version
@@ -82,9 +91,6 @@ FRAME_DOC_BEGIN = 0x11  # token workload, token meta (JSON text or "")
 FRAME_CHUNK = 0x12  # raw document bytes
 FRAME_DOC_END = 0x13  # uvarint byte length, 4-byte LE CRC32
 FRAME_STREAM_END = 0x14  # uvarint document count
-
-#: kinds this codec can encode (trace documents stay JSON-only)
-BINARY_KINDS = ("whomp", "leap", "dependence")
 
 
 class BinaryFormatError(ValueError):
@@ -238,7 +244,7 @@ def write_frame(out: bytearray, tag: int, payload: bytes) -> None:
 class FrameParser:
     """Incremental frame splitter: feed bytes, pull complete frames.
 
-    The workhorse of both :func:`iter_frames` (whole documents in
+    The workhorse of both :func:`decode_tagged` (whole documents in
     memory) and :class:`StreamReader` (bytes trickling off a socket).
     A frame is only surfaced once its full payload has arrived, so a
     consumer never sees a torn payload; :attr:`pending` says how many
@@ -299,22 +305,11 @@ class FrameParser:
         return tag, payload
 
 
-def iter_frames(data: bytes, offset: int) -> Iterator[Tuple[int, bytes]]:
-    """All frames of an in-memory document, raising on a torn tail."""
-    parser = FrameParser()
-    parser.feed(data[offset:])
-    while True:
-        frame = parser.next_frame()
-        if frame is None:
-            if parser.pending:
-                raise BinaryFormatError(
-                    "truncated binary profile: torn trailing frame"
-                )
-            return
-        yield frame
-
-
-# -- document encoding --------------------------------------------------------
+# -- hand-written payload codecs ----------------------------------------------
+#
+# Grammar and LEAP entry frames are most of a document's bytes and of
+# its decode time, so their payloads keep specialised codecs; the
+# schema below still declares where they sit, and the entry's fields.
 
 
 def tag_grammar(
@@ -358,10 +353,9 @@ def tag_grammar(
     return start, productions
 
 
-def _encode_grammar(name: str, grammar: Dict[str, object]) -> bytes:
-    start, productions = tag_grammar(grammar)
+def _encode_grammar(tagged: Tuple[int, Dict[int, List[int]]]) -> bytes:
+    start, productions = tagged
     out = bytearray()
-    write_token(out, name)
     write_uvarint(out, start)
     write_uvarint(out, len(productions))
     previous = 0
@@ -376,13 +370,12 @@ def _encode_grammar(name: str, grammar: Dict[str, object]) -> bytes:
 
 
 def _decode_grammar_tagged(
-    payload: bytes,
-) -> Tuple[str, int, Dict[int, List[int]]]:
-    """Decode a grammar frame to its tagged form (see
+    payload: bytes, pos: int = 0
+) -> Tuple[int, Dict[int, List[int]]]:
+    """Decode a grammar payload to its tagged form (see
     :func:`tag_grammar`): productions as lists of the raw symbol
     varints, no per-symbol list objects.  The hot inner loop inlines the
     varint read -- this frame is most of a WHOMP document's bytes."""
-    name, pos = read_token(payload, 0)
     start, pos = read_uvarint(payload, pos)
     n_rules, pos = read_uvarint(payload, pos)
     if n_rules > len(payload):
@@ -425,7 +418,7 @@ def _decode_grammar_tagged(
         raise BinaryFormatError("truncated grammar frame") from None
     if pos != size:
         raise BinaryFormatError("trailing bytes in grammar frame")
-    return name, start, productions
+    return start, productions
 
 
 def _decode_grammar(
@@ -445,129 +438,11 @@ def _decode_grammar(
         },
     }
 
-
-def _encode_bases(rows: List[List[int]]) -> bytes:
-    """``[group, serial, address]`` rows, delta-coded against the
-    previous row (serials and addresses grow near-monotonically within
-    a group, so deltas stay one or two bytes)."""
-    out = bytearray()
-    write_uvarint(out, len(rows))
-    prev_group = prev_serial = prev_address = 0
-    for group, serial, address in rows:
-        write_svarint(out, group - prev_group)
-        write_svarint(out, serial - prev_serial)
-        write_svarint(out, address - prev_address)
-        prev_group, prev_serial, prev_address = group, serial, address
-    return bytes(out)
-
-
-def _decode_bases(payload: bytes) -> List[List[int]]:
-    values = _read_varint_block(payload)
-    if not values:
-        raise BinaryFormatError("empty bases frame")
-    count = values[0]
-    if len(values) != 1 + 3 * count:
-        raise BinaryFormatError("bases frame row count mismatch")
-    rows: List[List[int]] = []
-    append = rows.append
-    group = serial = address = 0
-    index = 1
-    for __ in range(count):
-        zigzag = values[index]
-        group += (zigzag >> 1) ^ -(zigzag & 1)
-        zigzag = values[index + 1]
-        serial += (zigzag >> 1) ^ -(zigzag & 1)
-        zigzag = values[index + 2]
-        address += (zigzag >> 1) ^ -(zigzag & 1)
-        index += 3
-        append([group, serial, address])
-    return rows
-
-
-def _encode_lifetimes(rows: List[List[object]]) -> bytes:
-    """``[group, serial, alloc, free, size]`` rows; alloc timestamps
-    are delta-coded row to row, free as an offset from its own alloc
-    (lifetime length), with 0 reserved for "never freed"."""
-    out = bytearray()
-    write_uvarint(out, len(rows))
-    prev_alloc = 0
-    for row in rows:
-        group, serial, alloc, free, size = row
-        write_svarint(out, group)
-        write_svarint(out, serial)
-        write_svarint(out, alloc - prev_alloc)
-        prev_alloc = alloc
-        if free is None:
-            write_uvarint(out, 0)
-        else:
-            write_uvarint(out, 1)
-            write_svarint(out, free - alloc)
-        write_svarint(out, size)
-    return bytes(out)
-
-
-def _decode_lifetimes(payload: bytes) -> List[List[object]]:
-    values = _read_varint_block(payload)
-    try:
-        count = values[0]
-        rows: List[List[object]] = []
-        append = rows.append
-        alloc = 0
-        index = 1
-        for __ in range(count):
-            zigzag = values[index]
-            group = (zigzag >> 1) ^ -(zigzag & 1)
-            zigzag = values[index + 1]
-            serial = (zigzag >> 1) ^ -(zigzag & 1)
-            zigzag = values[index + 2]
-            alloc += (zigzag >> 1) ^ -(zigzag & 1)
-            free: Optional[int] = None
-            index += 4
-            if values[index - 1]:
-                zigzag = values[index]
-                free = alloc + ((zigzag >> 1) ^ -(zigzag & 1))
-                index += 1
-            zigzag = values[index]
-            index += 1
-            append([group, serial, alloc, free, (zigzag >> 1) ^ -(zigzag & 1)])
-    except IndexError:
-        raise BinaryFormatError("truncated lifetimes frame") from None
-    if index != len(values):
-        raise BinaryFormatError("trailing bytes in lifetimes frame")
-    return rows
-
-
-def _encode_labels(labels: Dict[str, object]) -> bytes:
-    out = bytearray()
-    try:
-        rows = sorted((int(key), str(value)) for key, value in labels.items())
-    except (TypeError, ValueError) as exc:
-        raise BinaryFormatError(f"non-integer group id: {exc}") from exc
-    write_uvarint(out, len(rows))
-    for group, label in rows:
-        write_svarint(out, group)
-        write_token(out, label)
-    return bytes(out)
-
-
-def _decode_labels(payload: bytes) -> Dict[str, str]:
-    count, pos = read_uvarint(payload, 0)
-    if count > len(payload):
-        raise BinaryFormatError("labels frame claims more rows than bytes")
-    labels: Dict[str, str] = {}
-    for __ in range(count):
-        group, pos = read_svarint(payload, pos)
-        label, pos = read_token(payload, pos)
-        labels[str(group)] = label
-    if pos != len(payload):
-        raise BinaryFormatError("trailing bytes in labels frame")
-    return labels
-
-
 def _encode_entry(record: Dict[str, object]) -> bytes:
-    """One LEAP entry frame.  LMAD start vectors are delta-coded
-    against the previous LMAD in the entry (descriptors for one
-    instruction walk the same object, so starts cluster)."""
+    """One LEAP entry frame, of a record :func:`_check_entry` passed.
+    LMAD start vectors are delta-coded against the previous LMAD in the
+    entry (descriptors for one instruction walk the same object, so
+    starts cluster)."""
     out = bytearray()
     write_svarint(out, record["instruction"])
     write_svarint(out, record["group"])
@@ -581,8 +456,6 @@ def _encode_entry(record: Dict[str, object]) -> bytes:
     previous_start: Optional[List[int]] = None
     for start, stride, count in lmads:
         write_uvarint(out, len(start))
-        if len(stride) != len(start):
-            raise BinaryFormatError("LMAD start/stride dimension mismatch")
         if previous_start is not None and len(previous_start) == len(start):
             for component, anchor in zip(start, previous_start):
                 write_svarint(out, component - anchor)
@@ -596,22 +469,16 @@ def _encode_entry(record: Dict[str, object]) -> bytes:
     write_uvarint(out, overflow["count"])
     if has_bounds:
         minimum = overflow["min"]
-        maximum = overflow["max"]
-        granularity = overflow["granularity"]
-        if maximum is None or granularity is None or not (
-            len(minimum) == len(maximum) == len(granularity)
-        ):
-            raise BinaryFormatError("overflow bound vectors disagree")
         write_uvarint(out, len(minimum))
-        for low, high, grain in zip(minimum, maximum, granularity):
+        for low, high, grain in zip(minimum, overflow["max"], overflow["granularity"]):
             write_svarint(out, low)
             write_svarint(out, high - low)
             write_svarint(out, grain)
     return bytes(out)
 
 
-def _decode_entry(payload: bytes) -> Dict[str, object]:
-    values = _read_varint_block(payload)
+def _decode_entry(payload: bytes, pos: int = 0) -> Dict[str, object]:
+    values = _read_varint_block(payload, pos)
     try:
         zigzag = values[0]
         instruction = (zigzag >> 1) ^ -(zigzag & 1)
@@ -628,7 +495,7 @@ def _decode_entry(payload: bytes) -> Dict[str, object]:
         for __ in range(n_lmads):
             dims = values[index]
             index += 1
-            if dims > 64:
+            if dims > _MAX_DIMS:
                 raise BinaryFormatError(f"LMAD with {dims} dimensions rejected")
             block = values[index : index + dims]
             if len(block) != dims:
@@ -659,7 +526,7 @@ def _decode_entry(payload: bytes) -> Dict[str, object]:
         if flags & 2:
             dims = values[index]
             index += 1
-            if dims > 64:
+            if dims > _MAX_DIMS:
                 raise BinaryFormatError(
                     f"overflow with {dims} dimensions rejected"
                 )
@@ -693,101 +560,365 @@ def _decode_entry(payload: bytes) -> Dict[str, object]:
     }
 
 
-def _encode_kinds(kinds: Dict[str, object]) -> bytes:
-    """Instruction -> load/store, folded into one uvarint per row
-    (``delta << 1 | is_store`` over sorted instruction ids)."""
-    out = bytearray()
-    try:
-        rows = sorted((int(key), str(value)) for key, value in kinds.items())
-    except (TypeError, ValueError) as exc:
-        raise BinaryFormatError(f"non-integer instruction id: {exc}") from exc
-    write_uvarint(out, len(rows))
-    previous = 0
-    for instruction, value in rows:
-        if value == "load":
-            bit = 0
-        elif value == "store":
-            bit = 1
+# -- row schema ---------------------------------------------------------------
+#
+# Every other frame is a table declared once, in SCHEMAS below, from
+# the column types here; one encoder, one decoder and one JSON checker
+# walk those declarations.  A column sees the whole row and the previous
+# one (zeros before the first), so it can code its field against either.
+
+
+def _is_uint(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _write_double(out: bytearray, value: float) -> None:
+    out += struct.pack("<d", float(value))
+
+
+class _Column:
+    """One row field: ``ok`` accepts its JSON value, ``put`` and ``get``
+    write and read it, against the previous row's value if ``delta``."""
+
+    width = 1  # row fields the column spans
+
+    def __init__(self, ok: Callable, put=None, get=None, delta=False) -> None:
+        self.ok, self.put, self.get, self.delta = ok, put, get, delta
+
+    def check(self, rows: list, index: int) -> bool:
+        """Whether every row's field ``index`` is a valid JSON value."""
+        return all(map(self.ok, [row[index] for row in rows]))
+
+    def write(self, out: bytearray, row: list, index: int, previous: list) -> None:
+        self.put(out, row[index] - previous[index] if self.delta else row[index])
+
+    def read(self, data: bytes, pos: int, row: list, previous: list) -> int:
+        value, pos = self.get(data, pos)
+        row.append(value + previous[len(row)] if self.delta else value)
+        return pos
+
+
+class _Nullable(_Column):
+    """None as a 0 byte, else a 1 byte and the svarint difference from
+    column ``anchor`` of the same row (a lifetime's free time is stored
+    as its length)."""
+
+    def __init__(self, anchor: int) -> None:
+        super().__init__(lambda value: value is None or type(value) is int)
+        self.anchor = anchor
+
+    def write(self, out, row, index, previous):
+        if row[index] is None:
+            out.append(0)
         else:
-            raise BinaryFormatError(f"unknown access kind {value!r}")
-        delta = instruction - previous
-        if delta < 0:
-            raise BinaryFormatError("duplicate instruction id in kinds")
-        write_uvarint(out, (delta << 1) | bit)
-        previous = instruction
-    return bytes(out)
+            out.append(1)
+            write_svarint(out, row[index] - row[self.anchor])
+
+    def read(self, data, pos, row, previous):
+        present, pos = read_uvarint(data, pos)
+        if present > 1:
+            raise BinaryFormatError(f"bad presence flag {present}")
+        if present:
+            offset, pos = read_svarint(data, pos)
+            row.append(row[self.anchor] + offset)
+        else:
+            row.append(None)
+        return pos
 
 
-def _decode_kinds(payload: bytes) -> Dict[str, str]:
-    values = _read_varint_block(payload)
-    if not values or len(values) != 1 + values[0]:
-        raise BinaryFormatError("kinds frame row count mismatch")
-    kinds: Dict[str, str] = {}
-    instruction = 0
-    for folded in values[1:]:
-        instruction += folded >> 1
-        kinds[str(instruction)] = "store" if folded & 1 else "load"
-    return kinds
+class _Folded(_Column):
+    """Two fields, a non-negative key and a one-bit enum, in one uvarint:
+    the key's difference from the previous row's, shifted left, or'd
+    with the index of the enum's name in ``names``."""
+
+    width = 2
+
+    def __init__(self, *names: str) -> None:
+        self.names = names
+
+    def check(self, rows, index):
+        return all(
+            _is_uint(row[index]) and row[index + 1] in self.names for row in rows
+        )
+
+    def write(self, out, row, index, previous):
+        delta = row[index] - previous[index]
+        write_uvarint(out, delta << 1 | self.names.index(row[index + 1]))
+
+    def read(self, data, pos, row, previous):
+        folded, pos = read_uvarint(data, pos)
+        row.append(previous[len(row)] + (folded >> 1))
+        row.append(self.names[folded & 1])
+        return pos
 
 
-def _encode_counts(rows_source: Dict[str, object]) -> bytes:
-    """Sorted (id, count) rows with delta-coded ids."""
-    out = bytearray()
-    try:
-        rows = sorted((int(key), int(value)) for key, value in rows_source.items())
-    except (TypeError, ValueError) as exc:
-        raise BinaryFormatError(f"non-integer count row: {exc}") from exc
-    write_uvarint(out, len(rows))
-    previous = 0
-    for key, value in rows:
-        write_svarint(out, key - previous)
-        previous = key
-        write_uvarint(out, value)
-    return bytes(out)
+UVARINT = _Column(_is_uint, write_uvarint, read_uvarint)
+SVARINT = _Column(lambda value: type(value) is int, write_svarint, read_svarint)
+DELTA = _Column(SVARINT.ok, write_svarint, read_svarint, delta=True)
+TOKEN = _Column(lambda value: type(value) is str, write_token, read_token)
+DOUBLE = _Column(lambda value: type(value) in (int, float), _write_double, _read_double)
 
 
-def _decode_counts(payload: bytes, pos: int = 0) -> Dict[str, int]:
-    values = _read_varint_block(payload, pos)
-    if not values or len(values) != 1 + 2 * values[0]:
-        raise BinaryFormatError("counts frame row count mismatch")
-    rows: Dict[str, int] = {}
-    key = 0
-    for index in range(1, len(values), 2):
-        zigzag = values[index]
-        key += (zigzag >> 1) ^ -(zigzag & 1)
-        rows[str(key)] = values[index + 1]
-    return rows
+class _Table:
+    """A list of rows: a uvarint row count, then each row's columns.
+
+    The first ``unique`` fields are the row's key: the encoder sorts
+    the rows on it, and a key that does not exceed the previous row's is
+    refused everywhere, so duplicates can neither be written nor read.
+    """
+
+    counted = True  # whether the payload starts with the row count
+
+    def __init__(self, *columns: _Column, unique: int = 0) -> None:
+        self.columns = columns
+        self.unique = unique
+        self.placed: List[Tuple[int, _Column]] = []
+        self.width = 0
+        for column in columns:
+            self.placed.append((self.width, column))
+            self.width += column.width
+        self.zero = [0] * self.width
+
+    def rows(self, value: object) -> list:
+        """The document value as the rows the frame carries."""
+        if type(value) is not list:
+            raise BinaryFormatError(f"expected a list of rows, got {value!r}")
+        return sorted(value) if self.unique else value
+
+    def value(self, rows: list) -> object:
+        """Decoded rows as the document value."""
+        return rows
+
+    def distinct(self, rows: list) -> list:
+        if self.unique:
+            keys = [row[: self.unique] for row in rows]
+            if any(key >= after for key, after in zip(keys, keys[1:])):
+                raise BinaryFormatError("duplicate or unsorted row keys")
+        return rows
+
+    def encode(self, value: object) -> bytes:
+        """The payload of a value :meth:`check` passed."""
+        rows = self.rows(value)
+        out = bytearray()
+        if self.counted:
+            write_uvarint(out, len(rows))
+        previous = self.zero
+        for row in rows:
+            for index, column in self.placed:
+                column.write(out, row, index, previous)
+            previous = row
+        return bytes(out)
+
+    def decode(self, payload: bytes, pos: int = 0) -> object:
+        count, pos = read_uvarint(payload, pos) if self.counted else (1, pos)
+        if count > len(payload):
+            raise BinaryFormatError("table claims more rows than bytes")
+        rows = []
+        previous = self.zero
+        for __ in range(count):
+            row: list = []
+            for column in self.columns:
+                pos = column.read(payload, pos, row, previous)
+            rows.append(row)
+            previous = row
+        if pos != len(payload):
+            raise BinaryFormatError("trailing bytes in table frame")
+        return self.value(self.distinct(rows))
+
+    def check(self, value: object) -> object:
+        rows = self.rows(value)
+        for row in rows:
+            if type(row) is not list or len(row) != self.width:
+                raise BinaryFormatError(f"bad table row {row!r}")
+        for index, column in self.placed:
+            if not column.check(rows, index):
+                raise BinaryFormatError(f"bad field {index} in rows {rows!r}")
+        self.distinct(rows)
+        return value
 
 
-def _encode_conflicts(rows_source: List[List[int]]) -> bytes:
-    out = bytearray()
-    rows = sorted((int(s), int(l), int(c)) for s, l, c in rows_source)
-    write_uvarint(out, len(rows))
-    prev_store = prev_load = 0
-    for store, load, count in rows:
-        write_svarint(out, store - prev_store)
-        write_svarint(out, load - prev_load)
-        write_uvarint(out, count)
-        prev_store, prev_load = store, load
-    return bytes(out)
+class _Map(_Table):
+    """An object ``{str(int): value}`` as rows ``[int key, value]``
+    sorted by key.  Keys must be written as ``str(int)`` would write
+    them, so two keys never name one integer."""
+
+    def __init__(self, *columns: _Column) -> None:
+        super().__init__(*columns, unique=1)
+
+    def rows(self, value):
+        if type(value) is not dict:
+            raise BinaryFormatError(f"expected an object, got {value!r}")
+        rows = []
+        for key, item in value.items():
+            number = int(key)
+            if str(number) != key:
+                raise BinaryFormatError(f"non-canonical integer key {key!r}")
+            rows.append([number, item])
+        rows.sort()
+        return rows
+
+    def value(self, rows):
+        return {str(key): item for key, item in rows}
 
 
-def _decode_conflicts(payload: bytes) -> List[List[int]]:
-    values = _read_varint_block(payload)
-    if not values or len(values) != 1 + 3 * values[0]:
-        raise BinaryFormatError("conflicts frame row count mismatch")
-    rows: List[List[int]] = []
-    store = load = 0
-    for index in range(1, len(values), 3):
-        zigzag = values[index]
-        store += (zigzag >> 1) ^ -(zigzag & 1)
-        zigzag = values[index + 1]
-        load += (zigzag >> 1) ^ -(zigzag & 1)
-        rows.append([store, load, values[index + 2]])
-    return rows
+class _Record(_Table):
+    """One row, without a row count, whose fields are named keys of an
+    object: ``(name, column)``, or ``(name, column, default)`` for a
+    field that may be absent."""
+
+    counted = False
+
+    def __init__(self, *fields: tuple) -> None:
+        super().__init__(*(column for __, column, *__ in fields))
+        self.fields = fields
+
+    def rows(self, record):
+        return [[record.get(name, *default) for name, __, *default in self.fields]]
+
+    def value(self, rows):
+        return {name: value for (name, *__), value in zip(self.fields, rows[0])}
+
+    def check(self, record):
+        for name, column, *default in self.fields:
+            if name not in record and default:
+                continue
+            if not column.ok(record.get(name)):
+                raise BinaryFormatError(f"bad {name}: {record.get(name)!r}")
+        return record
 
 
-# -- document-level encode ----------------------------------------------------
+class _Codec(NamedTuple):
+    """A hand-written payload codec; ``check`` returns the JSON value in
+    :func:`decode_tagged`'s form."""
+
+    encode: Callable
+    decode: Callable
+    check: Callable
+
+
+_ENTRY_FIELDS = _Record(
+    ("instruction", SVARINT), ("group", SVARINT), ("total", UVARINT)
+)
+_OVERFLOW_FIELDS = _Record(("count", UVARINT))
+
+
+def _check_entry(record: Dict[str, object]) -> Dict[str, object]:
+    """A JSON LEAP entry, checked against the fields that
+    :func:`_encode_entry` writes."""
+    _ENTRY_FIELDS.check(record)
+    if type(record.get("summarized", False)) is not bool:
+        raise BinaryFormatError(f"bad summarized: {record['summarized']!r}")
+    components: List[object] = []  # every vector component, type-checked at once
+    for start, stride, count in record["lmads"]:
+        if not (
+            type(start) is list and type(stride) is list
+            and len(start) == len(stride) <= _MAX_DIMS and _is_uint(count)
+        ):
+            raise BinaryFormatError(f"bad LMAD {[start, stride, count]!r}")
+        components += start
+        components += stride
+    overflow = _OVERFLOW_FIELDS.check(record["overflow"])
+    bounds = [overflow["min"], overflow["max"], overflow["granularity"]]
+    if bounds != [None] * 3:
+        if not (
+            all(type(bound) is list for bound in bounds)
+            and len({len(bound) for bound in bounds}) == 1
+            and len(bounds[0]) <= _MAX_DIMS
+        ):
+            raise BinaryFormatError(f"bad overflow bounds {bounds!r}")
+        components += bounds[0] + bounds[1] + bounds[2]
+    if not set(map(type, components)) <= {int}:
+        raise BinaryFormatError(f"non-integer LMAD component in {record!r}")
+    return record
+
+
+# -- document schemas ---------------------------------------------------------
+
+ONE, MANY, KEYED = "one", "many", "keyed"
+
+
+class Frame(NamedTuple):
+    """One frame of a document kind, in the order the encoder writes.
+
+    ``one``: exactly once, holding ``document[key]`` (``key`` None: the
+    codec's named fields sit on the document itself).  ``many``: zero
+    or more, one per item of the list ``document[key]``.  ``keyed``:
+    each payload starts with a token name, a key of the object
+    ``document[key]`` (at least one frame, in name order), or, when
+    ``key`` is a tuple of names, a document field (each exactly once).
+    """
+
+    tag: int
+    key: object
+    cardinality: str
+    codec: object
+
+
+_META_TAIL = (("capture_completeness", DOUBLE, 1.0), ("quarantined", UVARINT, 0))
+_LIFETIMES = _Table(SVARINT, SVARINT, DELTA, _Nullable(anchor=2), SVARINT)
+_LABELS = _Map(SVARINT, TOKEN)
+_COUNTS = _Map(DELTA, UVARINT)
+
+#: every kind BINCAP carries, frame by frame: the one place a table's
+#: row layout and a kind's frame list are written down
+SCHEMAS: Dict[str, Tuple[Frame, ...]] = {
+    "whomp": (
+        Frame(FRAME_META, None, ONE, _Record(("access_count", UVARINT), *_META_TAIL)),
+        Frame(FRAME_GRAMMAR, "grammars", KEYED,
+              _Codec(_encode_grammar, _decode_grammar_tagged, tag_grammar)),
+        # [group, serial, address]
+        Frame(FRAME_BASES, "base_addresses", ONE, _Table(DELTA, DELTA, DELTA)),
+        # [group, serial, alloc, free, size]
+        Frame(FRAME_LIFETIMES, "lifetimes", ONE, _LIFETIMES),
+        Frame(FRAME_LABELS, "group_labels", ONE, _LABELS),
+    ),
+    "leap": (
+        Frame(FRAME_META, None, ONE, _Record(
+            ("access_count", UVARINT), ("budget", UVARINT), *_META_TAIL
+        )),
+        Frame(FRAME_KINDS, "kinds", ONE, _Map(_Folded("load", "store"))),
+        Frame(FRAME_EXECS, "exec_counts", ONE, _COUNTS),
+        Frame(FRAME_ENTRY, "entries", MANY,
+              _Codec(_encode_entry, _decode_entry, _check_entry)),
+        Frame(FRAME_LABELS, "group_labels", ONE, _LABELS),
+        Frame(FRAME_LIFETIMES, "lifetimes", ONE, _LIFETIMES),
+    ),
+    "dependence": (
+        # [store, load, count], one row per (store, load)
+        Frame(FRAME_CONFLICTS, "conflicts", ONE,
+              _Table(DELTA, DELTA, UVARINT, unique=2)),
+        Frame(FRAME_COUNTS, ("load_counts", "store_counts"), KEYED, _COUNTS),
+    ),
+}
+
+
+def _schema(kind: object) -> Tuple[Frame, ...]:
+    schema = SCHEMAS.get(kind)
+    if schema is None:
+        raise BinaryFormatError(f"kind {kind!r} has no binary encoding (JSON only)")
+    return schema
+
+
+def _frame_values(frame: Frame, document: Dict[str, object]) -> list:
+    """``(name, value)`` per frame of ``frame``'s kind that ``document``
+    fills, in write order; the name is None unless the frame is keyed."""
+    if frame.cardinality == ONE:
+        return [(None, document if frame.key is None else document[frame.key])]
+    if frame.cardinality == MANY:
+        items = document[frame.key]
+        if type(items) is not list:
+            raise BinaryFormatError(f"bad {frame.key}: {items!r}")
+        return [(None, item) for item in items]
+    if isinstance(frame.key, tuple):
+        named = {name: document[name] for name in frame.key}
+    else:
+        named = document[frame.key]
+    if type(named) is not dict or not named or not all(type(n) is str for n in named):
+        raise BinaryFormatError(f"bad {frame.key}: {named!r}")
+    return sorted(named.items())
+
+
+# -- document encode, decode and check ----------------------------------------
 
 
 def encode_document(document: Dict[str, object]) -> bytes:
@@ -796,84 +927,26 @@ def encode_document(document: Dict[str, object]) -> bytes:
     The input is exactly what ``json.loads`` of the canonical JSON
     document yields (and what :func:`decode_document` returns):
     encode/decode round-trips the document identically, which the
-    property tests drive across all three kinds.
+    property tests drive across all three kinds.  The document is
+    checked first (:func:`check_document`), so BINCAP refuses exactly
+    what the JSON loaders refuse.
     """
-    try:
-        kind = document["format"]
-        if kind == "whomp":
-            body = _encode_whomp(document)
-        elif kind == "leap":
-            body = _encode_leap(document)
-        elif kind == "dependence":
-            body = _encode_dependence(document)
-        else:
-            raise BinaryFormatError(
-                f"kind {kind!r} has no binary encoding (JSON only)"
-            )
-    except BinaryFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise BinaryFormatError(f"malformed {document.get('format')!r} "
-                                f"document: {exc}") from exc
+    checked = check_document(document)
     out = bytearray(MAGIC)
     header = bytearray()
     write_uvarint(header, BINARY_VERSION)
-    write_token(header, kind)
+    write_token(header, checked["format"])
     write_frame(out, FRAME_HEADER, bytes(header))
-    out += body
+    for frame in SCHEMAS[checked["format"]]:
+        for name, value in _frame_values(frame, checked):
+            payload = bytearray()
+            if name is not None:
+                write_token(payload, name)
+            payload += frame.codec.encode(value)
+            write_frame(out, frame.tag, payload)
     crc = zlib.crc32(out) & 0xFFFFFFFF
     write_frame(out, FRAME_END, struct.pack("<I", crc))
     return bytes(out)
-
-
-def _meta_payload(document: Dict[str, object], *uvarint_keys: str) -> bytes:
-    out = bytearray()
-    for key in uvarint_keys:
-        write_uvarint(out, int(document[key]))
-    out += struct.pack("<d", float(document.get("capture_completeness", 1.0)))
-    write_uvarint(out, int(document.get("quarantined", 0)))
-    return bytes(out)
-
-
-def _encode_whomp(document: Dict[str, object]) -> bytes:
-    out = bytearray()
-    write_frame(out, FRAME_META, _meta_payload(document, "access_count"))
-    for name in sorted(document["grammars"]):
-        write_frame(
-            out, FRAME_GRAMMAR, _encode_grammar(name, document["grammars"][name])
-        )
-    write_frame(out, FRAME_BASES, _encode_bases(document["base_addresses"]))
-    write_frame(out, FRAME_LIFETIMES, _encode_lifetimes(document["lifetimes"]))
-    write_frame(out, FRAME_LABELS, _encode_labels(document["group_labels"]))
-    return bytes(out)
-
-
-def _encode_leap(document: Dict[str, object]) -> bytes:
-    out = bytearray()
-    write_frame(
-        out, FRAME_META, _meta_payload(document, "access_count", "budget")
-    )
-    write_frame(out, FRAME_KINDS, _encode_kinds(document["kinds"]))
-    write_frame(out, FRAME_EXECS, _encode_counts(document["exec_counts"]))
-    for record in document["entries"]:
-        write_frame(out, FRAME_ENTRY, _encode_entry(record))
-    write_frame(out, FRAME_LABELS, _encode_labels(document["group_labels"]))
-    write_frame(out, FRAME_LIFETIMES, _encode_lifetimes(document["lifetimes"]))
-    return bytes(out)
-
-
-def _encode_dependence(document: Dict[str, object]) -> bytes:
-    out = bytearray()
-    write_frame(out, FRAME_CONFLICTS, _encode_conflicts(document["conflicts"]))
-    for which in ("load_counts", "store_counts"):
-        payload = bytearray()
-        write_token(payload, which)
-        payload += _encode_counts(document[which])
-        write_frame(out, FRAME_COUNTS, bytes(payload))
-    return bytes(out)
-
-
-# -- document-level decode ----------------------------------------------------
 
 
 def sniff_kind(data: bytes) -> Optional[str]:
@@ -941,9 +1014,7 @@ def _checked_frames(data: bytes) -> Tuple[str, List[Tuple[int, bytes]]]:
             f"CRC mismatch: document says {expected:#010x}, "
             f"content hashes to {actual:#010x}"
         )
-    if not frames or frames[0][0] != FRAME_HEADER:
-        raise BinaryFormatError("missing header frame")
-    return kind, frames[1:]
+    return kind, frames[1:]  # sniff_kind saw frames[0] is the header
 
 
 def decode_tagged(data: bytes) -> Dict[str, object]:
@@ -952,10 +1023,37 @@ def decode_tagged(data: bytes) -> Dict[str, object]:
     :func:`_expand_tagged` takes -- the load path's form, which never
     builds a ``["T", value]`` list."""
     kind, frames = _checked_frames(data)
-    decoder = _FRAME_DECODERS.get(kind)
-    if decoder is None:
-        raise BinaryFormatError(f"unknown binary document kind {kind!r}")
-    return decoder(frames)
+    schema = _schema(kind)
+    by_tag = {frame.tag: frame for frame in schema}
+    seen = dict.fromkeys(by_tag, 0)
+    document: Dict[str, object] = {"format": kind, "version": DOCUMENT_VERSION}
+    for frame in schema:
+        if frame.cardinality == MANY:
+            document[frame.key] = []
+    for tag, payload in frames:
+        frame = by_tag.get(tag)
+        if frame is None:
+            raise BinaryFormatError(f"unexpected frame {tag:#x} in {kind}")
+        seen[tag] += 1
+        if frame.cardinality == MANY:
+            document[frame.key].append(frame.codec.decode(payload))
+        elif frame.cardinality == ONE:
+            if seen[tag] > 1:
+                raise BinaryFormatError(f"duplicate frame {tag:#x} in {kind}")
+            value = frame.codec.decode(payload)
+            document.update(value if frame.key is None else {frame.key: value})
+        else:
+            name, pos = read_token(payload, 0)
+            fixed = isinstance(frame.key, tuple)
+            named = document if fixed else document.setdefault(frame.key, {})
+            if name in named or (fixed and name not in frame.key):
+                raise BinaryFormatError(f"duplicate or unknown frame {name!r}")
+            named[name] = frame.codec.decode(payload, pos)
+    for frame in schema:
+        need = len(frame.key) if isinstance(frame.key, tuple) else 1
+        if frame.cardinality != MANY and seen[frame.tag] < need:
+            raise BinaryFormatError(f"{kind} document is missing frames")
+    return document
 
 
 def decode_document(data: bytes) -> Dict[str, object]:
@@ -976,102 +1074,30 @@ def decode_document(data: bytes) -> Dict[str, object]:
     return document
 
 
-def _decode_meta(
-    payload: bytes, *uvarint_keys: str
-) -> Dict[str, object]:
-    meta: Dict[str, object] = {}
-    pos = 0
-    for key in uvarint_keys:
-        meta[key], pos = read_uvarint(payload, pos)
-    meta["capture_completeness"], pos = _read_double(payload, pos)
-    meta["quarantined"], pos = read_uvarint(payload, pos)
-    if pos != len(payload):
-        raise BinaryFormatError("trailing bytes in meta frame")
-    return meta
-
-
-def _decode_whomp_frames(frames: List[Tuple[int, bytes]]) -> Dict[str, object]:
-    document: Dict[str, object] = {"format": "whomp", "version": 1}
-    grammars: Dict[str, object] = {}
-    seen = set()
-    for tag, payload in frames:
-        if tag == FRAME_META:
-            document.update(_decode_meta(payload, "access_count"))
-        elif tag == FRAME_GRAMMAR:
-            name, start, productions = _decode_grammar_tagged(payload)
-            if name in grammars:
-                raise BinaryFormatError(f"duplicate grammar frame {name!r}")
-            grammars[name] = (start, productions)
-        elif tag == FRAME_BASES:
-            document["base_addresses"] = _decode_bases(payload)
-        elif tag == FRAME_LIFETIMES:
-            document["lifetimes"] = _decode_lifetimes(payload)
-        elif tag == FRAME_LABELS:
-            document["group_labels"] = _decode_labels(payload)
-        else:
-            raise BinaryFormatError(f"unexpected frame {tag:#x} in WHOMP")
-        seen.add(tag)
-    required = {FRAME_META, FRAME_BASES, FRAME_LIFETIMES, FRAME_LABELS}
-    if not required <= seen or not grammars:
-        raise BinaryFormatError("WHOMP document is missing frames")
-    document["grammars"] = grammars
-    return document
-
-
-def _decode_leap_frames(frames: List[Tuple[int, bytes]]) -> Dict[str, object]:
-    document: Dict[str, object] = {"format": "leap", "version": 1}
-    entries: List[Dict[str, object]] = []
-    seen = set()
-    for tag, payload in frames:
-        if tag == FRAME_META:
-            document.update(_decode_meta(payload, "access_count", "budget"))
-        elif tag == FRAME_KINDS:
-            document["kinds"] = _decode_kinds(payload)
-        elif tag == FRAME_EXECS:
-            document["exec_counts"] = _decode_counts(payload)
-        elif tag == FRAME_ENTRY:
-            entries.append(_decode_entry(payload))
-        elif tag == FRAME_LABELS:
-            document["group_labels"] = _decode_labels(payload)
-        elif tag == FRAME_LIFETIMES:
-            document["lifetimes"] = _decode_lifetimes(payload)
-        else:
-            raise BinaryFormatError(f"unexpected frame {tag:#x} in LEAP")
-        seen.add(tag)
-    required = {
-        FRAME_META, FRAME_KINDS, FRAME_EXECS, FRAME_LABELS, FRAME_LIFETIMES
-    }
-    if not required <= seen:
-        raise BinaryFormatError("LEAP document is missing frames")
-    document["entries"] = entries
-    return document
-
-
-def _decode_dependence_frames(
-    frames: List[Tuple[int, bytes]]
-) -> Dict[str, object]:
-    document: Dict[str, object] = {"format": "dependence", "version": 1}
-    for tag, payload in frames:
-        if tag == FRAME_CONFLICTS:
-            document["conflicts"] = _decode_conflicts(payload)
-        elif tag == FRAME_COUNTS:
-            which, pos = read_token(payload, 0)
-            if which not in ("load_counts", "store_counts"):
-                raise BinaryFormatError(f"unknown counts section {which!r}")
-            document[which] = _decode_counts(payload, pos)
-        else:
-            raise BinaryFormatError(f"unexpected frame {tag:#x} in dependence")
-    for key in ("conflicts", "load_counts", "store_counts"):
-        if key not in document:
-            raise BinaryFormatError(f"dependence document missing {key}")
-    return document
-
-
-_FRAME_DECODERS = {
-    "whomp": _decode_whomp_frames,
-    "leap": _decode_leap_frames,
-    "dependence": _decode_dependence_frames,
-}
+def check_document(document: Dict[str, object]) -> Dict[str, object]:
+    """A JSON-shape document in :func:`decode_tagged`'s form, if BINCAP
+    can carry it: every frame's value checked against its declaration in
+    :data:`SCHEMAS`.  Raises :class:`BinaryFormatError` naming what
+    BINCAP cannot carry.  JSON loaders run this, so a JSON document
+    loads only if its BINCAP encoding would load to the same profile."""
+    kind = document.get("format")
+    checked = dict(document)
+    try:
+        schema = _schema(kind)
+        if document.get("version") != DOCUMENT_VERSION:
+            raise BinaryFormatError(f"unsupported version {document.get('version')!r}")
+        for frame in schema:
+            values = [
+                (name, frame.codec.check(value))
+                for name, value in _frame_values(frame, document)
+            ]
+            if frame.cardinality == KEYED and isinstance(frame.key, str):
+                checked[frame.key] = dict(values)
+    except BinaryFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise BinaryFormatError(f"malformed {kind!r} document: {exc}") from exc
+    return checked
 
 
 # -- grammar expansion --------------------------------------------------------

@@ -22,11 +22,14 @@ bytes, a loader either returns a valid profile or raises
 :class:`ProfileFormatError` -- never a ``KeyError``/``TypeError`` from
 half-decoded structure, and never unbounded work from a malicious
 document (a doubling grammar claiming a small ``access_count`` is
-refused from its arithmetic; internal totals are cross-checked).  Both
-encodings decode WHOMP through one stream builder and the one grammar
-expander in :mod:`repro.core.binformat`, and a JSON document loads only
-if BINCAP can carry it.  The fuzz tests in ``tests/test_profile_io.py``
-drive this with bit flips and truncations at every offset.
+refused from its arithmetic; internal totals are cross-checked).  JSON
+carries only what BINCAP carries, by construction: every JSON document
+is checked against the same frame and row declarations
+(:data:`repro.core.binformat.SCHEMAS`) the BINCAP codec walks, before
+it reaches the per-kind decoders both encodings share.  WHOMP streams
+come from the one grammar expander in :mod:`repro.core.binformat`.  The
+fuzz tests in ``tests/test_profile_io.py`` drive this with bit flips
+and truncations at every offset.
 
 :func:`save` / :func:`load` are the path-level API: atomic writes
 (temp file + ``os.replace``) and format sniffing, so a crash mid-save
@@ -38,7 +41,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from typing import IO, Callable, Dict, List, Optional, Tuple, Union
+from typing import IO, Dict, List, Optional, Tuple, Union
 
 from repro.baselines.dependence_lossless import DependenceProfile
 from repro.compression.lmad import LMAD, LMADProfileEntry, OverflowSummary
@@ -50,7 +53,7 @@ from repro.core.tuples import DIMENSIONS
 from repro.profilers.leap import LeapProfile
 from repro.profilers.whomp import WhompProfile
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = binformat.DOCUMENT_VERSION
 
 #: serialization encodings the path/bytes-level API can produce
 SERIALIZATIONS = ("json", "binary")
@@ -65,7 +68,7 @@ class ProfileFormatError(Exception):
 _DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
 
 
-def _load_document(stream: IO[str]) -> Dict[str, object]:
+def _parse(stream: IO[str]) -> Dict[str, object]:
     """Parse one JSON document, normalizing every parse-level failure
     (bad JSON, binary garbage, a non-object top level) to
     :class:`ProfileFormatError`."""
@@ -80,56 +83,29 @@ def _load_document(stream: IO[str]) -> Dict[str, object]:
     return document
 
 
-def _require_version(document: Dict[str, object], fmt: str) -> None:
-    if document.get("format") != fmt:
-        raise ProfileFormatError(f"not a {fmt.upper()} profile")
-    if document.get("version") != FORMAT_VERSION:
-        raise ProfileFormatError(f"unsupported version {document.get('version')}")
-
-
-def _count_field(document: Dict[str, object], key: str) -> int:
-    value = document.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ProfileFormatError(f"bad {key}: {value!r}")
-    return value
+def _load_document(stream: IO[str], tagged: bool = True) -> Dict[str, object]:
+    """Parse one JSON document (:func:`_parse`).  A profile document
+    must also pass :func:`repro.core.binformat.check_document`, and comes
+    back in the form :func:`repro.core.binformat.decode_tagged` gives,
+    or as parsed when ``tagged`` is false."""
+    document = _parse(stream)
+    if document.get("format") not in binformat.SCHEMAS:
+        return document
+    try:
+        checked = binformat.check_document(document)
+    except binformat.BinaryFormatError as exc:
+        raise ProfileFormatError(str(exc)) from exc
+    return checked if tagged else document
 
 
 def document_meta(document: Dict[str, object]) -> Tuple[float, int]:
-    """The checked ``(capture_completeness, quarantined)`` of a WHOMP or
-    LEAP document, JSON or BINCAP alike: completeness a finite real in
-    [0, 1], quarantined a non-negative int."""
+    """The ``(capture_completeness, quarantined)`` of a checked WHOMP or
+    LEAP document, JSON or BINCAP alike.  Both encodings carry any
+    double; completeness must also lie in [0, 1]."""
     completeness = document.get("capture_completeness", 1.0)
-    if type(completeness) not in (int, float) or not 0 <= completeness <= 1:
+    if not 0 <= completeness <= 1:
         raise ProfileFormatError(f"bad capture_completeness: {completeness!r}")
-    quarantined = document.get("quarantined", 0)
-    if type(quarantined) is not int or quarantined < 0:
-        raise ProfileFormatError(f"bad quarantined: {quarantined!r}")
-    return completeness, quarantined
-
-
-def _table(
-    rows: List[object], width: int, nullable: Optional[int] = None
-) -> List[Tuple[object, ...]]:
-    """``rows`` as tuples of ``width`` ints, where column ``nullable``
-    may also be None -- the only row shape a BINCAP table frame
-    carries."""
-    table = []
-    for row in rows:
-        row = tuple(row)
-        if len(row) != width or not all(
-            type(value) is int or (value is None and column == nullable)
-            for column, value in enumerate(row)
-        ):
-            raise ProfileFormatError(f"bad table row {list(row)!r}")
-        table.append(row)
-    return table
-
-
-def _labels(labels: Dict[str, object]) -> Dict[int, str]:
-    decoded = {int(key): value for key, value in labels.items()}
-    if not all(isinstance(value, str) for value in decoded.values()):
-        raise ProfileFormatError("group labels must be strings")
-    return decoded
+    return completeness, document.get("quarantined", 0)
 
 
 # -- grammar (de)serialization ------------------------------------------------
@@ -186,55 +162,46 @@ def load_whomp_streams(stream: IO[str]) -> Dict[str, object]:
     ``group_labels``, ``access_count``, ``capture_completeness``,
     ``quarantined``.
     """
-    return _decode_whomp(_load_document(stream))
+    return _decode(_load_document(stream), "whomp")
 
 
 def _decode_whomp(document: Dict[str, object]) -> Dict[str, object]:
     """The one WHOMP stream builder, for both encodings.
 
-    JSON documents arrive with JSON-shape grammars, which
-    :func:`binformat.tag_grammar` converts; BINCAP documents
-    (:func:`binformat.decode_tagged`) arrive already tagged.  Either way
+    Checked documents of either encoding arrive with tagged grammars
+    (see :func:`binformat.decode_tagged`); a JSON-shape grammar, as
+    :func:`document_from_bytes` returns it, is tagged here.  Either way
     every grammar expands through ``binformat._expand_tagged``, capped
-    at the claimed ``access_count``, and the tables are type-checked, so
-    a document that loads here also re-encodes to BINCAP.
+    at the claimed ``access_count``.
     """
-    _require_version(document, "whomp")
-    try:
-        access_count = _count_field(document, "access_count")
-        completeness, quarantined = document_meta(document)
-        streams = {}
-        for name, grammar in document["grammars"].items():
-            if not isinstance(grammar, tuple):
-                grammar = binformat.tag_grammar(grammar)
-            streams[name] = binformat._expand_tagged(*grammar, access_count)
-        missing = [name for name in DIMENSIONS if name not in streams]
-        if missing:
-            raise ProfileFormatError(f"missing dimension streams: {missing}")
-        for name, values in streams.items():
-            if len(values) != access_count:
-                raise ProfileFormatError(
-                    f"{name} stream has {len(values)} symbols, "
-                    f"expected {access_count}"
-                )
-        return {
-            "streams": streams,
-            "base_addresses": {
-                (group, serial): address
-                for group, serial, address in _table(
-                    document["base_addresses"], 3
-                )
-            },
-            "lifetimes": _table(document["lifetimes"], 5, nullable=3),
-            "group_labels": _labels(document["group_labels"]),
-            "access_count": access_count,
-            "capture_completeness": completeness,
-            "quarantined": quarantined,
-        }
-    except ProfileFormatError:
-        raise
-    except _DECODE_ERRORS as exc:  # BinaryFormatError is a ValueError
-        raise ProfileFormatError(f"malformed WHOMP profile: {exc}") from exc
+    access_count = document["access_count"]
+    completeness, quarantined = document_meta(document)
+    streams = {}
+    for name, grammar in document["grammars"].items():
+        if not isinstance(grammar, tuple):
+            grammar = binformat.tag_grammar(grammar)
+        streams[name] = binformat._expand_tagged(*grammar, access_count)
+    missing = [name for name in DIMENSIONS if name not in streams]
+    if missing:
+        raise ProfileFormatError(f"missing dimension streams: {missing}")
+    for name, values in streams.items():
+        if len(values) != access_count:
+            raise ProfileFormatError(
+                f"{name} stream has {len(values)} symbols, "
+                f"expected {access_count}"
+            )
+    return {
+        "streams": streams,
+        "base_addresses": {
+            (group, serial): address
+            for group, serial, address in document["base_addresses"]
+        },
+        "lifetimes": [tuple(row) for row in document["lifetimes"]],
+        "group_labels": _int_keys(document["group_labels"]),
+        "access_count": access_count,
+        "capture_completeness": completeness,
+        "quarantined": quarantined,
+    }
 
 
 # -- LEAP --------------------------------------------------------------------
@@ -283,54 +250,52 @@ def save_leap(profile: LeapProfile, stream: IO[str]) -> None:
 
 
 def load_leap(stream: IO[str]) -> LeapProfile:
-    return _decode_leap(_load_document(stream))
+    return _decode(_load_document(stream), "leap")
+
+
+def _int_keys(table: Dict[str, object]) -> Dict[int, object]:
+    return {int(key): value for key, value in table.items()}
 
 
 def _decode_leap(document: Dict[str, object]) -> LeapProfile:
-    _require_version(document, "leap")
-    try:
-        entries: Dict[Tuple[int, int], LMADProfileEntry] = {}
-        for record in document["entries"]:
-            lmads = tuple(
-                LMAD(tuple(start), tuple(stride), count)
-                for start, stride, count in record["lmads"]
-            )
-            dims = lmads[0].dims if lmads else 3
-            overflow = OverflowSummary(dims=dims)
-            overflow.count = _count_field(record["overflow"], "count")
-            if record["overflow"]["min"] is not None:
-                overflow.minimum = tuple(record["overflow"]["min"])
-                overflow.maximum = tuple(record["overflow"]["max"])
-                overflow.granularity = tuple(record["overflow"]["granularity"])
-            total = _count_field(record, "total")
-            described = sum(l.count for l in lmads) + overflow.count
-            if described != total:
-                raise ProfileFormatError(
-                    f"entry ({record['instruction']}, {record['group']}) "
-                    f"describes {described} symbols but claims {total}"
-                )
-            entries[(record["instruction"], record["group"])] = LMADProfileEntry(
-                lmads=lmads,
-                overflow=overflow,
-                total_symbols=total,
-                summarized=bool(record.get("summarized", False)),
-            )
-        completeness, quarantined = document_meta(document)
-        return LeapProfile(
-            entries=entries,
-            kinds={int(k): AccessKind(v) for k, v in document["kinds"].items()},
-            exec_counts={int(k): v for k, v in document["exec_counts"].items()},
-            group_labels=_labels(document["group_labels"]),
-            access_count=_count_field(document, "access_count"),
-            budget=_count_field(document, "budget"),
-            lifetimes=_table(document["lifetimes"], 5, nullable=3),
-            capture_completeness=completeness,
-            quarantined=quarantined,
+    entries: Dict[Tuple[int, int], LMADProfileEntry] = {}
+    for record in document["entries"]:
+        lmads = tuple(
+            LMAD(tuple(start), tuple(stride), count)
+            for start, stride, count in record["lmads"]
         )
-    except ProfileFormatError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise ProfileFormatError(f"malformed LEAP profile: {exc}") from exc
+        dims = lmads[0].dims if lmads else 3
+        overflow = OverflowSummary(dims=dims)
+        overflow.count = record["overflow"]["count"]
+        if record["overflow"]["min"] is not None:
+            overflow.minimum = tuple(record["overflow"]["min"])
+            overflow.maximum = tuple(record["overflow"]["max"])
+            overflow.granularity = tuple(record["overflow"]["granularity"])
+        total = record["total"]
+        described = sum(l.count for l in lmads) + overflow.count
+        if described != total:
+            raise ProfileFormatError(
+                f"entry ({record['instruction']}, {record['group']}) "
+                f"describes {described} symbols but claims {total}"
+            )
+        entries[(record["instruction"], record["group"])] = LMADProfileEntry(
+            lmads=lmads,
+            overflow=overflow,
+            total_symbols=total,
+            summarized=record.get("summarized", False),
+        )
+    completeness, quarantined = document_meta(document)
+    return LeapProfile(
+        entries=entries,
+        kinds={int(k): AccessKind(v) for k, v in document["kinds"].items()},
+        exec_counts=_int_keys(document["exec_counts"]),
+        group_labels=_int_keys(document["group_labels"]),
+        access_count=document["access_count"],
+        budget=document["budget"],
+        lifetimes=[tuple(row) for row in document["lifetimes"]],
+        capture_completeness=completeness,
+        quarantined=quarantined,
+    )
 
 
 # -- dependence tables -------------------------------------------------------
@@ -354,29 +319,17 @@ def save_dependence(profile: DependenceProfile, stream: IO[str]) -> None:
 
 
 def load_dependence(stream: IO[str]) -> DependenceProfile:
-    return _decode_dependence(_load_document(stream))
+    return _decode(_load_document(stream), "dependence")
 
 
 def _decode_dependence(document: Dict[str, object]) -> DependenceProfile:
-    if document.get("format") != "dependence":
-        raise ProfileFormatError("not a dependence profile")
-    try:
-        return DependenceProfile(
-            conflicts={
-                (store, load): count
-                for store, load, count in document["conflicts"]
-            },
-            load_counts={
-                int(k): v for k, v in document["load_counts"].items()
-            },
-            store_counts={
-                int(k): v for k, v in document["store_counts"].items()
-            },
-        )
-    except ProfileFormatError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise ProfileFormatError(f"malformed dependence profile: {exc}") from exc
+    return DependenceProfile(
+        conflicts={
+            (store, load): count for store, load, count in document["conflicts"]
+        },
+        load_counts=_int_keys(document["load_counts"]),
+        store_counts=_int_keys(document["store_counts"]),
+    )
 
 
 # -- trace documents ----------------------------------------------------------
@@ -384,7 +337,7 @@ def _decode_dependence(document: Dict[str, object]) -> DependenceProfile:
 #: version of the TRACELINK trace document (see :mod:`repro.obs.trace`,
 #: which builds them; decoding lives here so the store validates traces
 #: exactly like profiles)
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = binformat.DOCUMENT_VERSION
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -509,16 +462,31 @@ def dumps_bytes(profile: object, fmt: str = "json") -> bytes:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def profile_from_document(document: Dict[str, object]) -> object:
-    """Decode a document dict into its profile object, dispatching on
-    the ``format`` field (the common tail of :func:`loads` and
-    :func:`loads_bytes`).  WHOMP grammars may be in JSON shape or in
-    the tagged form :func:`repro.core.binformat.decode_tagged` leaves."""
-    fmt = document.get("format")
-    decoder = _DECODERS.get(fmt)
+def _decode(document: Dict[str, object], fmt: Optional[str] = None) -> object:
+    """The profile object of a checked document, of kind ``fmt`` if one
+    is given; whatever its decoder raises is a :class:`ProfileFormatError`."""
+    kind = document.get("format")
+    if fmt is not None and kind != fmt:
+        raise ProfileFormatError(f"not a {fmt.upper()} profile")
+    decoder = _DECODERS.get(kind)
     if decoder is None:
-        raise ProfileFormatError(f"unknown profile format {fmt!r}")
-    return decoder(document)
+        raise ProfileFormatError(f"unknown profile format {kind!r}")
+    try:
+        return decoder(document)
+    except ProfileFormatError:
+        raise
+    except _DECODE_ERRORS as exc:  # BinaryFormatError is a ValueError
+        raise ProfileFormatError(f"malformed {kind} profile: {exc}") from exc
+
+
+def profile_from_document(document: Dict[str, object]) -> object:
+    """Decode a checked document dict into its profile object,
+    dispatching on the ``format`` field (the common tail of
+    :func:`loads` and :func:`loads_bytes`).  The document comes from
+    :func:`document_from_bytes` or the loaders; WHOMP grammars may be in
+    JSON shape or in the tagged form
+    :func:`repro.core.binformat.decode_tagged` leaves."""
+    return _decode(document)
 
 
 def loads(text: str) -> object:
@@ -531,14 +499,15 @@ def loads(text: str) -> object:
     return profile_from_document(_load_document(io.StringIO(text)))
 
 
-def _document(
-    data: bytes, decode_binary: Callable[[bytes], Dict[str, object]]
-) -> Dict[str, object]:
-    """The document dict of either encoding: BINCAP bytes (magic) go
-    through ``decode_binary``, anything else must be UTF-8 JSON."""
+def _document(data: bytes, tagged: bool) -> Dict[str, object]:
+    """The checked document dict of either encoding: BINCAP bytes
+    (magic) are frame-decoded, anything else must be UTF-8 JSON.  With
+    ``tagged``, WHOMP grammars stay in the tagged form."""
     try:
         if binformat.sniff_kind(data) is not None:
-            return decode_binary(data)
+            if tagged:
+                return binformat.decode_tagged(data)
+            return binformat.decode_document(data)
     except binformat.BinaryFormatError as exc:
         raise ProfileFormatError(str(exc)) from exc
     try:
@@ -547,30 +516,29 @@ def _document(
         raise ProfileFormatError(
             f"profile bytes are neither binary nor UTF-8 JSON: {exc}"
         ) from exc
-    return _load_document(io.StringIO(text))
+    return _load_document(io.StringIO(text), tagged)
 
 
 def document_from_bytes(data: Union[bytes, bytearray]) -> Dict[str, object]:
     """Decode either encoding back to its JSON-shape document dict.
 
     Binary bytes (BINCAP magic) are frame-decoded and CRC-checked; any
-    other bytes must be a UTF-8 JSON object.  The result is the common
-    currency of the differ and the daemon's ``/get`` endpoint --
-    downstream code never needs to know which encoding arrived.
+    other bytes must be a UTF-8 JSON object that BINCAP could carry.
+    The result is the common currency of the differ and the daemon's
+    ``/get`` endpoint -- downstream code never needs to know which
+    encoding arrived.
     """
-    return _document(bytes(data), binformat.decode_document)
+    return _document(bytes(data), tagged=False)
 
 
 def loads_bytes(data: Union[bytes, bytearray]) -> object:
     """Decode a profile from bytes in either encoding (magic-routed).
 
-    Both encodings reach the same per-kind decoders; BINCAP WHOMP
-    grammars arrive there still tagged
-    (:func:`repro.core.binformat.decode_tagged`), so binary loads never
-    build the JSON-shape grammar at all.
+    Both encodings reach the same per-kind decoders with WHOMP grammars
+    already tagged (:func:`repro.core.binformat.decode_tagged`), so
+    binary loads never build the JSON-shape grammar at all.
     """
-    document = _document(bytes(data), binformat.decode_tagged)
-    return profile_from_document(document)
+    return profile_from_document(_document(bytes(data), tagged=True))
 
 
 #: canonical documents serialize their ``format`` field first, so a
@@ -612,7 +580,7 @@ def sniff_format(payload: Union[str, bytes, bytearray]) -> str:
     match = _SNIFF_RE.search(text[:_SNIFF_PREFIX])
     if match and match.group(1) in _DECODERS and text.lstrip()[:1] == "{":
         return match.group(1)
-    document = _load_document(io.StringIO(text))
+    document = _parse(io.StringIO(text))
     fmt = document.get("format")
     if fmt not in _DECODERS:
         raise ProfileFormatError(f"unknown profile format {fmt!r}")

@@ -483,9 +483,7 @@ def _tagged_both(grammar):
     """``grammar``'s tagged form as each encoding reaches the expander:
     converted from JSON shape, and decoded from a BINCAP grammar frame."""
     from_json = bf.tag_grammar(grammar)
-    __, start, productions = bf._decode_grammar_tagged(
-        bf._encode_grammar("g", grammar)
-    )
+    start, productions = bf._decode_grammar_tagged(bf._encode_grammar(from_json))
     assert (start, productions) == from_json
     return [from_json, (start, productions)]
 

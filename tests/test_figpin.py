@@ -1,0 +1,75 @@
+"""FIGPIN: the paper's figure suite pinned by the sha256 of its results.
+
+The figures and Table 1 must stay byte-identical through any speed-up,
+so this pins the canonical ``--json`` of::
+
+    repro-experiments fig5 fig6 fig7 fig8 fig9 table1 --no-speed --seed 0
+
+with every ``elapsed_seconds`` (wall clock, the only field that varies
+between runs) dropped, keys sorted and no whitespace.  Scale 0.25 runs
+in the unit suite; scale 1.0 (about four times longer) runs from the
+command line::
+
+    PYTHONPATH=src python tests/test_figpin.py 1.0
+
+which prints the digest and exits 1 if it misses its pin.  A change to
+a pin is a change to a figure: say why in CHANGES.md and EXPERIMENTS.md.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+from repro.experiments.runner import main as runner_main
+
+EXPERIMENTS = ("fig5", "fig6", "fig7", "fig8", "fig9", "table1")
+SEED = 0
+
+FIG_PINS = {
+    0.25: "39485884377aa6d43d03159a2763ff4b3682cb10635ee70ef3070e6daf2ccbd5",
+    1.0: "a098ab9e045625ce8bd4385f9a767459d160e0b6c9b0a2215933538de4a2accc",
+}
+
+
+def _drop_elapsed(value):
+    if isinstance(value, dict):
+        return {
+            key: _drop_elapsed(item)
+            for key, item in value.items()
+            if key != "elapsed_seconds"
+        }
+    if isinstance(value, list):
+        return [_drop_elapsed(item) for item in value]
+    return value
+
+
+def suite_digest(scale: float) -> str:
+    """sha256 of the suite's canonical ``--json`` at ``scale``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "figures.json")
+        status = runner_main(
+            [*EXPERIMENTS, "--no-speed", "--seed", str(SEED),
+             "--scale", str(scale), "--json", path]
+        )
+        assert status == 0, f"figure suite exited {status}"
+        with open(path) as handle:
+            records = json.load(handle)
+    canonical = json.dumps(
+        _drop_elapsed(records), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_figures_at_quarter_scale():
+    assert suite_digest(0.25) == FIG_PINS[0.25]
+
+
+if __name__ == "__main__":
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
+    got = suite_digest(scale)
+    print(f"scale {scale}: {got}")
+    if scale in FIG_PINS and got != FIG_PINS[scale]:
+        print(f"MISS: pinned {FIG_PINS[scale]}", file=sys.stderr)
+        sys.exit(1)

@@ -3,6 +3,8 @@
 import functools
 import io
 import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.dependence_lossless import LosslessDependenceProfiler
 from repro.compression.sequitur import SequiturGrammar
+from repro.core import binformat as bf
 from repro.core.binformat import BinaryFormatError, encode_document
 from repro.core.profile_io import (
     ProfileFormatError,
@@ -117,6 +120,55 @@ class TestDependenceIO:
     def test_wrong_format_rejected(self):
         with pytest.raises(ProfileFormatError):
             load_dependence(io.StringIO('{"format": "other"}'))
+
+    @staticmethod
+    def _document(conflicts, version=1):
+        return {
+            "format": "dependence", "version": version,
+            "conflicts": conflicts, "load_counts": {}, "store_counts": {},
+        }
+
+    def test_wrong_version_rejected_in_both_encodings(self):
+        document = self._document([[3, 1, 5]], version=99)
+        with pytest.raises(ProfileFormatError, match="version"):
+            loads_bytes(json.dumps(document).encode("utf-8"))
+        with pytest.raises(BinaryFormatError, match="version"):
+            encode_document(document)
+
+    def test_duplicate_conflict_rows_rejected_in_both_encodings(self):
+        document = self._document([[3, 1, 5], [3, 1, 9]])
+        with pytest.raises(ProfileFormatError, match="duplicate"):
+            loads_bytes(json.dumps(document).encode("utf-8"))
+        with pytest.raises(BinaryFormatError, match="duplicate"):
+            encode_document(document)
+        # BINCAP bytes carrying the two rows, framed by hand
+        conflicts = bytearray()
+        for value, write in ((2, bf.write_uvarint), (3, bf.write_svarint),
+                             (1, bf.write_svarint), (5, bf.write_uvarint),
+                             (0, bf.write_svarint), (0, bf.write_svarint),
+                             (9, bf.write_uvarint)):
+            write(conflicts, value)
+        frames = [(bf.FRAME_CONFLICTS, bytes(conflicts))]
+        for name in ("load_counts", "store_counts"):
+            payload = bytearray()
+            bf.write_token(payload, name)
+            bf.write_uvarint(payload, 0)
+            frames.append((bf.FRAME_COUNTS, bytes(payload)))
+        with pytest.raises(ProfileFormatError, match="duplicate"):
+            loads_bytes(_framed("dependence", frames))
+
+
+def _framed(kind, frames):
+    """A BINCAP document of ``kind`` holding ``frames`` verbatim."""
+    out = bytearray(bf.MAGIC)
+    header = bytearray()
+    bf.write_uvarint(header, bf.BINARY_VERSION)
+    bf.write_token(header, kind)
+    bf.write_frame(out, bf.FRAME_HEADER, bytes(header))
+    for tag, payload in frames:
+        bf.write_frame(out, tag, payload)
+    bf.write_frame(out, bf.FRAME_END, struct.pack("<I", zlib.crc32(out)))
+    return bytes(out)
 
 
 def _whomp_with_grammar(grammar, access_count):
@@ -229,6 +281,22 @@ def _stringify_a_terminal(document):
                     return
 
 
+def _set_first(table, value):
+    """Overwrite the value of ``table``'s first row or key."""
+    if isinstance(table, dict):
+        table[next(iter(table))] = value
+    else:
+        table[0][-1] = value
+
+
+def _first_lmad_start(document, value):
+    start = next(
+        lmad[0] for entry in document["entries"] for lmad in entry["lmads"]
+        if lmad[0]
+    )
+    start[0] = value
+
+
 #: edits that make a loadable document one BINCAP cannot carry
 _MUTATIONS = {
     "string terminal": _stringify_a_terminal,
@@ -236,6 +304,32 @@ _MUTATIONS = {
     "base row": lambda doc: doc["base_addresses"].append([1, 2, "zz"]),
     "completeness": lambda doc: doc.update(capture_completeness="abc"),
     "quarantined": lambda doc: doc.update(quarantined=-5),
+    "negative exec count": lambda doc: _set_first(doc["exec_counts"], -3),
+    "fractional exec count": lambda doc: _set_first(doc["exec_counts"], 2.5),
+    "string exec count": lambda doc: _set_first(doc["exec_counts"], "7"),
+    "fractional instruction": (
+        lambda doc: doc["entries"][0].update(instruction=1.5)
+    ),
+    "fractional LMAD start": lambda doc: _first_lmad_start(doc, 0.5),
+    "negative conflict count": lambda doc: _set_first(doc["conflicts"], -5),
+    "fractional conflict count": (
+        lambda doc: _set_first(doc["conflicts"], 2.5)
+    ),
+    "fractional load count": lambda doc: _set_first(doc["load_counts"], 1.5),
+}
+
+#: the mutations each fixed-document arm draws; every one of them is
+#: refused on load (the WHOMP arm's random documents are drawn instead)
+_ARM_MUTATIONS = {
+    "leap": [
+        "completeness", "lifetime row", "quarantined", "negative exec count",
+        "fractional exec count", "string exec count",
+        "fractional instruction", "fractional LMAD start",
+    ],
+    "dependence": [
+        "negative conflict count", "fractional conflict count",
+        "fractional load count",
+    ],
 }
 
 
@@ -278,9 +372,11 @@ def _loadable_whomp(draw):
 
 
 @functools.lru_cache(maxsize=None)
-def _leap_text():
+def _arm_text(kind):
+    """The fixed document of the ``leap`` or ``dependence`` arm."""
     trace = LinkedListTraversal(nodes=12, sweeps=2).trace()
-    return dumps(LeapProfiler().profile(trace))
+    leap = LeapProfiler().profile(trace)
+    return dumps(leap if kind == "leap" else analyze_dependences(leap))
 
 
 class TestJsonCarriesOnlyWhatBincapCarries:
@@ -290,13 +386,14 @@ class TestJsonCarriesOnlyWhatBincapCarries:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_mutated_documents_load_only_if_bincap_carries_them(self, data):
-        kind = data.draw(st.sampled_from(["whomp", "leap"]))
+        kind = data.draw(st.sampled_from(["whomp", "leap", "dependence"]))
         if kind == "whomp":
             document = data.draw(_loadable_whomp())
-            mutations = sorted(_MUTATIONS)
+            mutations = ["string terminal", "lifetime row", "base row",
+                         "completeness", "quarantined"]
         else:
-            document = json.loads(_leap_text())
-            mutations = ["completeness", "lifetime row", "quarantined"]
+            document = json.loads(_arm_text(kind))
+            mutations = _ARM_MUTATIONS[kind]
         loads_bytes(json.dumps(document).encode("utf-8"))  # loads unmutated
         mutation = data.draw(st.sampled_from(mutations))
         _MUTATIONS[mutation](document)
@@ -306,9 +403,22 @@ class TestJsonCarriesOnlyWhatBincapCarries:
         except ProfileFormatError:
             return
         from_binary = loads_bytes(encode_document(document))
-        if kind == "leap":
+        if kind != "whomp":
             loaded, from_binary = dumps(loaded), dumps(from_binary)
         assert from_binary == loaded
+
+    @pytest.mark.parametrize(
+        "kind, mutation",
+        [(kind, name) for kind, names in _ARM_MUTATIONS.items()
+         for name in names],
+    )
+    def test_mutation_is_refused_on_load(self, kind, mutation):
+        document = json.loads(_arm_text(kind))
+        _MUTATIONS[mutation](document)
+        with pytest.raises(ProfileFormatError):
+            loads_bytes(json.dumps(document).encode("utf-8"))
+        with pytest.raises(BinaryFormatError):
+            encode_document(document)
 
 
 @pytest.mark.faults
