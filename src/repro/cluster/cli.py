@@ -22,6 +22,10 @@ Subcommands::
         Drive the mixed load harness; --kill-shard-after S SIGKILLs
         one live shard mid-run (the fault drill).  Exits 1 on any
         transport failure or 5xx.
+
+Every ``--url`` request goes through the shared client
+(:mod:`repro.store.client`); an unreachable router or a non-2xx answer
+is one line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ import signal
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, List, Optional
 
 from repro.obs.events import EventLog
+from repro.store.client import http_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,20 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _http_json(url: str, method: str = "GET", timeout: float = 30.0):
-    request = urllib.request.Request(url, method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(
-                response.read().decode("utf-8")
-            )
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"router answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"router unreachable: {exc.reason}") from None
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.cluster.router import ClusterRouter
     from repro.cluster.supervisor import ShardSupervisor
@@ -168,7 +157,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    __, payload = _http_json(f"{args.url.rstrip('/')}/clusterz")
+    payload = http_json(args.url, "GET", "/clusterz")
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -216,7 +205,7 @@ def _parse_mix(text: Optional[str]) -> Optional[Dict[str, float]]:
 def _live_shard_pid(url: str) -> Optional[int]:
     """A (pid, any) of one alive shard, for the kill drill."""
     try:
-        __, payload = _http_json(f"{url.rstrip('/')}/clusterz", timeout=5.0)
+        payload = http_json(url, "GET", "/clusterz", timeout=5.0)
     except ValueError:
         return None
     for __name, row in sorted(payload.get("shards", {}).items()):
@@ -295,9 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "status":
             return _run_status(args)
         if args.command == "rebalance":
-            __, payload = _http_json(
-                f"{args.url.rstrip('/')}/rebalance", method="POST",
-                timeout=120.0,
+            payload = http_json(
+                args.url, "POST", "/rebalance", timeout=120.0
             )
             print(
                 f"rebalance: checked {payload.get('checked')}, "
@@ -306,9 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 1 if payload.get("failed") else 0
         if args.command == "drain":
-            __, payload = _http_json(
-                f"{args.url.rstrip('/')}/drain?shard={args.shard}",
-                method="POST", timeout=120.0,
+            payload = http_json(
+                args.url, "POST", "/drain", params={"shard": args.shard},
+                timeout=120.0,
             )
             print(
                 f"drained {payload.get('shard')}: copied "

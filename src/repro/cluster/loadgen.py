@@ -1,9 +1,10 @@
 """Load generation against a PROFSTORE daemon or cluster router.
 
 Drives a deterministic mixed workload -- JSON ingest, BINCAP binary
-ingest, chunked stream ingest, run/entry queries, document gets,
-structural diffs -- from ``concurrency`` threads (each with its own
-keep-alive connection), recording per-kind latency into
+ingest, stream ingest, run/entry queries, document gets,
+structural diffs -- from ``concurrency`` threads (each on its own
+keep-alive connection of the shared client,
+:mod:`repro.store.client`), recording per-kind latency into
 :class:`~repro.obs.quantiles.QuantileDigest` and counting failures by
 class: transport errors, 5xx (server faults -- the cluster fault drill
 asserts this stays **zero** while a shard dies), and 4xx.
@@ -19,14 +20,12 @@ byte-identical sequence of operations at any concurrency.
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import random
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlencode, urlsplit
 
 from repro.core.binformat import StreamWriter
 from repro.core.events import AccessKind
@@ -35,6 +34,7 @@ from repro.obs.quantiles import QuantileDigest
 from repro.profilers.leap import LeapProfiler
 from repro.runtime.process import Process
 from repro.store.blobs import sha256_hex
+from repro.store.client import http_request
 
 #: default op mix (weights, normalized); ingest-heavy because ingest is
 #: the cluster's replicated (most expensive) path
@@ -49,21 +49,6 @@ DEFAULT_MIX: Dict[str, float] = {
 }
 
 OP_KINDS = tuple(DEFAULT_MIX)
-
-
-def _connect(netloc: str, timeout: float) -> http.client.HTTPConnection:
-    """A keep-alive connection with Nagle off.
-
-    POST bodies go out in a second ``send()``; with Nagle on, that
-    segment waits on the server's delayed ACK -- a fixed ~40ms stall
-    per request that would swamp every latency number here.
-    """
-    connection = http.client.HTTPConnection(netloc, timeout=timeout)
-    connection.connect()
-    connection.sock.setsockopt(
-        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-    )
-    return connection
 
 
 def synthetic_documents(
@@ -243,11 +228,12 @@ class _Generator:
         timeout: float,
         unique_ingest: bool = False,
     ) -> None:
-        self.netloc = urlsplit(url).netloc
+        #: (method, path, params, body) -> Response, on the calling
+        #: thread's keep-alive connection
+        self._send = functools.partial(http_request, url, timeout=timeout)
         self.plan = plan
         self.documents = documents
         self.concurrency = max(1, concurrency)
-        self.timeout = timeout
         self.unique_ingest = unique_ingest
         self._next = 0
         self._plan_lock = threading.Lock()
@@ -276,30 +262,10 @@ class _Generator:
                 return []
             return [rng.choice(self._known)[0] for __ in range(count)]
 
-    def _request(
-        self,
-        connection: http.client.HTTPConnection,
-        method: str,
-        path: str,
-        body: Optional[object] = None,
-        headers: Optional[Dict[str, str]] = None,
-        chunked: bool = False,
-    ) -> Tuple[int, bytes]:
-        connection.request(
-            method, path, body=body, headers=headers or {},
-            encode_chunked=chunked,
-        )
-        response = connection.getresponse()
-        return response.status, response.read()
-
     # -- ops -----------------------------------------------------------
 
     def _run_op(
-        self,
-        connection: http.client.HTTPConnection,
-        kind: str,
-        index: int,
-        rng: random.Random,
+        self, kind: str, index: int, rng: random.Random
     ) -> Optional[int]:
         if kind in ("ingest-json", "ingest-binary"):
             wanted = "json" if kind == "ingest-json" else "binary"
@@ -312,9 +278,8 @@ class _Generator:
                 # short-circuit (binary documents cannot be padded:
                 # BINCAP rejects trailing bytes as a torn frame)
                 data = data + b" " * (1 + index)
-            status, body = self._request(
-                connection, "POST",
-                f"/ingest?{urlencode({'workload': workload})}", body=data,
+            status, __, body = self._send(
+                "POST", "/ingest", {"workload": workload}, data
             )
             if status in (200, 201):
                 try:
@@ -325,63 +290,46 @@ class _Generator:
                     self._note_digest(digest, workload)
             return status
         if kind == "ingest-stream":
+            # the framed stream goes out as bytes, so the client's one
+            # retry on a fresh socket covers it like any other write
             workload, __, data = self.documents[index % len(self.documents)]
             pending: List[bytes] = []
             writer = StreamWriter(pending.append)
             writer.begin()
             writer.send_document(workload, data)
             writer.close()
-
-            def chunks():
-                yield b"".join(pending)
-
-            status, __body = self._request(
-                connection, "POST", "/ingest/stream", body=chunks(),
-                headers={"Transfer-Encoding": "chunked"}, chunked=True,
-            )
+            status = self._send(
+                "POST", "/ingest/stream", body=b"".join(pending)
+            ).status
             if status in (200, 201):
                 self._note_digest(sha256_hex(data), workload)
             return status
         if kind == "query-runs":
             workload = self.documents[index % len(self.documents)][0]
-            status, __body = self._request(
-                connection, "GET",
-                f"/query/runs?{urlencode({'workload': workload})}",
-            )
-            return status
+            return self._send(
+                "GET", "/query/runs", {"workload": workload}
+            ).status
         if kind == "query-entries":
             picked = self._pick_digests(rng, 1)
             if not picked:
-                status, __body = self._request(
-                    connection, "GET", "/query/runs"
-                )
-                return status
+                return self._send("GET", "/query/runs").status
             # run= restricts the scan to one blob: the op stays cheap
             # at any store size, which keeps the mix stationary
-            status, __body = self._request(
-                connection, "GET",
-                f"/query/entries?{urlencode({'run': picked[0]})}",
-            )
-            return status
+            return self._send(
+                "GET", "/query/entries", {"run": picked[0]}
+            ).status
         if kind == "get":
             picked = self._pick_digests(rng, 1)
             if not picked:
-                status, __body = self._request(connection, "GET", "/healthz")
-                return status
-            status, __body = self._request(
-                connection, "GET", f"/get?{urlencode({'run': picked[0]})}"
-            )
-            return status
+                return self._send("GET", "/healthz").status
+            return self._send("GET", "/get", {"run": picked[0]}).status
         if kind == "diff":
             picked = self._pick_digests(rng, 2)
             if len(picked) < 2:
-                status, __body = self._request(connection, "GET", "/healthz")
-                return status
-            status, __body = self._request(
-                connection, "GET",
-                f"/diff?{urlencode({'a': picked[0], 'b': picked[1]})}",
-            )
-            return status
+                return self._send("GET", "/healthz").status
+            return self._send(
+                "GET", "/diff", {"a": picked[0], "b": picked[1]}
+            ).status
         raise ValueError(f"unknown op kind {kind!r}")
 
     # -- workers -------------------------------------------------------
@@ -389,7 +337,6 @@ class _Generator:
     def _worker(self, worker_index: int) -> None:
         rng = random.Random(worker_index * 7919 + 17)
         report = LoadReport()
-        connection = _connect(self.netloc, self.timeout)
         try:
             while True:
                 taken = self._take()
@@ -397,25 +344,15 @@ class _Generator:
                     break
                 index, kind = taken
                 start = time.perf_counter()
-                status: Optional[int] = None
+                # every op's body is replayable, so the client retries
+                # a failed exchange once on a fresh socket: a shard
+                # dying mid-exchange costs that op a retry, not the run
                 try:
-                    status = self._run_op(connection, kind, index, rng)
-                except (http.client.HTTPException, OSError, ValueError):
-                    # one reconnect per failed op: a shard dying
-                    # mid-exchange costs that op a retry, not the run
-                    connection.close()
-                    try:
-                        connection = _connect(self.netloc, self.timeout)
-                        status = self._run_op(connection, kind, index, rng)
-                    except (http.client.HTTPException, OSError, ValueError):
-                        connection.close()
-                        connection = http.client.HTTPConnection(
-                            self.netloc, timeout=self.timeout
-                        )
-                        status = None
+                    status: Optional[int] = self._run_op(kind, index, rng)
+                except (OSError, ValueError):
+                    status = None
                 report.record(kind, time.perf_counter() - start, status)
         finally:
-            connection.close()
             with self._report_lock:
                 self._reports.append(report)
 
@@ -463,20 +400,12 @@ def run_load(
     generator = _Generator(
         url, plan, docs, concurrency, timeout, unique_ingest=unique_ingest
     )
-    if warmup_ingests > 0:
-        connection = _connect(generator.netloc, timeout)
-        try:
-            for index in range(min(warmup_ingests, len(docs))):
-                workload, __, data = docs[index]
-                status, body = generator._request(
-                    connection, "POST",
-                    f"/ingest?{urlencode({'workload': workload})}",
-                    body=data,
-                )
-                if status in (200, 201):
-                    generator._note_digest(sha256_hex(data), workload)
-        finally:
-            connection.close()
+    for workload, __, data in docs[:max(0, warmup_ingests)]:
+        status = generator._send(
+            "POST", "/ingest", {"workload": workload}, data
+        ).status
+        if status in (200, 201):
+            generator._note_digest(sha256_hex(data), workload)
     return generator.run()
 
 

@@ -36,23 +36,23 @@ Endpoints (all JSON unless noted)::
 
 The HTTP shell (handler, lifecycle, drain, trace join, latency
 digests, access log) is :class:`~repro.store.service.HttpService`,
-shared with the shard daemon.  Trace propagation: an inbound
-``X-Repro-Trace`` runs the request under a child context, and every
-shard call carries the child's header, so one trace id links the
-client, the router, and every shard touched.
+shared with the shard daemon; every shard call goes out through the
+shared client, :mod:`repro.store.client` (per-thread keep-alive, the
+call's own timeout, one retry for a replayable body), and
+:meth:`ClusterRouter._try_shard` adds only the health marking.  Trace
+propagation: an inbound ``X-Repro-Trace`` runs the request under a
+child context, and the client puts the child's header on every shard
+call, so one trace id links the client, the router, and every shard
+touched.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlencode, urlsplit
 
 from repro.cluster.health import RingState, ShardHealthTable
 from repro.cluster.ring import DEFAULT_VNODES
@@ -62,6 +62,7 @@ from repro.obs.events import EventLog
 from repro.obs.quantiles import DigestMerger
 from repro.obs.spans import Telemetry
 from repro.store.blobs import sha256_hex
+from repro.store.client import Response, http_request, json_object
 from repro.store.diff import detect_regressions, diff_blobs
 from repro.store.httpbody import RequestError
 from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
@@ -103,7 +104,6 @@ class ClusterRouter(HttpService):
         #: /clusterz can reach the shard processes
         self.supervisor = None
         self._repairs = 0
-        self._local = threading.local()
         # replica writes fan out concurrently; a persistent pool keeps
         # each worker's per-thread keep-alive connections warm
         self._write_pool = ThreadPoolExecutor(
@@ -168,122 +168,44 @@ class ClusterRouter(HttpService):
         """
         while not self._probe_stop.wait(self.probe_interval):
             for name in self.health.names():
-                try:
-                    status, __, body = self._shard_request(
-                        name, "GET", "/healthz", timeout=2.0
-                    )
-                except OSError as exc:
-                    self.health.mark_failed(name, str(exc))
+                answer = self._try_shard(name, "GET", "/healthz", timeout=2.0)
+                if answer is None:
                     continue
+                status, __, body = answer
                 if status != 200:
                     self.health.mark_failed(name, f"healthz answered {status}")
                     continue
-                runs = None
-                try:
-                    runs = json.loads(body.decode("utf-8")).get("runs")
-                except ValueError:
-                    pass
+                runs = json_object(body).get("runs")
                 self.health.mark_ok(
                     name, runs=runs if isinstance(runs, int) else None
                 )
 
     # -- shard client --------------------------------------------------
 
-    def _shard_request(
-        self,
-        shard: str,
-        method: str,
-        path: str,
-        body: Optional[bytes] = None,
-        headers: Optional[Dict[str, str]] = None,
-        timeout: Optional[float] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One HTTP exchange with a shard, over a per-thread keep-alive
-        connection.
-
-        A stale connection (the shard restarted, or its HTTP/1.0-era
-        close raced us) is retried once on a fresh socket -- safe even
-        for POSTs because every shard write is content-addressed and
-        idempotent.  Raises OSError when the shard is unreachable.
-        """
-        url = self.health.url(shard)
-        if not url:
-            raise OSError(f"shard {shard!r} has no known address")
-        netloc = urlsplit(url).netloc
-        conns = getattr(self._local, "conns", None)
-        if conns is None:
-            conns = self._local.conns = {}
-        cached = conns.get(shard)
-        if cached is not None and cached[0] != netloc:
-            cached[1].close()
-            conns.pop(shard, None)
-            cached = None
-        send_headers = dict(headers or {})
-        trace = current_header()
-        if trace is not None:
-            send_headers[TRACE_HEADER] = trace
-        last_error: Optional[Exception] = None
-        for attempt in range(2):
-            if cached is None:
-                connection = http.client.HTTPConnection(
-                    netloc, timeout=timeout or self.shard_timeout
-                )
-                try:
-                    # Nagle off: POST bodies go out in a second send(),
-                    # which would otherwise stall ~40ms on delayed ACK
-                    connection.connect()
-                    connection.sock.setsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                    )
-                except OSError as exc:
-                    connection.close()
-                    last_error = exc
-                    continue
-                cached = (netloc, connection)
-                conns[shard] = cached
-            try:
-                cached[1].request(method, path, body=body, headers=send_headers)
-                response = cached[1].getresponse()
-                data = response.read()
-                response_headers = dict(response.getheaders())
-                if response.will_close:
-                    cached[1].close()
-                    conns.pop(shard, None)
-                return response.status, response_headers, data
-            except (http.client.HTTPException, OSError) as exc:
-                cached[1].close()
-                conns.pop(shard, None)
-                cached = None
-                last_error = exc
-        raise OSError(f"shard {shard!r} unreachable: {last_error}")
-
     def _try_shard(
         self,
         shard: str,
         method: str,
         path: str,
+        params: Optional[Dict[str, str]] = None,
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
         timeout: Optional[float] = None,
-    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
-        """Like :meth:`_shard_request`, but an unreachable shard marks
-        the health table and yields None instead of raising."""
-        try:
-            return self._shard_request(
-                shard, method, path, body=body, headers=headers,
-                timeout=timeout,
-            )
-        except OSError as exc:
-            self.health.mark_failed(shard, str(exc))
-            return None
-
-    @staticmethod
-    def _json(body: bytes) -> Dict[str, object]:
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return {}
-        return decoded if isinstance(decoded, dict) else {}
+    ) -> Optional[Response]:
+        """One exchange with a shard through the keep-alive client; an
+        unreachable shard marks the health table and yields None."""
+        url = self.health.url(shard)
+        error = f"shard {shard!r} has no known address"
+        if url:
+            try:
+                return http_request(
+                    url, method, path, params=params, body=body,
+                    headers=headers, timeout=timeout or self.shard_timeout,
+                )
+            except OSError as exc:
+                error = f"shard {shard!r} unreachable: {exc}"
+        self.health.mark_failed(shard, error)
+        return None
 
     # -- dispatch ------------------------------------------------------
 
@@ -381,11 +303,11 @@ class ClusterRouter(HttpService):
         shards: Dict[str, object] = {}
         for name in self.health.alive_shards():
             answer = self._try_shard(
-                name, "GET", "/metricsz?digests=1", timeout=5.0
+                name, "GET", "/metricsz", params={"digests": "1"}, timeout=5.0
             )
             if answer is None or answer[0] != 200:
                 continue
-            payload = self._json(answer[2])
+            payload = json_object(answer[2])
             row: Dict[str, object] = {
                 "endpoints": payload.get("endpoints"),
                 "cache": payload.get("cache"),
@@ -434,7 +356,7 @@ class ClusterRouter(HttpService):
                 answer = self._try_shard(name, "GET", "/tracez", timeout=5.0)
                 if answer is None or answer[0] != 200:
                     continue
-                for row in self._json(answer[2]).get("traces") or ():
+                for row in json_object(answer[2]).get("traces") or ():
                     if isinstance(row, dict):
                         fold(row)
             return {"traces": sorted(merged.values(), key=lambda r: r["trace_id"])}
@@ -443,11 +365,11 @@ class ClusterRouter(HttpService):
         shard_records: List[object] = []
         for name in self.health.alive_shards():
             answer = self._try_shard(
-                name, "GET", f"/tracez?trace={trace_id}", timeout=5.0
+                name, "GET", "/tracez", params={"trace": trace_id}, timeout=5.0
             )
             if answer is None or answer[0] != 200:
                 continue
-            payload = self._json(answer[2])
+            payload = json_object(answer[2])
             for record in payload.get("records") or ():
                 if isinstance(record, dict):
                     record = dict(record)
@@ -498,23 +420,22 @@ class ClusterRouter(HttpService):
         placed = self.ring.place(digest)
         if not placed:
             raise RequestError(503, "no shards attached to the ring")
-        headers: Dict[str, str] = {}
         trace = current_header()
-        if trace is not None:
-            headers[TRACE_HEADER] = trace
-        path = f"/ingest?{urlencode({'workload': workload})}"
+        headers = {TRACE_HEADER: trace} if trace is not None else None
+        params = {"workload": workload}
 
         if len(placed) == 1:
             answers = [
                 self._try_shard(
-                    placed[0], "POST", path, body=data, headers=headers
+                    placed[0], "POST", "/ingest", params=params, body=data,
+                    headers=headers,
                 )
             ]
         else:
             futures = [
                 self._write_pool.submit(
-                    self._try_shard, shard, "POST", path,
-                    body=data, headers=headers,
+                    self._try_shard, shard, "POST", "/ingest",
+                    params=params, body=data, headers=headers,
                 )
                 for shard in placed
             ]
@@ -530,9 +451,9 @@ class ClusterRouter(HttpService):
             if status in (200, 201):
                 written.append(shard)
                 if first is None:
-                    first = self._json(body)
+                    first = json_object(body)
             elif 400 <= status < 500:
-                payload = self._json(body)
+                payload = json_object(body)
                 payload.setdefault("error", f"shard answered {status}")
                 payload["shard"] = shard
                 return status, payload
@@ -599,7 +520,7 @@ class ClusterRouter(HttpService):
         needs_repair: List[str] = []
         for shard in candidates:
             answer = self._try_shard(
-                shard, "GET", f"/blob?digest={digest}", timeout=10.0
+                shard, "GET", "/blob", params={"digest": digest}, timeout=10.0
             )
             if answer is None:
                 continue
@@ -643,10 +564,10 @@ class ClusterRouter(HttpService):
     ) -> None:
         """Push the verified bytes back onto one broken replica."""
         workload = headers.get("X-Repro-Workload", "unknown")
-        path = (
-            f"/repair?{urlencode({'digest': digest, 'workload': workload})}"
+        answer = self._try_shard(
+            shard, "POST", "/repair",
+            params={"digest": digest, "workload": workload}, body=data,
         )
-        answer = self._try_shard(shard, "POST", path, body=data)
         repaired = answer is not None and answer[0] == 200
         error = None
         if answer is None:
@@ -686,10 +607,7 @@ class ClusterRouter(HttpService):
         # then fetch by the digest it names (verified + repaired).
         for shard in self.health.alive_shards():
             answer = self._try_shard(
-                shard,
-                "GET",
-                f"/blob?{urlencode({'run': selector})}",
-                timeout=10.0,
+                shard, "GET", "/blob", params={"run": selector}, timeout=10.0
             )
             if answer is None or answer[0] != 200:
                 continue
@@ -714,18 +632,24 @@ class ClusterRouter(HttpService):
     # -- broadcast reads -----------------------------------------------
 
     def _broadcast(
-        self, path: str, method: str = "GET", timeout: float = 15.0
+        self,
+        path: str,
+        method: str = "GET",
+        params: Optional[Dict[str, str]] = None,
+        timeout: float = 15.0,
     ) -> Tuple[Dict[str, Dict[str, object]], int, int]:
         """One request to every live shard; (answers, responded, total)."""
         answers: Dict[str, Dict[str, object]] = {}
         shards = self.health.alive_shards()
         responded = 0
         for name in shards:
-            answer = self._try_shard(name, method, path, timeout=timeout)
+            answer = self._try_shard(
+                name, method, path, params=params, timeout=timeout
+            )
             if answer is None or answer[0] != 200:
                 continue
             responded += 1
-            answers[name] = self._json(answer[2])
+            answers[name] = json_object(answer[2])
         return answers, responded, len(shards)
 
     def _query(self, path: str, params: Dict[str, str]) -> Dict[str, object]:
@@ -737,8 +661,7 @@ class ClusterRouter(HttpService):
         answered / live shards, with ``degraded`` set when anyone was
         missing -- mirroring the capture vocabulary end to end.
         """
-        query = f"?{urlencode(params)}" if params else ""
-        answers, responded, total = self._broadcast(f"{path}{query}")
+        answers, responded, total = self._broadcast(path, params=params)
         key_name = "runs" if path == "/query/runs" else "entries"
         merged: List[Dict[str, object]] = []
         seen = set()

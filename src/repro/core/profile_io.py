@@ -398,14 +398,6 @@ def _decode_trace(document: Dict[str, object]) -> Dict[str, object]:
     return document
 
 
-def save_trace(document: Dict[str, object], stream: IO[str]) -> None:
-    json.dump(_decode_trace(document), stream, sort_keys=True)
-
-
-def load_trace(stream: IO[str]) -> Dict[str, object]:
-    return _decode_trace(_load_document(stream))
-
-
 # -- path-level API -----------------------------------------------------------
 
 _DECODERS = {
@@ -414,9 +406,6 @@ _DECODERS = {
     "dependence": _decode_dependence,
     "trace": _decode_trace,
 }
-
-#: format names the text-level API recognizes (sniffable documents)
-FORMATS = tuple(sorted(_DECODERS))
 
 
 def _document_for(profile: object) -> Dict[str, object]:

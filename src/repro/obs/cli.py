@@ -27,7 +27,9 @@ Subcommands::
 Event logs are what ``--trace-out`` writes (``repro-profile``,
 ``repro-serve``, ``repro-experiments``) and what the daemon's
 ``/tracez`` serves; ``--url`` points at a live ``repro-serve serve``
-daemon instead of a file.
+daemon (or cluster router) instead of a file, read through the shared
+client (:mod:`repro.store.client`): an unreachable daemon is one line
+on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -51,23 +53,7 @@ from repro.obs.trace import (
     top_from_spans,
     top_spans,
 )
-
-
-def _fetch_json(url: str, path: str):
-    """GET one JSON endpoint from a daemon; ``ValueError`` on failure."""
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(
-            f"{url.rstrip('/')}{path}", timeout=30.0
-        ) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"daemon answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"daemon unreachable: {exc.reason}") from None
+from repro.store.client import http_json
 
 
 def _load_events(args) -> List[Dict[str, object]]:
@@ -134,7 +120,9 @@ def _document_for_trace(
     Either way the caller gets the canonical document shape.
     """
     if args.url:
-        payload = _fetch_json(args.url, f"/tracez?trace={trace_id}")
+        payload = http_json(
+            args.url, "GET", "/tracez", params={"trace": trace_id}
+        )
         documents = payload.get("documents") or []
         if documents:
             return documents[0].get("document")
@@ -154,21 +142,18 @@ def _document_for_trace(
 def _run_trace(args) -> int:
     if args.url:
         try:
-            if args.action == "list":
-                payload = _fetch_json(args.url, "/tracez")
-                for row in payload.get("traces", ()):
-                    print(
-                        f"{row.get('trace_id')}  {row.get('records')} "
-                        f"record(s)  kinds={','.join(row.get('kinds', ()))}"
-                    )
-                return 0
-            candidates = [
-                str(row.get("trace_id"))
-                for row in _fetch_json(args.url, "/tracez").get("traces", ())
-            ]
+            rows = http_json(args.url, "GET", "/tracez").get("traces", ())
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        if args.action == "list":
+            for row in rows:
+                print(
+                    f"{row.get('trace_id')}  {row.get('records')} "
+                    f"record(s)  kinds={','.join(row.get('kinds', ()))}"
+                )
+            return 0
+        candidates = [str(row.get("trace_id")) for row in rows]
     else:
         if not args.events:
             print("trace: need --events PATH or --url URL", file=sys.stderr)

@@ -2,15 +2,16 @@
 """Seeded lockset defects: every RL10x race checker must fire here.
 
 ``SharedCounter`` mutates outside its lock (RL101), snapshots two
-guarded attributes unlocked (RL102), and writes to disk while holding
-the state lock (RL103).  ``NoLockRegistry`` is shared but owns no lock
-at all (RL105).  ``Owner`` calls into an externally-guarded object
-without holding anything (RL104).
+guarded attributes unlocked (RL102), and writes to disk or the network
+while holding the state lock (RL103).  ``NoLockRegistry`` is shared
+but owns no lock at all (RL105).  ``Owner`` calls into an
+externally-guarded object without holding anything (RL104).
 """
 
 import threading
 
 from repro.core.fsutil import atomic_write_text
+from repro.store.client import http_request
 
 
 class SharedCounter:  # repro: shared
@@ -32,6 +33,10 @@ class SharedCounter:  # repro: shared
     def persist(self, path):
         with self._lock:
             atomic_write_text(path, str(self.count))  # repro: expect(RL103)
+
+    def publish(self, url):
+        with self._lock:
+            http_request(url, "POST", "/count")  # repro: expect(RL103)
 
 
 class NoLockRegistry:  # repro: shared  # repro: expect(RL105)

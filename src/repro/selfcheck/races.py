@@ -32,7 +32,7 @@ from repro.selfcheck.locks import EMPTY, LockTracker, inherited_locksets
 
 #: calls that block on the filesystem, the network, or the clock --
 #: matched on the full dotted name or its final segment for the
-#: project's own atomic-write primitives
+#: project's own atomic-write primitives and its one HTTP client
 _IO_CALL_NAMES = frozenset(
     {
         "open",
@@ -48,7 +48,9 @@ _IO_CALL_NAMES = frozenset(
         "urllib.request.urlopen",
     }
 )
-_IO_CALL_SUFFIXES = frozenset({"atomic_write_text", "atomic_write_bytes"})
+_IO_CALL_SUFFIXES = frozenset(
+    {"atomic_write_text", "atomic_write_bytes", "http_request", "http_json"}
+)
 
 
 def _is_io_call(node: ast.Call) -> Optional[str]:

@@ -29,6 +29,11 @@ Run selectors (``A``/``B`` above) are run ids, digest prefixes, or
 ``--workloads all`` means the paper's seven SPEC stand-ins plus
 ``micro.array`` -- the suite's eight bundled workloads.
 
+``ingest --url`` posts through the shared client
+(:mod:`repro.store.client`): the workload name travels urlencoded, the
+run's trace id rides along as ``X-Repro-Trace``, and an unreachable or
+refusing daemon is one ``REJECTED`` line, exit 1.
+
 ``ingest --inject-faults SPEC`` is the store's fault drill: each
 serialized document is bit-flipped per the plan's ``flip-profile``
 clause *before* ingest, demonstrating that corrupted payloads are
@@ -45,6 +50,7 @@ from typing import List, Optional
 from repro.core.profile_io import SERIALIZATIONS, ProfileFormatError
 from repro.obs.export import MODES, emit
 from repro.obs.spans import NULL_TELEMETRY, Telemetry
+from repro.store.client import http_json, http_request
 from repro.store.diff import detect_regressions, diff_blobs, render_diff
 from repro.store.query import QueryEngine
 from repro.store.store import ProfileStore
@@ -175,36 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _post_document(url: str, data: bytes, workload: str):
-    """POST one document to a daemon, under the ambient trace context.
-
-    ``data`` is the serialized document -- JSON or BINCAP binary bytes
-    travel the same way.  Returns the decoded JSON response; raises
-    ``ValueError`` with the daemon's error text on a non-2xx answer.
-    """
-    import urllib.error
-    import urllib.request
-
-    from repro.obs.context import TRACE_HEADER, current_header
-
-    request = urllib.request.Request(
-        f"{url.rstrip('/')}/ingest?workload={workload}",
-        data=data,
-        method="POST",
-    )
-    header = current_header()
-    if header is not None:
-        request.add_header(TRACE_HEADER, header)
-    try:
-        with urllib.request.urlopen(request, timeout=60.0) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"daemon answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"daemon unreachable: {exc.reason}") from None
-
-
 def _run_ingest(args: argparse.Namespace) -> int:
     from repro.obs.trace import start_tracing
 
@@ -244,7 +220,11 @@ def _run_ingest(args: argparse.Namespace) -> int:
         if args.url:
             with telemetry.span("post"):
                 try:
-                    answer = _post_document(args.url, data, workload)
+                    answer = http_json(
+                        args.url, "POST", "/ingest",
+                        params={"workload": workload}, body=data,
+                        timeout=60.0,
+                    )
                 except ValueError as exc:
                     print(f"REJECTED {workload}: {exc}", file=sys.stderr)
                     ok = False
@@ -334,20 +314,9 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
     verifies, so runs appear while later workloads are still being
     profiled -- the capture never sits complete on this side first.
     """
-    import http.client
-    from urllib.parse import quote, urlsplit
-
     from repro.core.binformat import StreamWriter
-    from repro.obs.context import TRACE_HEADER, current_header
     from repro.parallel.workers import profile_workload_documents
 
-    split = urlsplit(args.url)
-    conn_cls = (
-        http.client.HTTPSConnection
-        if split.scheme == "https"
-        else http.client.HTTPConnection
-    )
-    connection = conn_cls(split.netloc, timeout=120.0)
     sent = 0
 
     def body():
@@ -382,25 +351,16 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
         writer.close()
         yield b"".join(pending)
 
-    headers = {"Transfer-Encoding": "chunked"}
-    trace_header = current_header()
-    if trace_header is not None:
-        headers[TRACE_HEADER] = trace_header
-    path = "/ingest/stream"
-    if len(names) == 1:
-        path += f"?workload={quote(names[0])}"
     try:
-        connection.request(
-            "POST", path, body=body(), headers=headers, encode_chunked=True
+        status, __, data = http_request(
+            args.url, "POST", "/ingest/stream",
+            params={"workload": names[0]} if len(names) == 1 else None,
+            body=body(), timeout=120.0,
         )
-        response = connection.getresponse()
-        answer = json.loads(response.read().decode("utf-8"))
-        status = response.status
+        answer = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
         print(f"stream failed: {exc}", file=sys.stderr)
         return 1
-    finally:
-        connection.close()
     for row in answer.get("ingested", ()):
         print(
             f"streamed {row.get('run_id')} ({row.get('kind')}, "
@@ -447,7 +407,10 @@ def _close_ingest_trace(args, telemetry, context, events, store) -> None:
             store.ingest_text(text, "trace", meta={"source": "repro-serve"})
         if args.url:
             try:
-                _post_document(args.url, text.encode("utf-8"), "trace")
+                http_json(
+                    args.url, "POST", "/ingest", params={"workload": "trace"},
+                    body=text.encode("utf-8"), timeout=60.0,
+                )
             except ValueError as exc:
                 print(f"trace document not posted: {exc}", file=sys.stderr)
     print(f"trace {context.trace_id}")

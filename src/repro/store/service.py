@@ -443,8 +443,13 @@ class HttpService:
         return value
 
 
-class _Terminated(Exception):
-    """Raised out of the serve loop by the SIGTERM handler."""
+class _Terminated(BaseException):
+    """Raised out of the serve loop by the SIGTERM handler.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: socketserver wraps
+    ``process_request`` in ``except Exception`` and would print and
+    swallow an ``Exception`` raised there, serving on.
+    """
 
 
 def _on_sigterm(signum, frame):

@@ -9,6 +9,7 @@ in-process shard, so every request reaches real endpoints on both.
 
 import http.client
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from repro.obs.context import TRACE_HEADER, TraceContext
 from repro.obs.events import EventLog
 from repro.store import ProfileStore
 from repro.store.server import StoreServer
+from repro.store.service import _on_sigterm, serve_until_terminated
 
 #: small enough that an ordinary document overflows it
 BODY_CAP = 4096
@@ -186,3 +188,37 @@ def test_drain_logs_shutdown_on_the_router():
         router.stop()
     shutdown = [r for r in events.tail() if r["kind"] == "server_shutdown"]
     assert len(shutdown) == 1 and shutdown[0]["in_flight"] == 0
+
+
+def test_sigterm_raised_in_the_request_path_stops_serving(tmp_path, capsys):
+    # socketserver runs process_request under ``except Exception``; a
+    # SIGTERM landing there must still end the serve loop
+    events = EventLog()
+    service = StoreServer(ProfileStore(str(tmp_path)), port=0, events=events)
+    service.httpd.process_request = (
+        lambda request, address: _on_sigterm(signal.SIGTERM, None)
+    )
+    returned = threading.Event()
+    watchdog_fired = threading.Event()
+
+    def watchdog():
+        if not returned.wait(5.0):
+            watchdog_fired.set()
+            service.httpd.shutdown()
+
+    def one_request():
+        connection = http.client.HTTPConnection(*service.address, timeout=5)
+        try:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+        except (http.client.HTTPException, OSError):
+            pass
+        finally:
+            connection.close()
+
+    threading.Thread(target=watchdog, daemon=True).start()
+    threading.Thread(target=one_request, daemon=True).start()
+    serve_until_terminated(service, 1.0)
+    returned.set()
+    assert not watchdog_fired.is_set(), "the serve loop swallowed SIGTERM"
+    assert [r["kind"] for r in events.tail()].count("server_shutdown") == 1
