@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.health import RingState, ShardHealthTable
 from repro.cluster.ring import DEFAULT_VNODES
-from repro.core.profile_io import document_from_bytes
+from repro.core.profile_io import stored_document
 from repro.obs.context import TRACE_HEADER, current_header
 from repro.obs.events import EventLog
 from repro.obs.quantiles import DigestMerger
@@ -625,9 +625,11 @@ class ClusterRouter(HttpService):
         raise KeyError(f"no shard resolves selector {selector!r}")
 
     def _get(self, params: Dict[str, str]) -> Dict[str, object]:
+        # the bytes hash to the digest of a blob its shard validated at
+        # ingest, so they are decoded without validating them again
         selector = self._required(params, "run")
         data, __ = self._resolve_bytes(selector)
-        return document_from_bytes(data)
+        return stored_document(data)
 
     # -- broadcast reads -----------------------------------------------
 

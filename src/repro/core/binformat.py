@@ -3,8 +3,8 @@
 JSON stays the readable, diffable document form; this module is the
 *wire and archive* form: a framed, varint/delta-encoded binary encoding
 of the same WHOMP / LEAP / dependence documents, typically several
-times smaller and faster to decode (the store-ingest hot path is one
-full decode per document).
+times smaller and faster to decode (the store validates each distinct
+document once, by a frame decode without grammar expansion).
 
 Layout of one binary document::
 
@@ -33,7 +33,9 @@ frame's row of column types; :func:`encode_document`,
 :func:`decode_tagged` and :func:`check_document` (the JSON loaders'
 check) all walk it.  A grammar symbol is one tagged varint
 (:func:`tag_grammar`), and that tagged form is also what both encodings
-hand the one grammar expander, :func:`_expand_tagged`, on load.
+hand the one grammar expander, :func:`_expand_tagged`, on load.  Its
+size check, :func:`rule_sizes`, also stands alone: validation needs a
+grammar's expanded length, never its stream.
 
 The same frame layer carries the **stream protocol** used by
 ``repro-serve ingest --stream``: a :class:`StreamWriter` emits
@@ -1103,34 +1105,26 @@ def check_document(document: Dict[str, object]) -> Dict[str, object]:
 # -- grammar expansion --------------------------------------------------------
 
 
-def _expand_tagged(
+def rule_sizes(
     start: int, productions: Dict[int, List[int]], max_symbols: int
-) -> List[int]:
-    """Expand a tagged grammar (see :func:`tag_grammar`) to its
-    terminal stream -- the one expander both encodings load through.
+) -> Dict[int, int]:
+    """Each reachable rule's expanded length, of a tagged grammar (see
+    :func:`tag_grammar`), from arithmetic alone: no stream is built.
 
-    Bottom-up: each *rule* is expanded once, in dependency order, by
-    concatenating its already-expanded children, and terminals stay
-    single ints until they are appended to an output list.  An
-    iterative DFS (any depth loads) rejects cycles and undefined rules,
-    and every rule's expanded size is computed from arithmetic alone
-    before any list exists, so a doubling-chain bomb claiming more than
-    ``max_symbols`` is refused without being built.  Valid grammars
-    whose per-rule expansions sum far past the output (deep unshared
-    chains) take :func:`_expand_tagged_iterative` instead, so memory
-    stays proportional to the output.
+    An iterative DFS (any depth works) over each rule's child
+    references rejects undefined rules and cycles; at post-order a
+    rule's size is its terminals plus its children's sizes, so a
+    doubling-chain bomb claiming more than ``max_symbols`` is refused
+    before anything is expanded.  The dict fills in post-order, so its
+    order is also a children-first expansion order.  A grammar codes its
+    stream losslessly, so the start rule's size is the stream's length.
     """
     if start not in productions:
         raise BinaryFormatError(f"start rule {start!r} not in productions")
-    # Iterative DFS over each rule's child references; at post-order a
-    # rule's expanded size follows from its children's by arithmetic
-    # alone (the expansion-bomb gate).  ``sizes`` fills in post-order,
-    # so it doubles as the children-first expansion order.
     sizes: Dict[int, int] = {}
     on_stack = {start}
     refs = [t >> 1 for t in productions[start] if t & 1]
     stack: List[Tuple[int, List[int], int]] = [(start, refs, 0)]
-    total_work = 0
     while stack:
         rule_id, children, index = stack.pop()
         while index < len(children):
@@ -1159,8 +1153,30 @@ def _expand_tagged(
                     f"grammar expands past the claimed {max_symbols} symbols"
                 )
             sizes[rule_id] = size
-            total_work += size
-    if total_work > 8 * max_symbols + 1024:
+    return sizes
+
+
+def _expand_tagged(
+    start: int,
+    productions: Dict[int, List[int]],
+    max_symbols: int,
+    sizes: Optional[Dict[int, int]] = None,
+) -> List[int]:
+    """Expand a tagged grammar (see :func:`tag_grammar`) to its
+    terminal stream -- the one expander both encodings load through.
+
+    ``sizes`` is :func:`rule_sizes` of the grammar, computed here when
+    the caller has not already checked it.  Bottom-up: each *rule* is
+    expanded once, in that children-first order, by concatenating its
+    already-expanded children, and terminals stay single ints until they
+    are appended to an output list.  Valid grammars whose per-rule
+    expansions sum far past the output (deep unshared chains) take
+    :func:`_expand_tagged_iterative` instead, so memory stays
+    proportional to the output.
+    """
+    if sizes is None:
+        sizes = rule_sizes(start, productions, max_symbols)
+    if sum(sizes.values()) > 8 * max_symbols + 1024:
         return _expand_tagged_iterative(start, productions, max_symbols)
     expanded: Dict[int, List[int]] = {}
     for rule_id in sizes:
@@ -1180,7 +1196,7 @@ def _expand_tagged_iterative(
 ) -> List[int]:
     """Memory-bounded fallback: one terminal at a time, peak memory
     proportional to the output, never to intermediate rule expansions.
-    Cycles/undefined rules were already rejected by the caller's DFS."""
+    Cycles/undefined rules were already rejected by :func:`rule_sizes`."""
     out: List[int] = []
     append = out.append
     stack: List[List[int]] = [[start, 0]]

@@ -27,7 +27,11 @@ carries only what BINCAP carries, by construction: every JSON document
 is checked against the same frame and row declarations
 (:data:`repro.core.binformat.SCHEMAS`) the BINCAP codec walks, before
 it reaches the per-kind decoders both encodings share.  WHOMP streams
-come from the one grammar expander in :mod:`repro.core.binformat`.  The
+come from the one grammar expander in :mod:`repro.core.binformat`.
+:func:`validate_bytes` refuses exactly what :func:`loads_bytes`
+refuses, with each kind's decoder swapped for a check that builds
+nothing: a WHOMP grammar's expanded length is computed, not expanded.
+A property test drives both over mutated documents.  The
 fuzz tests in ``tests/test_profile_io.py`` drive this with bit flips
 and truncations at every offset.
 
@@ -165,25 +169,52 @@ def load_whomp_streams(stream: IO[str]) -> Dict[str, object]:
     return _decode(_load_document(stream), "whomp")
 
 
-def _decode_whomp(document: Dict[str, object]) -> Dict[str, object]:
-    """The one WHOMP stream builder, for both encodings.
+def _whomp_grammars(document: Dict[str, object]) -> Dict[str, tuple]:
+    """Each dimension's tagged grammar and its rule sizes, the part of a
+    WHOMP document's checks that loading and validation share.
 
     Checked documents of either encoding arrive with tagged grammars
     (see :func:`binformat.decode_tagged`); a JSON-shape grammar, as
-    :func:`document_from_bytes` returns it, is tagged here.  Either way
-    every grammar expands through ``binformat._expand_tagged``, capped
-    at the claimed ``access_count``.
+    :func:`document_from_bytes` returns it, is tagged here.
+    :func:`binformat.rule_sizes` rejects undefined rules, cycles and any
+    rule longer than ``access_count``; every dimension must be present.
     """
     access_count = document["access_count"]
-    completeness, quarantined = document_meta(document)
-    streams = {}
+    grammars = {}
     for name, grammar in document["grammars"].items():
         if not isinstance(grammar, tuple):
             grammar = binformat.tag_grammar(grammar)
-        streams[name] = binformat._expand_tagged(*grammar, access_count)
-    missing = [name for name in DIMENSIONS if name not in streams]
+        grammars[name] = grammar, binformat.rule_sizes(*grammar, access_count)
+    missing = [name for name in DIMENSIONS if name not in grammars]
     if missing:
         raise ProfileFormatError(f"missing dimension streams: {missing}")
+    return grammars
+
+
+def _check_whomp(document: Dict[str, object]) -> None:
+    """Every check :func:`_decode_whomp` makes, with no stream built: a
+    grammar codes its stream losslessly, so the start rule's size is the
+    stream's length and must equal ``access_count``."""
+    access_count = document["access_count"]
+    document_meta(document)
+    for name, ((start, __), sizes) in _whomp_grammars(document).items():
+        if sizes[start] != access_count:
+            raise ProfileFormatError(
+                f"{name} grammar codes {sizes[start]} symbols, "
+                f"expected {access_count}"
+            )
+
+
+def _decode_whomp(document: Dict[str, object]) -> Dict[str, object]:
+    """The one WHOMP stream builder, for both encodings: every grammar
+    expands through ``binformat._expand_tagged``, capped at the claimed
+    ``access_count``, and each stream must have that length."""
+    access_count = document["access_count"]
+    completeness, quarantined = document_meta(document)
+    streams = {
+        name: binformat._expand_tagged(*grammar, access_count, sizes)
+        for name, (grammar, sizes) in _whomp_grammars(document).items()
+    }
     for name, values in streams.items():
         if len(values) != access_count:
             raise ProfileFormatError(
@@ -255,6 +286,25 @@ def load_leap(stream: IO[str]) -> LeapProfile:
 
 def _int_keys(table: Dict[str, object]) -> Dict[int, object]:
     return {int(key): value for key, value in table.items()}
+
+
+def _check_leap(document: Dict[str, object]) -> None:
+    """Every check :func:`_decode_leap` makes, from the rows alone: the
+    schema has checked their types and widths, so what is left is that
+    each LMAD describes at least one symbol (:class:`LMAD` refuses
+    less), that each entry's LMADs and overflow add up to its claimed
+    total, and the meta."""
+    for record in document["entries"]:
+        counts = [count for __, __, count in record["lmads"]]
+        if counts and min(counts) < 1:
+            raise ProfileFormatError(f"LMAD count must be >= 1, got {min(counts)}")
+        described = sum(counts) + record["overflow"]["count"]
+        if described != record["total"]:
+            raise ProfileFormatError(
+                f"entry ({record['instruction']}, {record['group']}) "
+                f"describes {described} symbols but claims {record['total']}"
+            )
+    document_meta(document)
 
 
 def _decode_leap(document: Dict[str, object]) -> LeapProfile:
@@ -400,11 +450,15 @@ def _decode_trace(document: Dict[str, object]) -> Dict[str, object]:
 
 # -- path-level API -----------------------------------------------------------
 
+#: kind -> (check, decode).  ``decode`` builds the profile object and
+#: refuses what cannot be one; ``check`` refuses exactly the same
+#: documents without building anything (a dependence table has nothing
+#: to refuse past the schema, and a trace is checked by its decode).
 _DECODERS = {
-    "whomp": _decode_whomp,
-    "leap": _decode_leap,
-    "dependence": _decode_dependence,
-    "trace": _decode_trace,
+    "whomp": (_check_whomp, _decode_whomp),
+    "leap": (_check_leap, _decode_leap),
+    "dependence": (lambda document: None, _decode_dependence),
+    "trace": (_decode_trace, _decode_trace),
 }
 
 
@@ -451,17 +505,20 @@ def dumps_bytes(profile: object, fmt: str = "json") -> bytes:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def _decode(document: Dict[str, object], fmt: Optional[str] = None) -> object:
+def _decode(
+    document: Dict[str, object], fmt: Optional[str] = None, build: bool = True
+) -> object:
     """The profile object of a checked document, of kind ``fmt`` if one
-    is given; whatever its decoder raises is a :class:`ProfileFormatError`."""
+    is given; with ``build`` false, only its kind's check (returns
+    None).  Whatever they raise is a :class:`ProfileFormatError`."""
     kind = document.get("format")
     if fmt is not None and kind != fmt:
         raise ProfileFormatError(f"not a {fmt.upper()} profile")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    if kind not in _DECODERS:
         raise ProfileFormatError(f"unknown profile format {kind!r}")
+    check, decode = _DECODERS[kind]
     try:
-        return decoder(document)
+        return (decode if build else check)(document)
     except ProfileFormatError:
         raise
     except _DECODE_ERRORS as exc:  # BinaryFormatError is a ValueError
@@ -530,6 +587,33 @@ def loads_bytes(data: Union[bytes, bytearray]) -> object:
     return profile_from_document(_document(bytes(data), tagged=True))
 
 
+def validate_bytes(data: Union[bytes, bytearray]) -> str:
+    """The kind of a document :func:`loads_bytes` would decode, checked
+    without building its profile; raises :class:`ProfileFormatError`
+    for exactly the bytes :func:`loads_bytes` rejects.
+
+    The document goes through the same frame decode and CRC (BINCAP) or
+    parse and :func:`repro.core.binformat.check_document` (JSON) as a
+    load, then through its kind's load-time checks.  A WHOMP grammar is
+    checked by its rule sizes alone (:func:`repro.core.binformat.rule_sizes`):
+    no stream is expanded, no LEAP or dependence object is made.
+    """
+    document = _document(bytes(data), tagged=True)
+    _decode(document, build=False)
+    return document["format"]
+
+
+def stored_document(data: bytes) -> Dict[str, object]:
+    """:func:`document_from_bytes` of bytes that already validated: a
+    profile store's blob, which :func:`validate_bytes` passed at ingest
+    and whose sha256 every read re-checks.  JSON is parsed without
+    re-running :func:`repro.core.binformat.check_document`, to the same
+    dict; BINCAP still frame-decodes, as that is how its dict is built."""
+    if data.startswith(binformat.MAGIC):
+        return document_from_bytes(data)
+    return _parse(io.StringIO(data.decode("utf-8")))
+
+
 #: canonical documents serialize their ``format`` field first, so a
 #: bounded prefix scan finds it without parsing the whole document
 _SNIFF_PREFIX = 4096
@@ -546,7 +630,8 @@ def sniff_format(payload: Union[str, bytes, bytearray]) -> str:
     Non-canonical JSON falls back to a full parse.  Raises
     :class:`ProfileFormatError` when the payload carries no recognized
     format name.  Note the gate sniffs, it does not validate -- feed
-    the payload to :func:`loads` / :func:`loads_bytes` for that.
+    the payload to :func:`validate_bytes` for that, which checks
+    everything a load checks without building the profile.
     """
     if isinstance(payload, (bytes, bytearray, memoryview)):
         data = bytes(payload)

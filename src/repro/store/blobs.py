@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 import zlib
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.core.fsutil import atomic_write_bytes
 from repro.core.profile_io import ProfileFormatError
@@ -49,15 +49,20 @@ class BlobStore:
             raise ValueError(f"not a sha256 hex digest: {digest!r}")
         return os.path.join(self.directory, digest[:2], digest[2:])
 
-    def put(self, data: bytes, force: bool = False) -> str:
+    def put(
+        self, data: bytes, force: bool = False, digest: Optional[str] = None
+    ) -> str:
         """Store ``data``, returning its digest (idempotent).
 
         ``force=True`` rewrites an already-present blob file (the
         atomic replace makes that safe) -- the read-repair path uses it
         to heal a replica whose on-disk bytes no longer hash to their
         key, which the idempotent fast path would otherwise skip.
+        ``digest`` is ``sha256_hex(data)`` when the caller already has
+        it, so the bytes are hashed once.
         """
-        digest = sha256_hex(data)
+        if digest is None:
+            digest = sha256_hex(data)
         target = self.path(digest)
         if not force and os.path.exists(target):
             return digest

@@ -10,13 +10,16 @@ an append-only JSONL file rewritten atomically through
 at any instant leaves either the previous manifest or the new one,
 never a torn line.
 
-Ingest **validates before it stores**: the document must decode cleanly
-under :mod:`repro.core.profile_io`'s hardened loaders, so a corrupted
-payload (a fault drill's bit-flips, a truncated upload) is rejected
-with :class:`~repro.core.profile_io.ProfileFormatError` and the store
-never serves bytes it could not itself decode.  Retrieval returns the
-exact ingested bytes -- the round-trip is bit-identical by
-construction, and the blob layer re-hashes on every read.
+Ingest **validates before it stores**: the document must pass
+:func:`~repro.core.profile_io.validate_bytes`, which refuses exactly
+what :mod:`repro.core.profile_io`'s hardened loaders refuse, so a
+corrupted payload (a fault drill's bit-flips, a truncated upload) is
+rejected with :class:`~repro.core.profile_io.ProfileFormatError` and
+the store never serves bytes it could not itself decode.  Each distinct
+document is validated once: bytes whose sha256 the store has already
+validated are not checked again.  Retrieval returns the exact ingested
+bytes -- the round-trip is bit-identical by construction, and the blob
+layer re-hashes on every read, so reads need not re-validate.
 
 Garbage collection removes blobs no manifest entry references (after
 runs are dropped), mirroring ``git gc``.
@@ -31,12 +34,15 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+# ``sniff_format``, ``loads_bytes`` and ``atomic_write_text`` stay
+# module-level names: perfbench's traced replay patches them here
 from repro.core.profile_io import (
     ProfileFormatError,
-    document_from_bytes,
     dumps_bytes,
     loads_bytes,
     sniff_format,
+    stored_document,
+    validate_bytes,
 )
 from repro.resilience import atomic_write_text
 from repro.store.blobs import BlobStore, sha256_hex
@@ -116,6 +122,9 @@ class ProfileStore:
         self._sink_lock = threading.Lock()
         self._records: List[RunRecord] = []
         self._by_id: Dict[str, RunRecord] = {}
+        #: digest -> kind of every document this store has validated
+        #: (all manifest records' digests among them); guarded by _lock
+        self._validated: Dict[str, str] = {}
         self._manifest_text = ""
         self._load_manifest()
 
@@ -143,6 +152,7 @@ class ProfileStore:
                 continue
             self._records.append(record)
             self._by_id[record.run_id] = record
+            self._validated[record.digest] = record.kind
             kept_lines.append(line)
         self._manifest_text = "".join(line + "\n" for line in kept_lines)
 
@@ -182,20 +192,27 @@ class ProfileStore:
     ) -> RunRecord:
         """Validate, store, and record one serialized profile document.
 
-        The profiler kind and encoding (JSON or BINCAP binary) are
-        sniffed from the document itself; the encoding lands in
-        ``meta["encoding"]``.  Raises :class:`ProfileFormatError`
-        before anything touches disk when the document does not decode
-        cleanly.
+        The profiler kind and encoding (JSON or BINCAP binary) come from
+        the document itself; the encoding lands in ``meta["encoding"]``.
+        The body is hashed once.  Bytes whose digest this store has not
+        validated yet go through :func:`validate_bytes`, which raises
+        :class:`ProfileFormatError` before anything touches disk when a
+        load would refuse them; bytes it has validated (every manifest
+        record's digest among them) are those same bytes, so they are
+        not checked again.
         """
-        kind = sniff_format(data)
-        loads_bytes(data)  # full decode: reject anything we could not serve
+        digest = sha256_hex(data)
+        with self._lock:
+            kind = self._validated.get(digest)
+        if kind is None:
+            kind = validate_bytes(data)
         meta = dict(meta or {})
         meta.setdefault(
             "encoding", "binary" if data[:1] == b"\x89" else "json"
         )
         with self._lock:
-            digest = self.blobs.put(data)
+            self.blobs.put(data, digest=digest)
+            self._validated[digest] = kind
             record = RunRecord(
                 run_id=self._next_run_id(),
                 digest=digest,
@@ -328,8 +345,10 @@ class ProfileStore:
             ) from exc
 
     def get_document(self, selector: str) -> Dict[str, object]:
-        """The run's JSON-shape document dict, whatever its encoding."""
-        return document_from_bytes(self.get_bytes(selector))
+        """The run's JSON-shape document dict, whatever its encoding.
+        The blob validated at ingest and :meth:`get_bytes` re-checks
+        its sha256, so it is not validated again."""
+        return stored_document(self.get_bytes(selector))
 
     def get(self, selector: str) -> object:
         """The decoded profile for a run, through the LRU cache.
@@ -349,9 +368,10 @@ class ProfileStore:
     def repair_blob(
         self, digest: str, data: bytes, workload: str = "unknown"
     ) -> Dict[str, object]:
-        """Force-install one blob after full validation (read-repair).
+        """Force-install one blob after validation (read-repair).
 
-        The payload must hash to ``digest`` and decode cleanly; then
+        The payload must hash to ``digest`` and pass
+        :func:`validate_bytes`; then
         the blob file is atomically rewritten even if a (corrupt) copy
         already exists.  When no manifest run references the digest, a
         run is created too, so a replica that lost both the blob and
@@ -362,11 +382,12 @@ class ProfileStore:
             raise ProfileFormatError(
                 f"repair payload does not hash to {digest[:12]}"
             )
-        loads_bytes(data)  # reject anything we could not serve
+        kind = validate_bytes(data)  # reject anything we could not serve
         replaced = self.blobs.contains(digest)
-        self.blobs.put(data, force=True)
+        self.blobs.put(data, force=True, digest=digest)
         self.cache.invalidate(digest)
         with self._lock:
+            self._validated[digest] = kind
             referenced = any(r.digest == digest for r in self._records)
         created = None
         if not referenced:

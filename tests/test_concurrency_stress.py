@@ -148,8 +148,10 @@ class TestProfileStoreStress:
         records = store.runs()
         assert len(records) == THREADS * per_thread
         assert len({r.run_id for r in records}) == len(records)
-        # dedup: 8 distinct payloads -> exactly 8 blobs
+        # dedup: 8 distinct payloads -> exactly 8 blobs; ingests that
+        # skipped validation still recorded the validated kind
         assert len(store.blobs) == len(documents)
+        assert {r.kind for r in records} == {"leap"}
         # the on-disk manifest agrees with memory line for line
         with open(store.manifest_path) as handle:
             lines = [json.loads(line) for line in handle if line.strip()]

@@ -284,6 +284,67 @@ class TestProfileStore:
             store.ingest_bytes(data[: len(data) - 3], "simple")
         assert store.stats()["blobs"] == 0
 
+    @pytest.fixture()
+    def validations(self, monkeypatch):
+        """The bytes each ingest hands the store's validator."""
+        from repro.store import store as store_module
+
+        seen = []
+        validate = store_module.validate_bytes
+
+        def spy(data):
+            seen.append(bytes(data))
+            return validate(data)
+
+        monkeypatch.setattr(store_module, "validate_bytes", spy)
+        return seen
+
+    def test_reingest_skips_validation(
+        self, tmp_path, simple_trace, validations
+    ):
+        store = ProfileStore(str(tmp_path))
+        data = dumps_bytes(LeapProfiler().profile(simple_trace), "binary")
+        first = store.ingest_bytes(data, "simple")
+        second = store.ingest_bytes(data, "again")
+        assert validations == [data]
+        assert (second.digest, second.kind) == (first.digest, "leap")
+        assert second.meta["encoding"] == "binary"
+        assert store.stats()["runs"] == 2
+
+    def test_flipped_copy_of_recorded_bytes_still_rejected(
+        self, tmp_path, simple_trace, validations
+    ):
+        store = ProfileStore(str(tmp_path))
+        profile = WhompProfiler().profile(simple_trace)
+        for fmt in ("binary", "json"):
+            data = dumps_bytes(profile, fmt)
+            store.ingest_bytes(data, "simple")
+            runs, blobs = store.stats()["runs"], store.stats()["blobs"]
+            manifest = (tmp_path / "manifest.jsonl").read_bytes()
+            # the last byte: BINCAP's CRC, the JSON document's closing brace
+            flipped = data[:-1] + bytes([data[-1] ^ 0x01])
+            with pytest.raises(ProfileFormatError):
+                store.ingest_bytes(flipped, "simple")
+            assert validations[-1] == flipped
+            assert (store.stats()["runs"], store.stats()["blobs"]) == (runs, blobs)
+            assert not store.blobs.contains(sha256_hex(flipped))
+            assert (tmp_path / "manifest.jsonl").read_bytes() == manifest
+
+    def test_reopened_store_skips_digests_its_manifest_lists(
+        self, tmp_path, leap_text, whomp_text, validations
+    ):
+        store = ProfileStore(str(tmp_path))
+        store.ingest_text(leap_text, "simple")
+        store.ingest_text(whomp_text, "simple")
+        assert len(validations) == 2
+        reopened = ProfileStore(str(tmp_path))
+        again = reopened.ingest_text(whomp_text, "simple")
+        assert len(validations) == 2
+        assert again.kind == "whomp"
+        fresh = dumps(LeapProfiler().profile(make_trace(range(32))))
+        reopened.ingest_text(fresh, "simple")
+        assert validations[-1] == fresh.encode("utf-8")
+
     def test_ingest_file_defaults_workload_to_stem(self, tmp_path, leap_text):
         path = tmp_path / "gzip.leap.json"
         path.write_text(leap_text)
