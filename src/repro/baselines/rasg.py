@@ -58,21 +58,20 @@ class RasgProfiler:
         self.split_dimensions = split_dimensions
 
     def profile(self, trace: Trace) -> RasgProfile:
+        instructions, addresses, __, __ = trace.access_columns()
         if self.split_dimensions:
             grammars = {
                 "instruction": SequiturGrammar(),
                 "address": SequiturGrammar(),
             }
-            count = 0
-            for event in trace.accesses():
-                grammars["instruction"].feed(event.instruction_id)
-                grammars["address"].feed(event.address)
-                count += 1
-            return RasgProfile(grammars=grammars, access_count=count)
-        grammar = SequiturGrammar()
-        count = 0
-        for event in trace.accesses():
-            grammar.feed(("I", event.instruction_id))
-            grammar.feed(("A", event.address))
-            count += 1
-        return RasgProfile(grammars={"stream": grammar}, access_count=count)
+            grammars["instruction"].feed_all(instructions)
+            grammars["address"].feed_all(addresses)
+        else:
+            grammar = SequiturGrammar()
+            grammar.feed_all(
+                token
+                for instruction, address in zip(instructions, addresses)
+                for token in (("I", instruction), ("A", address))
+            )
+            grammars = {"stream": grammar}
+        return RasgProfile(grammars=grammars, access_count=trace.access_count)

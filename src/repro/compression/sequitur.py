@@ -129,7 +129,8 @@ def _digram_key(left: _Symbol) -> Digram:
     """Hashable identity of the digram starting at ``left``: the pair of
     symbol values.  A :class:`Rule` hashes and compares by identity, so
     it never collides with a terminal or another rule (a key holds its
-    rule alive).  :meth:`SequiturGrammar.feed` inlines this expression."""
+    rule alive).  :meth:`SequiturGrammar.feed_all` inlines this
+    expression."""
     return (left.value, left.next.value)  # type: ignore[union-attr]
 
 
@@ -153,48 +154,54 @@ class SequiturGrammar:
     # -- public API ----------------------------------------------------
 
     def feed(self, token: Terminal) -> None:
-        """Append one terminal to the input sequence, then process
-        queued digram positions until the grammar is stable.
-
-        This is the hot path, so the digram-uniqueness check is inlined
-        here; only a real repeat leaves the loop (:meth:`_handle_match`).
-        A registered occurrence is trusted only while it is still a live
-        occurrence of its key.
-        """
-        self._tokens_fed += 1
-        guard = self.start.guard
-        last = guard.prev
-        new = _Symbol(token)
-        new.prev = last
-        new.next = guard
-        last.next = new  # type: ignore[union-attr]
-        guard.prev = new
-        digrams = self._digrams
-        pending = self._pending
-        pending.append(last)  # type: ignore[arg-type]
-        while pending:
-            left = pending.pop()
-            if not left.alive or left.is_guard:
-                continue
-            right = left.next
-            if right.is_guard:
-                continue
-            key = (left.value, right.value)  # _digram_key(left)
-            match = digrams.get(key)
-            if match is left:
-                continue
-            if match is None or not match.alive:
-                digrams[key] = left
-                continue
-            match_right = match.next
-            if match_right.is_guard or (match.value, match_right.value) != key:
-                digrams[key] = left
-            elif match_right is not left and right is not match:
-                self._handle_match(left, match)  # not overlapping ("aaa")
+        """Append one terminal (see :meth:`feed_all`)."""
+        self.feed_all((token,))
 
     def feed_all(self, tokens: Iterable[Terminal]) -> None:
+        """Append each terminal in turn, and after each one process
+        queued digram positions until the grammar is stable.
+
+        This is the hot path, so it runs in one frame with the
+        digram-uniqueness check inlined; only a real repeat leaves the
+        loop (:meth:`_handle_match`).  A registered occurrence is
+        trusted only while it is still a live occurrence of its key.
+        """
+        guard = self.start.guard
+        digrams = self._digrams
+        pending = self._pending
+        pop = pending.pop
+        push = pending.append
+        handle_match = self._handle_match
+        fed = 0
         for token in tokens:
-            self.feed(token)
+            fed += 1
+            last = guard.prev
+            new = _Symbol(token)
+            new.prev = last
+            new.next = guard
+            last.next = new  # type: ignore[union-attr]
+            guard.prev = new
+            push(last)  # type: ignore[arg-type]
+            while pending:
+                left = pop()
+                if not left.alive or left.is_guard:
+                    continue
+                right = left.next
+                if right.is_guard:
+                    continue
+                key = (left.value, right.value)  # _digram_key(left)
+                match = digrams.get(key)
+                if match is left:
+                    continue
+                if match is None or not match.alive:
+                    digrams[key] = left
+                    continue
+                match_right = match.next
+                if match_right.is_guard or (match.value, match_right.value) != key:
+                    digrams[key] = left
+                elif match_right is not left and right is not match:
+                    handle_match(left, match)  # not overlapping ("aaa")
+        self._tokens_fed += fed
 
     @property
     def tokens_fed(self) -> int:

@@ -10,12 +10,13 @@ Two modes are provided:
 * :func:`translate_columns` -- walk a :class:`Trace`, drive the OMC
   from its object events, and return the translated stream as integer
   columns.  Each trace is resolved once; later calls replay the kept
-  columns.  :func:`translate_trace` streams the same translation as
-  :class:`ObjectRelativeAccess` tuples.  The profilers' online sessions
-  translate each chunk of probe firings this way too (Table 1's
-  dilation is measured through them).
+  columns.  Every profile translates this way: an offline profile its
+  whole trace, an online session each chunk of probe firings (Table
+  1's dilation is measured through them).  :func:`translate_trace`
+  yields the same translation as :class:`ObjectRelativeAccess` tuples,
+  for the analyses that walk a stream of tuples.
 * :class:`OnlineCDC` -- a probe sink that translates and forwards each
-  access as it fires, one tuple at a time.
+  access as it fires, one tuple at a time.  No profiler uses it.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ Two concrete SCCs are provided, one per profiler:
   ``(instruction, group)`` sub-stream over (object, offset, time)
   triples.
 
-Both can consume one :class:`ObjectRelativeAccess` at a time (the
-streaming driver, or an :class:`~repro.core.cdc.OnlineCDC`), or
-decompose the translation's :data:`~repro.core.cdc.Columns` in one
-stage and compress the sub-streams in the next (the staged driver and
-the online sessions).
+The profilers' stage loop, offline and online alike, hands each SCC
+the translation's :data:`~repro.core.cdc.Columns` a chunk at a time:
+:meth:`decompose` splits a chunk into sub-streams in one stage and
+:meth:`compress_streams` compresses them in the next.  ``consume``
+takes one :class:`ObjectRelativeAccess` at a time instead, for callers
+that hold a stream of tuples (an :class:`~repro.core.cdc.OnlineCDC`,
+phase detection); the profile is the same.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class HorizontalSequiturSCC:
 
     The compressor is pluggable (Section 2.3 lists Sequitur, linear
     compression "and others"); any factory producing objects with
-    ``feed``/``expand``/``size``/``size_bytes_varint`` works --
+    ``feed``/``feed_all``/``expand``/``size``/``size_bytes_varint``
+    works --
     :class:`~repro.compression.rle.DeltaRleCodec` is the built-in
     alternative used by the compressor ablation.
     """
@@ -59,11 +62,6 @@ class HorizontalSequiturSCC:
         self.grammars["offset"].feed(access.offset)
 
     # -- staged interface ------------------------------------------------
-    #
-    # ``consume`` interleaves decomposition and compression per access;
-    # the staged pair below runs each phase over a whole batch of
-    # columns, so the profilers can time them as separate spans.  Output
-    # is identical.
 
     def decompose(self, columns: Columns) -> Dict[str, Sequence[int]]:
         """Horizontal decomposition: the four dimension streams are the
@@ -71,11 +69,10 @@ class HorizontalSequiturSCC:
         return dict(zip(DIMENSIONS, columns))
 
     def compress_streams(self, streams: Dict[str, Sequence[int]]) -> None:
-        """Feed each decomposed dimension stream to its compressor."""
+        """Feed each decomposed dimension stream to its compressor, one
+        ``feed_all`` call per stream."""
         for name, values in streams.items():
-            feed = self.grammars[name].feed
-            for value in values:
-                feed(value)
+            self.grammars[name].feed_all(values)
 
     def total_size(self) -> int:
         """Combined grammar size across the four dimensions."""

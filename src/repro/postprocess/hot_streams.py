@@ -15,7 +15,7 @@ the standard hot-stream magnitude metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.compression.sequitur import Ref, SequiturGrammar
 from repro.core.tuples import ObjectRelativeAccess
@@ -103,6 +103,19 @@ def _expansions(
     return expansions
 
 
+def _visits(stream: Iterable[ObjectRelativeAccess]) -> Iterator[ObjectRef]:
+    """The object references of ``stream``'s non-wild accesses, with
+    consecutive duplicates collapsed."""
+    previous: ObjectRef = None  # type: ignore[assignment]
+    for access in stream:
+        if access.wild:
+            continue
+        reference = (access.group, access.object_serial)
+        if reference != previous:
+            yield reference
+            previous = reference
+
+
 def extract_hot_streams(
     stream: Iterable[ObjectRelativeAccess],
     min_length: int = 2,
@@ -117,14 +130,7 @@ def extract_hot_streams(
     grammar-compressed and the rules ranked by heat.
     """
     grammar = SequiturGrammar()
-    previous: ObjectRef = None  # type: ignore[assignment]
-    for access in stream:
-        if access.wild:
-            continue
-        reference = (access.group, access.object_serial)
-        if reference != previous:
-            grammar.feed(reference)
-            previous = reference
+    grammar.feed_all(_visits(stream))
     productions = grammar.to_productions()
     counts = _rule_occurrences(grammar, productions)
     expansions = _expansions(grammar, productions)

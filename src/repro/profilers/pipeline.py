@@ -5,19 +5,20 @@ each access object-relative, and a pluggable SCC decomposes and
 compresses the translated stream.  WHOMP and LEAP differ only in the
 SCC they plug in, so everything else lives here, once:
 
-* the two drivers -- a streaming loop that feeds the SCC one access at
-  a time, and a staged run (translation, decomposition, compression,
-  each under its own span) through the one stage function the online
-  session also calls;
+* the one stage loop: translation, then the quarantine filter,
+  decomposition and compression over slices of :data:`CHUNK` rows,
+  each stage under its own span (null spans cost nothing when
+  telemetry is off).  An offline profile runs it once over the whole
+  trace; an online session runs it once per chunk of probe firings;
 * degraded mode: the quarantine filter and the completeness
   accounting;
 * the counts, published once at a stage boundary rather than per
   event;
 * the online session that attaches the same pipeline to a live
   :class:`~repro.runtime.probes.ProbeBus`.  It buffers probe firings
-  into a chunk and runs each chunk through the staged driver's stages:
-  probes -> chunk -> :func:`~repro.core.cdc.translate_columns` ->
-  decompose -> compress.
+  into a chunk and runs each chunk through the stage loop: probes ->
+  chunk -> :func:`~repro.core.cdc.translate_columns` -> decompose ->
+  compress.
 
 A profiler supplies its SCC and the profile it builds; this module
 never asks which profiler it serves.
@@ -25,16 +26,17 @@ never asks which profiler it serves.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Tuple
 
-from repro.core.cdc import Columns, translate_columns, translate_trace
+from repro.core.cdc import Columns, translate_columns
 from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
 from repro.core.tuples import WILD_GROUP, make_access
 from repro.obs.spans import Telemetry, coalesce
 
-#: accesses an online session buffers before it translates and
-#: compresses them
+#: rows the stage loop decomposes and compresses at a time, and the
+#: accesses an online session buffers before it runs the loop
 CHUNK = 4096
 
 
@@ -45,7 +47,7 @@ class ProfilerPipeline:
     :meth:`_build_profile` and :meth:`_record_metrics`.
     """
 
-    #: the span the staged run opens around its three stage spans
+    #: the span an offline profile opens around its three stage spans
     span_name: str
 
     def __init__(
@@ -64,8 +66,7 @@ class ProfilerPipeline:
     # -- what each profiler supplies ------------------------------------
 
     def _new_scc(self):
-        """A fresh SCC with ``consume``, ``decompose`` and
-        ``compress_streams``."""
+        """A fresh SCC with ``decompose`` and ``compress_streams``."""
         raise NotImplementedError
 
     def _build_profile(
@@ -75,81 +76,69 @@ class ProfilerPipeline:
         raise NotImplementedError
 
     def _record_metrics(self, profile, telemetry: Telemetry) -> None:
-        """Publish the profile's quality gauges (staged runs only)."""
+        """Publish the profile's quality gauges (telemetry on only)."""
         raise NotImplementedError
 
     # -- offline --------------------------------------------------------
 
     def profile(self, trace: Trace):
-        """Profile a recorded trace.
-
-        Under null telemetry each translated access streams straight
-        into the SCC.  With telemetry enabled the run is staged, so each
-        stage can be timed.  Both drivers yield the same profile.
-        """
+        """Profile a recorded trace: one pass of the stage loop, then
+        the counts, and the quality gauges when telemetry is on."""
         omc = ObjectManager(refine_by_type=self.refine_by_type)
         scc = self._new_scc()
         mark = self._quarantine_mark()
-        if self.telemetry.enabled:
-            return self._profile_staged(trace, omc, scc, mark)
-        count = 0
-        for access in self._kept(translate_trace(trace, omc)):
-            scc.consume(access)
-            count += 1
-        return self._package(scc, omc, count, mark)
-
-    def _profile_staged(self, trace: Trace, omc: ObjectManager, scc, mark: int):
-        """Each paper stage under its own span, plus the counts and
-        quality gauges.  Staging materializes the decomposed streams;
-        the profile is identical to the streaming loop's."""
-        with self.telemetry.span(self.span_name) as whole:
+        telemetry = self.telemetry
+        with telemetry.span(self.span_name) as whole:
             translated, wild, kept = self._run_stages(trace, omc, scc)
             whole.add_items(kept, "accesses")
         self._count_translation(translated, wild)
         profile = self._package(scc, omc, kept, mark)
-        self._record_metrics(profile, self.telemetry)
+        if telemetry.enabled:
+            self._record_metrics(profile, telemetry)
         return profile
 
     def _run_stages(
         self, trace: Trace, omc: ObjectManager, scc
     ) -> Tuple[int, int, int]:
-        """Translate ``trace`` against ``omc``, drop what the quarantine
-        takes, decompose, and compress into ``scc``, each stage under
+        """Translate ``trace`` against ``omc``, then, one slice of
+        :data:`CHUNK` rows at a time, drop what the quarantine takes,
+        decompose and compress into ``scc``, so no stage holds more than
+        a chunk of rows or decomposed streams.  Each stage runs under
         its own span.  Returns the accesses translated, the wild ones
         among them, and the accesses kept."""
         telemetry = self.telemetry
         with telemetry.span("translation") as span:
-            columns = translate_columns(trace, omc)
-            translated = len(columns[0])
-            wild = columns[1].count(WILD_GROUP)
-            if self.quarantine is not None:
-                columns = self._kept_columns(columns)
-            kept = len(columns[0])
-            span.add_items(kept, "accesses")
-        with telemetry.span("decomposition") as span:
-            streams = scc.decompose(columns)
-            span.add_items(kept, "accesses")
-        with telemetry.span("compression") as span:
-            scc.compress_streams(streams)
-            span.add_items(sum(map(len, streams.values())), "symbols")
+            *rows, kinds = translate_columns(trace, omc)
+            translated = len(rows[0])
+            wild = rows[1].count(WILD_GROUP)
+            span.add_items(translated, "accesses")
+        kinds = iter(kinds)  # read once, across every slice
+        kept = 0
+        # at least one slice, so an empty trace still opens each span
+        for start in range(0, max(translated, 1), CHUNK):
+            chunk = [column[start:start + CHUNK] for column in rows]
+            chunk.append(islice(kinds, CHUNK))
+            with telemetry.span("decomposition") as span:
+                if self.quarantine is not None:
+                    chunk = self._kept_columns(chunk)
+                streams = scc.decompose(chunk)
+                span.add_items(len(chunk[0]), "accesses")
+            kept += len(chunk[0])
+            with telemetry.span("compression") as span:
+                scc.compress_streams(streams)
+                span.add_items(sum(map(len, streams.values())), "symbols")
         return translated, wild, kept
 
     # -- shared plumbing --------------------------------------------------
 
-    def _kept(self, stream):
-        """``stream`` filtered through the quarantine in degraded mode."""
-        if self.quarantine is None:
-            return stream
-        from repro.resilience.degraded import quarantine_stream
-
-        return quarantine_stream(stream, self.quarantine)
-
     def _kept_columns(self, columns: Columns) -> Columns:
         """``columns`` filtered through the quarantine, as accesses and
         back (degraded mode only)."""
+        from repro.resilience.degraded import quarantine_stream
+
         kept = [
             (a.instruction_id, a.group, a.object_serial, a.offset, a.time, a.size, a.kind)
-            for a in self._kept(map(make_access, *columns))
+            for a in quarantine_stream(map(make_access, *columns), self.quarantine)
         ]
         return tuple(map(list, zip(*kept))) if kept else tuple([] for __ in columns)
 
@@ -202,8 +191,8 @@ class OnlineSession:
 
     Probe firings are buffered into a chunk :class:`Trace`, and every
     :data:`CHUNK` accesses (and at :meth:`finish`) the chunk is
-    translated against the session's OMC, decomposed and compressed
-    exactly as the staged offline run does it.  Object events keep their
+    translated against the session's OMC, decomposed and compressed by
+    the stage loop an offline profile runs.  Object events keep their
     places inside the chunk, so translation stays exact under address
     reuse.  A free of an untracked address raises
     :class:`~repro.core.omc.TranslationError` at the flush that applies

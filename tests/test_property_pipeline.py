@@ -5,7 +5,8 @@ A hypothesis strategy generates random-but-valid process scripts
 trace must satisfy the library's global invariants: WHOMP losslessness,
 online/offline agreement, translation consistency, LEAP accounting and
 exactness, and byte-identical profiles from every path through the
-profiler pipeline, wherever the online session's chunk boundaries fall.
+profiler pipeline, wherever the chunk boundaries fall, all equal to a
+reference built by feeding each access to a bare compressor.
 """
 
 from functools import partial
@@ -15,14 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cdc import OnlineCDC, translate_trace_list
+from repro.compression.lmad import LMADCompressor
+from repro.compression.sequitur import SequiturGrammar
+from repro.core.cdc import OnlineCDC, translate_trace, translate_trace_list
 from repro.core.events import AccessKind
+from repro.core.omc import ObjectManager
 from repro.core.profile_io import dumps_bytes
+from repro.core.tuples import DIMENSIONS
 from repro.obs.spans import Telemetry
 from repro.profilers import pipeline
-from repro.profilers.leap import LeapProfiler
-from repro.profilers.whomp import WhompProfiler
-from repro.resilience import Quarantine
+from repro.profilers.leap import LeapProfile, LeapProfiler
+from repro.profilers.whomp import WhompProfile, WhompProfiler
+from repro.resilience import Quarantine, quarantine_stream
 from repro.runtime.process import Process
 
 
@@ -182,10 +187,62 @@ def test_leap_accounting_on_random_scripts(operations, budget):
         assert len(entry.lmads) <= budget
 
 
+def _reference_profile(profiler, trace):
+    """What ``profiler`` must build from ``trace``, computed without the
+    pipeline: ``translate_trace``'s accesses, filtered through the
+    profiler's quarantine in degraded mode, fed one at a time into a
+    bare compressor per WHOMP dimension or per LEAP ``(instruction,
+    group)`` key."""
+    omc = ObjectManager(refine_by_type=profiler.refine_by_type)
+    accesses = translate_trace(trace, omc)
+    quarantine = profiler.quarantine
+    if quarantine is not None:
+        accesses = quarantine_stream(accesses, quarantine)
+    kept = 0
+    if isinstance(profiler, WhompProfiler):
+        grammars = {name: SequiturGrammar() for name in DIMENSIONS}
+        for access in accesses:
+            for name in DIMENSIONS:
+                grammars[name].feed(access.dimension(name))
+            kept += 1
+    else:
+        compressors, kinds, exec_counts = {}, {}, {}
+        for access in accesses:
+            key = (access.instruction_id, access.group)
+            if key not in compressors:
+                compressors[key] = LMADCompressor(
+                    dims=3, budget=profiler.budget, overflow_cap=profiler.overflow_cap
+                )
+            compressors[key].feed((access.object_serial, access.offset, access.time))
+            kinds.setdefault(access.instruction_id, access.kind)
+            exec_counts[access.instruction_id] = exec_counts.get(access.instruction_id, 0) + 1
+            kept += 1
+    quarantined = quarantine.total if quarantine is not None else 0
+    total = kept + quarantined
+    common = dict(
+        group_labels={group.group_id: group.label for group in omc.groups},
+        lifetimes=omc.lifetime_table(),
+        access_count=kept,
+        capture_completeness=kept / total if total else 1.0,
+        quarantined=quarantined,
+    )
+    if isinstance(profiler, WhompProfiler):
+        return WhompProfile(
+            grammars=grammars, base_addresses=omc.base_address_table(), **common
+        )
+    return LeapProfile(
+        entries={key: compressor.finish() for key, compressor in compressors.items()},
+        kinds=kinds,
+        exec_counts=exec_counts,
+        budget=profiler.budget,
+        **common,
+    )
+
+
 def _profiles_by_path(factory, operations, degraded):
     """The recorded trace of one script, and ``factory(**options)`` run
-    down each pipeline path over it, each with its own quarantine in
-    degraded mode."""
+    down each pipeline path over it, next to the reference profile,
+    each with its own quarantine in degraded mode."""
 
     def make(**options):
         return factory(quarantine=Quarantine() if degraded else None, **options)
@@ -195,11 +252,25 @@ def _profiles_by_path(factory, operations, degraded):
     run_script(operations, process)
     trace = process.trace
     profiles = {
-        "streaming": make().profile(trace),
-        "staged": make(telemetry=Telemetry()).profile(trace),
+        "reference": _reference_profile(make(), trace),
+        "offline": make().profile(trace),
+        "telemetry": make(telemetry=Telemetry()).profile(trace),
         "online": session.finish(),
     }
     return trace, profiles
+
+
+def _assert_paths_agree(factory, operations, degraded):
+    __, profiles = _profiles_by_path(factory, operations, degraded)
+    documents = {
+        path: dumps_bytes(profile, "binary") for path, profile in profiles.items()
+    }
+    reference = documents["reference"]
+    for path, document in documents.items():
+        assert document == reference, path
+    wild = sum(1 for operation in operations if operation[0] == "wild")
+    for path, profile in profiles.items():
+        assert profile.quarantined == (wild if degraded else 0), path
 
 
 @pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
@@ -211,15 +282,38 @@ def _profiles_by_path(factory, operations, degraded):
 def test_every_pipeline_path_gives_identical_documents(
     factory, degraded, operations
 ):
-    __, profiles = _profiles_by_path(factory, operations, degraded)
-    documents = {
-        path: dumps_bytes(profile, "binary") for path, profile in profiles.items()
-    }
-    reference = documents["streaming"]
-    for path, document in documents.items():
-        assert document == reference, path
-    wild = sum(1 for operation in operations if operation[0] == "wild")
-    assert profiles["streaming"].quarantined == (wild if degraded else 0)
+    _assert_paths_agree(factory, operations, degraded)
+
+
+def _chunk_edge_script(kept, degraded):
+    """A script whose profile keeps exactly ``kept`` accesses to two
+    live blocks, with a free and a new block halfway.  The first access
+    is a store and the last is the first load of its instruction.  Every
+    97th step also loads from an untracked block: in place of an
+    access, or, in degraded mode, where the quarantine diverts it, next
+    to one."""
+    operations = [("alloc", 1, 256), ("alloc", 2, 64)]
+    for step in range(kept - 1):
+        if step == kept // 2:
+            operations += [("free", 0), ("alloc", 3, 128)]
+        if step % 97 == 96:
+            operations.append(("wild", step % 8, step % 2))
+            if not degraded:
+                continue
+        operations.append(("access", step % 2, step % 31, step % 3 != 0, step % 4))
+    operations.append(("access", 0, 0, True, 5))
+    return operations
+
+
+@pytest.mark.parametrize(
+    "kept", (pipeline.CHUNK - 1, pipeline.CHUNK, pipeline.CHUNK + 1)
+)
+@pytest.mark.parametrize("degraded", (False, True), ids=("lossless", "degraded"))
+@pytest.mark.parametrize(
+    "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+)
+def test_paths_agree_at_the_chunk_boundary(factory, degraded, kept):
+    _assert_paths_agree(factory, _chunk_edge_script(kept, degraded), degraded)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.compression.lmad import LMADCompressor
+from repro.core.cdc import translate_trace
 from repro.core.events import AccessEvent, AccessKind, AllocEvent, Trace
 from repro.core.fsutil import atomic_write_text
 from repro.core.tuples import WILD_GROUP, WILD_OBJECT, ObjectRelativeAccess
@@ -438,6 +439,24 @@ class TestDegradedProfiling:
                 sum(lmad.count for lmad in entry.lmads) + entry.overflow.count
                 == entry.total_symbols
             )
+
+    @pytest.mark.parametrize(
+        "factory", (WhompProfiler, LeapProfiler), ids=("whomp", "leap")
+    )
+    def test_column_filter_quarantines_what_the_tuple_filter_does(
+        self, damaged_trace, factory
+    ):
+        """The profilers filter the translated columns slice by slice;
+        the quarantine gets the tuples, reasons and order of one
+        ``quarantine_stream`` over the whole access stream."""
+        expected = Quarantine()
+        for __ in quarantine_stream(translate_trace(damaged_trace), expected):
+            pass
+        quarantine = Quarantine()
+        factory(quarantine=quarantine).profile(damaged_trace)
+        assert set(expected.reasons) == {"wild", "bad-size", "bad-instruction"}
+        assert quarantine.reasons == expected.reasons
+        assert quarantine.records == expected.records
 
     def test_clean_trace_full_completeness(self):
         trace = create("micro.list", scale=0.2).trace()

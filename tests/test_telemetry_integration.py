@@ -12,16 +12,18 @@ Three properties matter:
 import json
 import re
 import time
+from itertools import islice
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.cdc import translate_trace
-from repro.core.events import AccessKind
+from repro.core.cdc import translate_columns
+from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
 from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
+from repro.profilers.pipeline import CHUNK
 from repro.profilers.whomp import WhompProfiler
 from repro.resilience import Quarantine
 from repro.runtime.process import Process
@@ -91,6 +93,52 @@ class TestLeapTelemetry:
         assert instrumented.entries == plain.entries
         assert instrumented.exec_counts == plain.exec_counts
         assert instrumented.access_count == plain.access_count
+
+
+class TestStageSpans:
+    """Translation runs once per profile; the decomposition (with the
+    quarantine filter) and compression spans run once per CHUNK slice,
+    and at least once."""
+
+    @PROFILERS
+    def test_calls_and_items_over_several_slices(self, factory):
+        trace = create("twolf", scale=0.08, seed=2).trace()
+        accesses = trace.access_count
+        assert accesses > 2 * CHUNK
+        telemetry = Telemetry()
+        factory(telemetry=telemetry).profile(trace)
+        root = factory.span_name
+        slices = -(-accesses // CHUNK)
+        translation = telemetry.find_span(f"{root}/translation")
+        decomposition = telemetry.find_span(f"{root}/decomposition")
+        compression = telemetry.find_span(f"{root}/compression")
+        assert (translation.calls, translation.items) == (1, accesses)
+        assert (decomposition.calls, decomposition.items) == (slices, accesses)
+        assert compression.calls == slices
+        per_access = 4 if factory is WhompProfiler else 1
+        assert compression.items == per_access * accesses
+
+    @PROFILERS
+    def test_quarantine_counts_in_decomposition(self, factory):
+        trace = create("micro.list", scale=0.2).trace()
+        trace.record_access(1, 0xDEAD0000, 8, AccessKind.LOAD)  # wild
+        quarantine = Quarantine()
+        telemetry = Telemetry()
+        profile = factory(telemetry=telemetry, quarantine=quarantine).profile(trace)
+        root = factory.span_name
+        assert quarantine.total == 1
+        assert telemetry.find_span(f"{root}/translation").items == trace.access_count
+        decomposition = telemetry.find_span(f"{root}/decomposition")
+        assert decomposition.items == profile.access_count == trace.access_count - 1
+
+    @PROFILERS
+    def test_empty_trace_opens_each_span(self, factory):
+        telemetry = Telemetry()
+        factory(telemetry=telemetry).profile(Trace())
+        root = factory.span_name
+        for stage in ("translation", "decomposition", "compression"):
+            span = telemetry.find_span(f"{root}/{stage}")
+            assert span is not None and (span.calls, span.items) == (1, 0), stage
 
 
 class TestWorkloadTelemetry:
@@ -323,13 +371,15 @@ class TestNullTelemetryOverhead:
 
     @staticmethod
     def _bare_whomp(trace):
-        omc = ObjectManager()
+        """WHOMP's bare stages: translate, then decompose and compress
+        each chunk of rows, with no spans, counts or packaging."""
+        *rows, kinds = translate_columns(trace, ObjectManager())
         scc = HorizontalSequiturSCC()
-        count = 0
-        for access in translate_trace(trace, omc):
-            scc.consume(access)
-            count += 1
-        return count
+        for start in range(0, len(rows[0]), CHUNK):
+            chunk = [column[start:start + CHUNK] for column in rows]
+            chunk.append(islice(kinds, CHUNK))
+            scc.compress_streams(scc.decompose(chunk))
+        return len(rows[0])
 
     def test_null_telemetry_overhead_under_five_percent(self):
         trace = create("micro.array", scale=2.0).trace()

@@ -9,7 +9,9 @@ from repro.core.events import AccessKind, Trace
 from repro.core.interval_index import IntervalIndex
 from repro.core.omc import ObjectManager
 from repro.core.profile_io import dumps_bytes
+from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.profilers.leap import LeapProfiler
+from repro.profilers.pipeline import CHUNK
 from repro.profilers.whomp import WhompProfiler
 from repro.workloads.registry import create
 
@@ -147,3 +149,26 @@ class TestProfilersShareOneTranslation:
         assert dumps_bytes(leap, "binary") == dumps_bytes(leap_alone, "binary")
         whomp_alone = WhompProfiler().profile(alone)
         assert dumps_bytes(whomp, "binary") == dumps_bytes(whomp_alone, "binary")
+
+
+class TestBoundedBatches:
+    def test_offline_stages_take_at_most_a_chunk(self, monkeypatch, resolve_calls):
+        """A default offline profile translates the trace once, then
+        decomposes it a chunk at a time: no stage ever holds more than
+        CHUNK rows of decomposed streams."""
+        trace = create("twolf", scale=0.08, seed=2).trace()
+        assert trace.access_count > 2 * CHUNK
+        batches = []
+        for scc in (HorizontalSequiturSCC, VerticalLMADSCC):
+            original = scc.decompose
+
+            def spy(self, columns, original=original):
+                batches.append(len(columns[0]))
+                return original(self, columns)
+
+            monkeypatch.setattr(scc, "decompose", spy)
+        WhompProfiler().profile(trace)
+        LeapProfiler().profile(trace)
+        assert max(batches) <= CHUNK
+        assert sum(batches) == 2 * trace.access_count
+        assert len(resolve_calls) <= trace.access_count
