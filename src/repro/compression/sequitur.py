@@ -26,6 +26,14 @@ The order of those edits is part of the output: rule ids are allocated
 as rules are created, and WHOMP serializes ids and right-hand sides, so
 any rewrite of the hot path must replay exactly the same edits.
 
+Node cost is the hot path's cost.  The nodes an edit makes (the
+appended terminal, a substitution's reference, a new rule's guard and
+body) are built with ``object.__new__`` and plain slot stores, so no
+constructor frame runs per node; one ``inert`` flag marks both guards
+and unlinked nodes, and an inlined rule drops its guard's back
+reference, so neither an unlinked node nor a dead rule is left in a
+reference cycle: reference counting frees them.
+
 Terminals may be any hashable value; the profilers feed integers.
 """
 
@@ -41,25 +49,29 @@ class _Symbol:
 
     ``value`` is a terminal or a :class:`Rule` (a non-terminal, flagged
     by ``is_nonterminal``).  Guard nodes -- the circular sentinels
-    heading each rule -- carry the rule itself as value and are
-    recognized via ``is_guard``.  ``alive`` turns False when the node is
-    unlinked, letting queued work detect stale references.
+    heading each rule -- carry the rule itself as value.  ``inert`` is
+    True for a guard and for a node an edit has unlinked: neither starts
+    a digram, so the one flag serves both queued work (is this stale?)
+    and list walks (is this the end?).
+
+    The hot path skips this constructor: it builds a node with
+    ``object.__new__(_Symbol)`` and stores all five slots itself (an
+    unstored slot raises on read).
     """
 
-    __slots__ = ("value", "prev", "next", "is_guard", "is_nonterminal", "alive")
+    __slots__ = ("value", "prev", "next", "inert", "is_nonterminal")
 
     def __init__(
         self,
         value: Union[Terminal, "Rule"],
         is_nonterminal: bool = False,
-        is_guard: bool = False,
+        inert: bool = False,
     ) -> None:
         self.value = value
         self.prev: Optional["_Symbol"] = None
         self.next: Optional["_Symbol"] = None
-        self.is_guard = is_guard
+        self.inert = inert
         self.is_nonterminal = is_nonterminal
-        self.alive = True
 
 
 class Rule:
@@ -74,7 +86,7 @@ class Rule:
 
     def __init__(self, rule_id: int) -> None:
         self.id = rule_id
-        self.guard = _Symbol(self, is_guard=True)
+        self.guard = _Symbol(self, inert=True)
         self.guard.prev = self.guard
         self.guard.next = self.guard
         self.refs: "set[_Symbol]" = set()
@@ -89,7 +101,7 @@ class Rule:
 
     def symbols(self) -> Iterable[_Symbol]:
         node = self.first
-        while not node.is_guard:
+        while not node.inert:
             yield node
             node = node.next  # type: ignore[assignment]
 
@@ -144,8 +156,8 @@ class SequiturGrammar:
     """
 
     def __init__(self) -> None:
-        self._next_rule_id = 0
-        self.start = self._new_rule()
+        self.start = Rule(0)
+        self._next_rule_id = 1
         # digram key -> the left symbol of its registered occurrence
         self._digrams: Dict[Digram, _Symbol] = {}
         self._pending: List[_Symbol] = []
@@ -166,6 +178,8 @@ class SequiturGrammar:
         loop (:meth:`_handle_match`).  A registered occurrence is
         trusted only while it is still a live occurrence of its key.
         """
+        new_node = object.__new__
+        Symbol = _Symbol
         guard = self.start.guard
         digrams = self._digrams
         pending = self._pending
@@ -176,28 +190,30 @@ class SequiturGrammar:
         for token in tokens:
             fed += 1
             last = guard.prev
-            new = _Symbol(token)
+            new = new_node(Symbol)
+            new.value = token
             new.prev = last
             new.next = guard
+            new.inert = new.is_nonterminal = False
             last.next = new  # type: ignore[union-attr]
             guard.prev = new
             push(last)  # type: ignore[arg-type]
             while pending:
                 left = pop()
-                if not left.alive or left.is_guard:
+                if left.inert:
                     continue
                 right = left.next
-                if right.is_guard:
+                if right.inert:
                     continue
                 key = (left.value, right.value)  # _digram_key(left)
                 match = digrams.get(key)
                 if match is left:
                     continue
-                if match is None or not match.alive:
+                if match is None or match.inert:
                     digrams[key] = left
                     continue
                 match_right = match.next
-                if match_right.is_guard or (match.value, match_right.value) != key:
+                if match_right.inert or (match.value, match_right.value) != key:
                     digrams[key] = left
                 elif match_right is not left and right is not match:
                     handle_match(left, match)  # not overlapping ("aaa")
@@ -291,6 +307,7 @@ class SequiturGrammar:
         productions: Dict[int, List[Union[Terminal, "Ref"]]],
         start: int = 0,
         tokens_fed: int = 0,
+        next_rule_id: Optional[int] = None,
     ) -> "SequiturGrammar":
         """Rebuild a grammar from its :meth:`to_productions` view.
 
@@ -301,6 +318,11 @@ class SequiturGrammar:
         the grammar remains feedable.  This is also the pickle path:
         the linked-symbol structure defeats naive pickling, but the
         production view crosses process boundaries as plain data.
+
+        ``next_rule_id`` is the id the next new rule takes (default: one
+        past the highest id present).  Ids of inlined rules are never
+        reused, so a grammar restored to go on feeding must carry its
+        counter to number its next rules as the original would.
         """
         grammar = cls.__new__(cls)
         grammar._digrams = {}
@@ -309,7 +331,13 @@ class SequiturGrammar:
         rules: Dict[int, Rule] = {rid: Rule(rid) for rid in productions}
         if start not in rules:
             rules[start] = Rule(start)
-        grammar._next_rule_id = max(rules) + 1
+        if next_rule_id is None:
+            next_rule_id = max(rules) + 1
+        elif next_rule_id <= max(rules):
+            raise ValueError(
+                f"next rule id {next_rule_id} is not above R{max(rules)}"
+            )
+        grammar._next_rule_id = next_rule_id
         grammar.start = rules[start]
         for rule_id, rhs in productions.items():
             rule = rules[rule_id]
@@ -326,7 +354,7 @@ class SequiturGrammar:
                 grammar._insert_after(rule.guard.prev, node)
         for rule_id in sorted(rules):
             node = rules[rule_id].first
-            while not node.is_guard and not node.next.is_guard:
+            while not node.inert and not node.next.inert:
                 grammar._digrams.setdefault(_digram_key(node), node)
                 node = node.next
         return grammar
@@ -334,19 +362,45 @@ class SequiturGrammar:
     def __reduce__(self):
         return (
             _grammar_from_state,
-            (self.to_productions(), self.start.id, self._tokens_fed),
+            (
+                self.to_productions(),
+                self.start.id,
+                self._tokens_fed,
+                self._next_rule_id,
+            ),
         )
 
     def check_invariants(self) -> None:
-        """Assert digram uniqueness and rule utility (used by tests).
+        """Assert the grammar's invariants and bookkeeping (used by tests).
 
-        Digram uniqueness permits *overlapping* repeats (``aaa``): the
-        algorithm deliberately leaves those alone.
+        Sequitur's two invariants: digram uniqueness, which permits
+        *overlapping* repeats (``aaa``) because the algorithm
+        deliberately leaves those alone, and rule utility.  Then the
+        bookkeeping the edits keep, which a slip can break without
+        changing any output yet: on every reachable rule, ``prev`` and
+        ``next`` are mutual, only the guard is ``inert``, and ``refs``
+        is exactly the set of linked nodes that reference the rule.
         """
+        rules = self.rules()
+        pointing: Dict[Rule, "set[_Symbol]"] = {rule: set() for rule in rules}
+        for rule in rules:
+            guard = rule.guard
+            assert guard.inert and guard.value is rule, f"bad guard on R{rule.id}"
+            node = guard
+            while True:
+                assert node.next.prev is node, f"prev/next not mutual in R{rule.id}"
+                node = node.next
+                if node is guard:
+                    break
+                assert not node.inert, f"inert non-guard node in R{rule.id}"
+                if node.is_nonterminal:
+                    pointing[node.value].add(node)
+        for rule in rules:
+            assert rule.refs == pointing[rule], f"stale refs on R{rule.id}"
         seen: Dict[Digram, _Symbol] = {}
-        for rule in self.rules():
+        for rule in rules:
             node = rule.first
-            while not node.is_guard and not node.next.is_guard:
+            while not node.inert and not node.next.inert:
                 key = _digram_key(node)
                 first = seen.get(key)
                 if first is None:
@@ -356,16 +410,10 @@ class SequiturGrammar:
                         f"digram uniqueness violated for {key} in R{rule.id}"
                     )
                 node = node.next
-        for rule in self.rules():
             if rule is not self.start:
                 assert rule.refcount >= 2, f"rule utility violated for R{rule.id}"
 
     # -- structural edits ------------------------------------------------
-
-    def _new_rule(self) -> Rule:
-        rule = Rule(self._next_rule_id)
-        self._next_rule_id += 1
-        return rule
 
     def _insert_after(self, node: _Symbol, new: _Symbol) -> None:
         new.prev = node
@@ -388,33 +436,53 @@ class SequiturGrammar:
         """Rewrite two non-overlapping occurrences of one digram."""
         digrams = self._digrams
         pending = self._pending
+        new_node = object.__new__
         old_right: _Symbol = old_left.next  # type: ignore[assignment]
-        if old_left.prev.is_guard and old_right.next.is_guard:  # type: ignore[union-attr]
+        if old_left.prev.inert and old_right.next.inert:  # type: ignore[union-attr]
             # The registered occurrence is exactly an existing rule's
             # whole body: reuse that rule.
             rule: Rule = old_left.prev.value  # type: ignore[union-attr]
             targets: Tuple[_Symbol, ...] = (new_left,)
         else:
-            rule = self._new_rule()
-            body_left = _Symbol(old_left.value, old_left.is_nonterminal)
-            body_right = _Symbol(old_right.value, old_right.is_nonterminal)
-            self._insert_after(rule.guard, body_left)
-            self._insert_after(body_left, body_right)
+            # A new rule: guard <-> body_left <-> body_right <-> guard,
+            # built without a constructor frame (as Rule.__init__ and
+            # _insert_after would build it).
+            rule = new_node(Rule)
+            rule.id = self._next_rule_id
+            self._next_rule_id += 1
+            rule.refs = set()
+            rule.guard = guard = new_node(_Symbol)
+            body_left = new_node(_Symbol)
+            body_right = new_node(_Symbol)
+            guard.value = rule
+            guard.inert = True
+            guard.is_nonterminal = body_left.inert = body_right.inert = False
+            guard.next = body_right.prev = body_left
+            guard.prev = body_left.next = body_right
+            body_left.prev = body_right.next = guard
+            body_left.value = old_left.value
+            body_left.is_nonterminal = old_left.is_nonterminal
+            body_right.value = old_right.value
+            body_right.is_nonterminal = old_right.is_nonterminal
+            if body_left.is_nonterminal:
+                body_left.value.refs.add(body_left)
+            if body_right.is_nonterminal:
+                body_right.value.refs.add(body_right)
             digrams[(body_left.value, body_right.value)] = body_left
             # Replace the old occurrence first, then the new one.
             # Inlining triggered by the first substitution can consume
             # the second occurrence (when it was the sole reference to
-            # an inlined rule); the liveness flag detects that.
+            # an inlined rule); its ``inert`` flag detects that.
             targets = (old_left, new_left)
         for left in targets:
-            if not left.alive:
+            if left.inert:
                 continue
             # Substitute a reference to ``rule`` for the digram
             # (left, right), forgetting the three digrams it destroys.
             right: _Symbol = left.next  # type: ignore[assignment]
             prev: _Symbol = left.prev  # type: ignore[assignment]
             after: _Symbol = right.next  # type: ignore[assignment]
-            if not prev.is_guard:
+            if not prev.inert:
                 key = (prev.value, left.value)
                 if digrams.get(key) is prev:
                     del digrams[key]
@@ -423,16 +491,19 @@ class SequiturGrammar:
             if digrams.get(key) is left:
                 del digrams[key]
                 pending.append(prev)
-            if not after.is_guard:
+            if not after.inert:
                 key = (right.value, after.value)
                 if digrams.get(key) is right:
                     del digrams[key]
                     pending.append(after)
-            left.alive = right.alive = False
+            left.inert = right.inert = True
             right.prev = prev  # no dead cycle left for the collector
-            ref = _Symbol(rule, True)
+            ref = new_node(_Symbol)
+            ref.value = rule
             ref.prev = prev
             ref.next = after
+            ref.inert = False
+            ref.is_nonterminal = True
             prev.next = after.prev = ref
             rule.refs.add(ref)
             pending.append(prev)
@@ -450,9 +521,9 @@ class SequiturGrammar:
         # So may the rule's two body symbols.
         first: _Symbol = rule.guard.next  # type: ignore[assignment]
         last: _Symbol = rule.guard.prev  # type: ignore[assignment]
-        if first.alive and first.is_nonterminal and len(first.value.refs) == 1:
+        if not first.inert and first.is_nonterminal and len(first.value.refs) == 1:
             self._inline(first.value)
-        if last.alive and last.is_nonterminal and len(last.value.refs) == 1:
+        if not last.inert and last.is_nonterminal and len(last.value.refs) == 1:
             self._inline(last.value)
 
     def _inline(self, rule: Rule) -> None:
@@ -468,20 +539,21 @@ class SequiturGrammar:
         (ref,) = rule.refs
         prev: _Symbol = ref.prev  # type: ignore[assignment]
         next_node: _Symbol = ref.next  # type: ignore[assignment]
-        if not prev.is_guard:
+        if not prev.inert:
             key = (prev.value, rule)
             if digrams.get(key) is prev:
                 del digrams[key]
                 pending.append(prev.prev)  # type: ignore[arg-type]
-        if not next_node.is_guard:
+        if not next_node.inert:
             key = (rule, next_node.value)
             if digrams.get(key) is ref:
                 del digrams[key]
                 pending.append(prev)
                 pending.append(next_node)
-        ref.alive = False
+        ref.inert = True
         rule.refs.clear()
         guard = rule.guard
+        guard.value = None  # no Rule <-> guard cycle left for the collector
         first, last = guard.next, guard.prev
         if first is guard:
             prev.next = next_node
@@ -514,11 +586,13 @@ class Ref:
         return f"Ref({self.rule_id})"
 
 
-def _grammar_from_state(productions, start, tokens_fed) -> SequiturGrammar:
+def _grammar_from_state(
+    productions, start, tokens_fed, next_rule_id
+) -> SequiturGrammar:
     """Module-level unpickle hook for :meth:`SequiturGrammar.__reduce__`
     (subclass-agnostic pickling would lose the production round-trip)."""
     return SequiturGrammar.from_productions(
-        productions, start=start, tokens_fed=tokens_fed
+        productions, start=start, tokens_fed=tokens_fed, next_rule_id=next_rule_id
     )
 
 

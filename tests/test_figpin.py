@@ -12,8 +12,10 @@ command line::
 
     PYTHONPATH=src python tests/test_figpin.py 1.0
 
-which prints the digest and exits 1 if it misses its pin.  A change to
-a pin is a change to a figure: say why in CHANGES.md and EXPERIMENTS.md.
+which prints the digest, then each experiment's ``elapsed_seconds`` (so
+a log of these runs tracks the suite's wall time), and exits 1 if the
+digest misses its pin.  A change to a pin is a change to a figure: say
+why in CHANGES.md and EXPERIMENTS.md.
 """
 
 import hashlib
@@ -45,8 +47,8 @@ def _drop_elapsed(value):
     return value
 
 
-def suite_digest(scale: float) -> str:
-    """sha256 of the suite's canonical ``--json`` at ``scale``."""
+def run_suite(scale: float) -> dict:
+    """The suite's ``--json`` records at ``scale``, keyed by experiment."""
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "figures.json")
         status = runner_main(
@@ -55,7 +57,11 @@ def suite_digest(scale: float) -> str:
         )
         assert status == 0, f"figure suite exited {status}"
         with open(path) as handle:
-            records = json.load(handle)
+            return json.load(handle)
+
+
+def records_digest(records: dict) -> str:
+    """sha256 of the canonical form of the suite's records."""
     canonical = json.dumps(
         _drop_elapsed(records), sort_keys=True, separators=(",", ":")
     )
@@ -63,13 +69,16 @@ def suite_digest(scale: float) -> str:
 
 
 def test_figures_at_quarter_scale():
-    assert suite_digest(0.25) == FIG_PINS[0.25]
+    assert records_digest(run_suite(0.25)) == FIG_PINS[0.25]
 
 
 if __name__ == "__main__":
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
-    got = suite_digest(scale)
+    records = run_suite(scale)
+    got = records_digest(records)
     print(f"scale {scale}: {got}")
+    for name in EXPERIMENTS:
+        print(f"{name}: {records[name]['elapsed_seconds']:.2f} s")
     if scale in FIG_PINS and got != FIG_PINS[scale]:
         print(f"MISS: pinned {FIG_PINS[scale]}", file=sys.stderr)
         sys.exit(1)

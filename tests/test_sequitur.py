@@ -1,5 +1,6 @@
 """Tests for the Sequitur grammar compressor."""
 
+import gc
 import pickle
 import random
 
@@ -73,9 +74,10 @@ class TestRoundTrip:
 
 
 class TestRestoreThenFeed:
-    """A restored grammar must keep matching its own digrams: the index
-    :meth:`SequiturGrammar.from_productions` re-derives has to use the
-    same key shape as :meth:`SequiturGrammar.feed`."""
+    """A restored grammar must go on exactly as the original would: the
+    index :meth:`SequiturGrammar.from_productions` re-derives has to use
+    the same key shape as :meth:`SequiturGrammar.feed`, and the rule-id
+    counter has to survive the pickle."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_feed_after_pickle_round_trip(self, seed):
@@ -92,7 +94,23 @@ class TestRestoreThenFeed:
         restored.feed_all(sequence[split:])
         assert restored.expand() == sequence
         assert restored.tokens_fed == len(sequence)
+        assert restored.to_productions() == compress(sequence).to_productions()
         restored.check_invariants()
+
+    def test_restore_keeps_rule_numbering(self):
+        # the highest-numbered rule is inlined before some of these
+        # splits: a counter re-derived from the live ids would reuse it
+        sequence = [1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0]
+        continuous = compress(sequence).to_productions()
+        for split in range(len(sequence) + 1):
+            restored = pickle.loads(pickle.dumps(compress(sequence[:split])))
+            restored.feed_all(sequence[split:])
+            assert restored.to_productions() == continuous, split
+
+    def test_from_productions_rejects_a_used_rule_id(self):
+        productions = compress([1, 2, 1, 2]).to_productions()
+        with pytest.raises(ValueError, match="not above"):
+            SequiturGrammar.from_productions(productions, next_rule_id=1)
 
     def test_restored_index_recognizes_repeats(self):
         grammar = compress([1, 2, 3, 9])
@@ -201,6 +219,22 @@ def test_sequitur_low_alphabet_stress(sequence):
     grammar = compress(sequence)
     assert grammar.expand() == sequence
     grammar.check_invariants()
+
+
+def test_dead_rules_leave_no_cyclic_garbage():
+    """Unlinked nodes and inlined rules keep no reference cycle, so
+    reference counting frees them and the cyclic collector finds
+    nothing to do while the grammar itself is still alive."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        grammar = compress([0] * 5000 + [1, 2, 3] * 3000)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert grammar.tokens_fed == 14000
 
 
 def test_linked_symbols_stay_inside_the_compressor():
