@@ -7,10 +7,14 @@ each; the per-figure benchmark functions time the profiler/analysis
 kernels and assert the paper's *shape* (who wins, by roughly what
 factor).
 
-Set ``REPRO_BENCH_SCALE`` to trade fidelity for runtime (default 1.0,
-the calibration the paper-shape assertions were tuned at; smaller
-scales keep the assertions' loose bounds valid but shift the absolute
-numbers).
+Set ``REPRO_BENCH_SCALE`` to trade fidelity for runtime.  The default
+1.0 is the calibration the paper-shape assertions were tuned at, and
+the only scale the whole suite is known to pass at (the two
+tracing-dilation ratios in ``test_bench_obs_overhead.py`` are flaky
+there).  Smaller scales shift the absolute numbers, and some bounds no
+longer hold: at 0.25 Table 1's compression bound fails (crafty 4.4x
+against more than 10x) and every other test passed in one run; at 0.1
+Table 1 (vpr 6.9x) and the BINCAP decode floor fail.
 """
 
 import os

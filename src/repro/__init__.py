@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from repro.core.cdc import OnlineCDC, translate_trace, translate_trace_list
-from repro.core.decomposition import horizontal, recombine, vertical
 from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
@@ -41,9 +40,6 @@ __all__ = [
     "Trace",
     "WhompProfile",
     "WhompProfiler",
-    "horizontal",
-    "recombine",
     "translate_trace",
     "translate_trace_list",
-    "vertical",
 ]

@@ -21,15 +21,16 @@ have conflicting access patterns, at a modest size cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.lmad import DEFAULT_BUDGET
-from repro.core.cdc import translate_trace
+from repro.core.cdc import translate_columns
 from repro.core.events import Trace
 from repro.core.omc import ObjectManager
 from repro.core.scc import VerticalLMADSCC
-from repro.core.tuples import ObjectRelativeAccess
 from repro.profilers.leap import LeapProfile, LeapProfiler
 
 #: accesses per signature interval
@@ -63,7 +64,12 @@ class Phase:
 
 
 class PhaseDetector:
-    """Online leader-clustering phase detector over interval signatures."""
+    """Online leader-clustering phase detector over interval signatures.
+
+    The caller cuts the instruction column into ``interval``-long slices
+    and hands each to :meth:`classify` in order; a trace's last slice
+    is just shorter.
+    """
 
     def __init__(
         self,
@@ -75,38 +81,17 @@ class PhaseDetector:
         self.interval = interval
         self.threshold = threshold
         self.phases: List[Phase] = []
-        self._counts: Dict[int, int] = {}
-        self._filled = 0
-        self._interval_index = 0
-        #: phase id assigned to each completed interval, in order
+        #: phase id assigned to each classified interval, in order
         self.assignments: List[int] = []
 
-    def feed(self, access: ObjectRelativeAccess) -> Optional[int]:
-        """Consume one access; returns a phase id when an interval
-        completes, else None."""
-        self._counts[access.instruction_id] = (
-            self._counts.get(access.instruction_id, 0) + 1
-        )
-        self._filled += 1
-        if self._filled < self.interval:
-            return None
-        return self._complete_interval()
-
-    def flush(self) -> Optional[int]:
-        """Classify a trailing partial interval, if any."""
-        if not self._filled:
-            return None
-        return self._complete_interval()
-
-    def _complete_interval(self) -> int:
-        total = float(self._filled)
-        signature = {k: v / total for k, v in self._counts.items()}
+    def classify(self, instructions: Sequence[int]) -> int:
+        """Assign one interval, given its instruction ids, to a phase
+        and return the phase id."""
+        total = float(len(instructions))
+        signature = {k: v / total for k, v in Counter(instructions).items()}
         phase = self._classify(signature)
-        phase.intervals.append(self._interval_index)
+        phase.intervals.append(len(self.assignments))
         self.assignments.append(phase.phase_id)
-        self._interval_index += 1
-        self._counts = {}
-        self._filled = 0
         return phase.phase_id
 
     def _classify(self, signature: Signature) -> Phase:
@@ -176,28 +161,20 @@ class PhasedLeapProfiler:
         detector = PhaseDetector(self.interval, self.threshold)
         sccs: Dict[int, VerticalLMADSCC] = {}
         counts: Dict[int, int] = {}
-        # Buffer one interval of accesses, classify it, then feed the
-        # phase's SCC: the phase of an interval is only known at its end.
-        pending: List[ObjectRelativeAccess] = []
-
-        def drain(phase_id: int) -> None:
+        *rows, kinds = translate_columns(trace, omc)
+        kinds = iter(kinds)  # read once, across every slice
+        interval = self.interval
+        # The phase of an interval is only known once its slice is
+        # classified, so each slice is decomposed into its phase's SCC.
+        for start in range(0, len(rows[0]), interval):
+            chunk = [column[start:start + interval] for column in rows]
+            chunk.append(islice(kinds, interval))
+            phase_id = detector.classify(chunk[0])
             scc = sccs.get(phase_id)
             if scc is None:
-                scc = VerticalLMADSCC(budget=self.budget)
-                sccs[phase_id] = scc
-            for access in pending:
-                scc.consume(access)
-            counts[phase_id] = counts.get(phase_id, 0) + len(pending)
-            pending.clear()
-
-        for access in translate_trace(trace, omc):
-            pending.append(access)
-            phase_id = detector.feed(access)
-            if phase_id is not None:
-                drain(phase_id)
-        tail_phase = detector.flush()
-        if tail_phase is not None:
-            drain(tail_phase)
+                scc = sccs[phase_id] = VerticalLMADSCC(budget=self.budget)
+            scc.compress_streams(scc.decompose(chunk))
+            counts[phase_id] = counts.get(phase_id, 0) + len(chunk[0])
 
         group_labels = {g.group_id: g.label for g in omc.groups}
         profiles = {

@@ -1,21 +1,9 @@
-"""The paper's core: object-relative tuples, translation, decomposition,
-and the OMC/CDC/SCC components of the Figure 4 framework."""
+"""The paper's core: object-relative tuples, translation, and the
+OMC/CDC/SCC components of the Figure 4 framework (the SCCs carry the
+horizontal and vertical decomposition)."""
 
 from repro.core.cdc import OnlineCDC, translate_trace, translate_trace_list
-from repro.core.decomposition import (
-    horizontal,
-    project,
-    recombine,
-    vertical,
-    vertical_by_instruction_group,
-)
 from repro.core.events import AccessEvent, AccessKind, AllocEvent, FreeEvent, Trace
-from repro.core.framework import (
-    ProfilingSession,
-    collect_trace,
-    profile_trace,
-    profile_workload,
-)
 from repro.core.interval_index import BTreeMap, IntervalIndex
 from repro.core.omc import GroupRecord, ObjectManager, ObjectRecord, TranslationError
 from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
@@ -25,8 +13,6 @@ __all__ = [
     "AccessEvent", "AccessKind", "AllocEvent", "BTreeMap", "DIMENSIONS",
     "FreeEvent", "GroupRecord", "HorizontalSequiturSCC", "IntervalIndex",
     "ObjectManager", "ObjectRecord", "ObjectRelativeAccess", "OnlineCDC",
-    "ProfilingSession", "collect_trace", "profile_trace", "profile_workload",
     "Trace", "TranslationError", "VerticalLMADSCC", "WILD_GROUP",
-    "WILD_OBJECT", "horizontal", "project", "recombine", "translate_trace",
-    "translate_trace_list", "vertical", "vertical_by_instruction_group",
+    "WILD_OBJECT", "translate_trace", "translate_trace_list",
 ]

@@ -12,9 +12,10 @@ Two modes are provided:
   columns.  Each trace is resolved once; later calls replay the kept
   columns.  Every profile translates this way: an offline profile its
   whole trace, an online session each chunk of probe firings (Table
-  1's dilation is measured through them).  :func:`translate_trace`
-  yields the same translation as :class:`ObjectRelativeAccess` tuples,
-  for the analyses that walk a stream of tuples.
+  1's dilation is measured through them), and so does phase
+  detection.  :func:`translate_trace` yields the same translation as
+  :class:`ObjectRelativeAccess` tuples, for the analyses that walk a
+  stream of tuples (the field-reordering and clustering consumers).
 * :class:`OnlineCDC` -- a probe sink that translates and forwards each
   access as it fires, one tuple at a time.  No profiler uses it.
 """

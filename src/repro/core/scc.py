@@ -16,10 +16,11 @@ Two concrete SCCs are provided, one per profiler:
 The profilers' stage loop, offline and online alike, hands each SCC
 the translation's :data:`~repro.core.cdc.Columns` a chunk at a time:
 :meth:`decompose` splits a chunk into sub-streams in one stage and
-:meth:`compress_streams` compresses them in the next.  ``consume``
-takes one :class:`ObjectRelativeAccess` at a time instead, for callers
-that hold a stream of tuples (an :class:`~repro.core.cdc.OnlineCDC`,
-phase detection); the profile is the same.
+:meth:`compress_streams` compresses them in the next.  Phase
+detection hands each interval to its phase's SCC the same way.
+``consume`` takes one :class:`ObjectRelativeAccess` at a time instead,
+for a caller that holds a stream of tuples (an
+:class:`~repro.core.cdc.OnlineCDC`'s consumer); the profile is the same.
 """
 
 from __future__ import annotations

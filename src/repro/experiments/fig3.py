@@ -11,10 +11,11 @@ from the recorded trace.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import islice
+from typing import Dict
 
-from repro.core.cdc import translate_trace_list
-from repro.core.decomposition import horizontal, vertical
+from repro.core.cdc import translate_columns
+from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.core.tuples import DIMENSIONS
 from repro.lang.interp import run_source
 
@@ -48,34 +49,35 @@ def run(context=None) -> Dict[str, object]:
     names = {
         i.instruction_id: n for n, i in interpreter.process.instructions.items()
     }
-    translated = translate_trace_list(trace)
-    events = list(trace.accesses())
+    *columns, kinds = translate_columns(trace)
+    __, addresses, __, __ = trace.access_columns()
     # the traversal is the final 12 accesses (2 per node, 6 nodes)
-    tail = 12
-    rows: List[Dict[str, object]] = []
-    for event, access in list(zip(events, translated))[-tail:]:
-        rows.append(
-            {
-                "instruction": names[event.instruction_id],
-                "raw_address": event.address,
-                "tuple": (
-                    access.instruction_id,
-                    access.group,
-                    access.object_serial,
-                    access.offset,
-                ),
-                "time": access.time,
-            }
+    start = len(addresses) - 12
+    traversal = [list(column[start:]) for column in columns]
+    traversal.append(islice(kinds, start, None))
+    instructions, groups, serials, offsets, times, __, __ = traversal
+    rows = [
+        {
+            "instruction": names[instruction],
+            "raw_address": address,
+            "tuple": (instruction, group, serial, offset),
+            "time": time,
+        }
+        for instruction, address, group, serial, offset, time in zip(
+            instructions, addresses[start:], groups, serials, offsets, times
         )
-    traversal = translated[-tail:]
+    ]
+    # every traversal instruction touches one group (the nodes'), so the
+    # SCC's (instruction, group) sub-streams are per instruction
+    substreams = VerticalLMADSCC().decompose(traversal)
     return {
         "figure": "3",
         "program_result": result,
         "rows": rows,
-        "horizontal": horizontal(traversal),
+        "horizontal": HorizontalSequiturSCC().decompose(traversal),
         "vertical": {
-            instruction: [(a.object_serial, a.offset, a.time) for a in sub]
-            for instruction, sub in vertical(traversal, "instruction").items()
+            instruction: triples
+            for (instruction, __), triples in substreams.items()
         },
         "instruction_names": names,
     }

@@ -17,7 +17,7 @@ activations.
 from __future__ import annotations
 
 
-def profile_workload_documents(task):
+def workload_documents(task):
     """Store-ingest worker: trace one workload and serialize its
     profiles.
 

@@ -275,7 +275,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
         _close_ingest_trace(args, telemetry, context, events, store)
         return code
     from repro.parallel import ParallelExecutor
-    from repro.parallel.workers import profile_workload_documents
+    from repro.parallel.workers import workload_documents
 
     executor = ParallelExecutor(jobs=args.jobs, telemetry=telemetry)
     tasks = [
@@ -283,7 +283,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
         for name in names
     ]
     outcomes = executor.map_outcomes(
-        profile_workload_documents, tasks, label="store-ingest"
+        workload_documents, tasks, label="store-ingest"
     )
     for name, outcome in zip(names, outcomes):
         if outcome.error is not None:
@@ -315,7 +315,7 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
     profiled -- the capture never sits complete on this side first.
     """
     from repro.core.binformat import StreamWriter
-    from repro.parallel.workers import profile_workload_documents
+    from repro.parallel.workers import workload_documents
 
     sent = 0
 
@@ -326,7 +326,7 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
         writer.begin()
         for name in names:
             with telemetry.span(f"profile/{name}"):
-                __, documents, meta = profile_workload_documents(
+                __, documents, meta = workload_documents(
                     (name, args.scale, args.seed, args.profiler, args.fmt)
                 )
             span_data = meta.pop("span", None)

@@ -1,94 +1,113 @@
-"""Tests for horizontal and vertical decomposition."""
+"""Tests for horizontal and vertical decomposition: the SCCs' ``decompose``
+over the translation's columns."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition import (
-    horizontal,
-    project,
-    recombine,
-    vertical,
-    vertical_by_instruction_group,
-)
 from repro.core.events import AccessKind
+from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
 
-
-def make_access(i, g, o, f, t):
-    return ObjectRelativeAccess(i, g, o, f, t, 8, AccessKind.LOAD)
-
-
+#: (instruction, group, object, offset, time) rows
 SAMPLE = [
-    make_access(0, 0, 0, 0, 0),
-    make_access(1, 0, 0, 16, 1),
-    make_access(0, 0, 1, 0, 2),
-    make_access(1, 0, 1, 16, 3),
-    make_access(2, 1, 0, 8, 4),
+    (0, 0, 0, 0, 0),
+    (1, 0, 0, 16, 1),
+    (0, 0, 1, 0, 2),
+    (1, 0, 1, 16, 3),
+    (2, 1, 0, 8, 4),
 ]
+
+#: SAMPLE plus an access that splits instruction 0 across two groups
+NESTED = SAMPLE + [(0, 1, 0, 8, 5)]
+
+
+def columns(rows, kinds=None):
+    """The translation's columns for ``rows``: 8-byte accesses, loads
+    unless ``kinds`` says otherwise."""
+    if kinds is None:
+        kinds = [AccessKind.LOAD] * len(rows)
+    instructions, groups, objects, offsets, times = (
+        [row[d] for row in rows] for d in range(5)
+    )
+    return (
+        instructions, groups, objects, offsets, times, [8] * len(rows), iter(kinds)
+    )
+
+
+def recombine(substreams):
+    """Merge vertical sub-streams back into rows by their time field."""
+    rows = [
+        (instruction, group, obj, offset, time)
+        for (instruction, group), triples in substreams.items()
+        for obj, offset, time in triples
+    ]
+    rows.sort(key=lambda row: row[4])
+    return rows
 
 
 class TestHorizontal:
     def test_default_dimensions(self):
-        streams = horizontal(SAMPLE)
+        streams = HorizontalSequiturSCC().decompose(columns(SAMPLE))
         assert set(streams) == set(DIMENSIONS)
         assert streams["instruction"] == [0, 1, 0, 1, 2]
         assert streams["group"] == [0, 0, 0, 0, 1]
         assert streams["object"] == [0, 0, 1, 1, 0]
         assert streams["offset"] == [0, 16, 0, 16, 8]
 
-    def test_subset_of_dimensions(self):
-        streams = horizontal(SAMPLE, dimensions=("offset",))
-        assert list(streams) == ["offset"]
-
     def test_streams_have_equal_length(self):
-        streams = horizontal(SAMPLE)
+        streams = HorizontalSequiturSCC().decompose(columns(SAMPLE))
         lengths = {len(s) for s in streams.values()}
         assert lengths == {len(SAMPLE)}
 
     def test_empty_stream(self):
-        streams = horizontal([])
+        streams = HorizontalSequiturSCC().decompose(columns([]))
         assert all(s == [] for s in streams.values())
 
 
 class TestVertical:
     def test_partition_by_instruction(self):
-        parts = vertical(SAMPLE, "instruction")
-        assert set(parts) == {0, 1, 2}
-        assert [a.time for a in parts[0]] == [0, 2]
-        assert [a.time for a in parts[1]] == [1, 3]
+        parts = VerticalLMADSCC().decompose(columns(SAMPLE))
+        assert [time for __, __, time in parts[(0, 0)]] == [0, 2]
+        assert [time for __, __, time in parts[(1, 0)]] == [1, 3]
 
     def test_partition_by_group(self):
-        parts = vertical(SAMPLE, "group")
-        assert len(parts[0]) == 4
-        assert len(parts[1]) == 1
+        """The second level of the nesting splits each instruction's
+        rows by group."""
+        parts = VerticalLMADSCC().decompose(columns(NESTED))
+        by_group = {}
+        for (__, group), triples in parts.items():
+            by_group[group] = by_group.get(group, 0) + len(triples)
+        assert by_group == {0: 4, 1: 2}
+        assert [time for __, __, time in parts[(0, 1)]] == [5]
 
     def test_partitions_preserve_order(self):
-        parts = vertical(SAMPLE, "object")
-        for sub in parts.values():
-            times = [a.time for a in sub]
+        parts = VerticalLMADSCC().decompose(columns(SAMPLE))
+        for triples in parts.values():
+            times = [time for __, __, time in triples]
             assert times == sorted(times)
 
     def test_by_instruction_group(self):
-        parts = vertical_by_instruction_group(SAMPLE)
+        parts = VerticalLMADSCC().decompose(columns(SAMPLE))
         assert set(parts) == {(0, 0), (1, 0), (2, 1)}
         assert len(parts[(0, 0)]) == 2
 
 
 class TestRecombine:
     def test_inverts_vertical(self):
-        parts = vertical(SAMPLE, "instruction")
-        assert recombine(parts.values()) == SAMPLE
+        parts = VerticalLMADSCC().decompose(columns(SAMPLE))
+        assert recombine(parts) == SAMPLE
 
     def test_inverts_nested_vertical(self):
-        parts = vertical_by_instruction_group(SAMPLE)
-        assert recombine(parts.values()) == SAMPLE
+        parts = VerticalLMADSCC().decompose(columns(NESTED))
+        assert recombine(parts) == NESTED
 
 
 class TestProject:
     def test_triples(self):
-        triples = project(SAMPLE, ("object", "offset", "time"))
-        assert triples[0] == (0, 0, 0)
-        assert triples[-1] == (0, 8, 4)
+        """Each sub-stream holds its rows' (object, offset, time)."""
+        parts = VerticalLMADSCC().decompose(columns(SAMPLE))
+        assert parts[(0, 0)][0] == (0, 0, 0)
+        assert parts[(2, 1)][-1] == (0, 8, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,16 +121,24 @@ class TestProject:
         ),
         max_size=60,
     ),
-    st.sampled_from(DIMENSIONS),
 )
-def test_vertical_recombine_roundtrip(rows, dimension):
-    """Vertical decomposition by any dimension is invertible via the
-    time-stamp tag (the paper's reason for adding time)."""
-    stream = [make_access(i, g, o, f, t) for t, (i, g, o, f) in enumerate(rows)]
-    parts = vertical(stream, dimension)
-    assert recombine(parts.values()) == stream
-    # horizontal streams agree with per-tuple dimensions
-    streams = horizontal(stream)
-    for index, access in enumerate(stream):
-        for name in DIMENSIONS:
-            assert streams[name][index] == access.dimension(name)
+def test_vertical_recombine_roundtrip(rows):
+    """Both decompositions are invertible: the horizontal streams zip
+    back to the rows, and the vertical sub-streams merge back through
+    the time-stamp tag (the paper's reason for adding time), with the
+    side tables per-access ``consume`` records."""
+    stream = [(i, g, o, f, t) for t, (i, g, o, f) in enumerate(rows)]
+    kinds = [AccessKind.STORE if row[3] % 2 else AccessKind.LOAD for row in stream]
+
+    streams = HorizontalSequiturSCC().decompose(columns(stream))
+    assert list(zip(*(streams[name] for name in DIMENSIONS))) == [
+        row[:4] for row in stream
+    ]
+
+    scc = VerticalLMADSCC()
+    assert recombine(scc.decompose(columns(stream, kinds))) == stream
+    reference = VerticalLMADSCC()
+    for row, kind in zip(stream, kinds):
+        reference.consume(ObjectRelativeAccess(*row, 8, kind))
+    assert list(scc.kinds.items()) == list(reference.kinds.items())
+    assert list(scc.exec_counts.items()) == list(reference.exec_counts.items())

@@ -14,8 +14,10 @@ command line::
 
 which prints the digest, then each experiment's ``elapsed_seconds`` (so
 a log of these runs tracks the suite's wall time), and exits 1 if the
-digest misses its pin.  A change to a pin is a change to a figure: say
-why in CHANGES.md and EXPERIMENTS.md.
+digest misses its pin.  Figure 3's table, which takes no scale or
+seed, is pinned the same way from ``repro-experiments fig3 --json``.  A
+change to a pin is a change to a figure: say why in CHANGES.md and
+EXPERIMENTS.md.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ FIG_PINS = {
     0.25: "39485884377aa6d43d03159a2763ff4b3682cb10635ee70ef3070e6daf2ccbd5",
     1.0: "a098ab9e045625ce8bd4385f9a767459d160e0b6c9b0a2215933538de4a2accc",
 }
+FIG3_PIN = "3ea48d9dc1e7e2755adde100f0e84ad14e83cac3aee78cf65eea2d4d7910db8b"
 
 
 def _drop_elapsed(value):
@@ -47,17 +50,21 @@ def _drop_elapsed(value):
     return value
 
 
-def run_suite(scale: float) -> dict:
-    """The suite's ``--json`` records at ``scale``, keyed by experiment."""
+def run_json(args) -> dict:
+    """``repro-experiments ARGS --json``'s records, keyed by experiment."""
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "figures.json")
-        status = runner_main(
-            [*EXPERIMENTS, "--no-speed", "--seed", str(SEED),
-             "--scale", str(scale), "--json", path]
-        )
-        assert status == 0, f"figure suite exited {status}"
+        status = runner_main([*args, "--json", path])
+        assert status == 0, f"repro-experiments {' '.join(args)} exited {status}"
         with open(path) as handle:
             return json.load(handle)
+
+
+def run_suite(scale: float) -> dict:
+    """The suite's ``--json`` records at ``scale``, keyed by experiment."""
+    return run_json(
+        [*EXPERIMENTS, "--no-speed", "--seed", str(SEED), "--scale", str(scale)]
+    )
 
 
 def records_digest(records: dict) -> str:
@@ -70,6 +77,10 @@ def records_digest(records: dict) -> str:
 
 def test_figures_at_quarter_scale():
     assert records_digest(run_suite(0.25)) == FIG_PINS[0.25]
+
+
+def test_figure3_table():
+    assert records_digest(run_json(["fig3"])) == FIG3_PIN
 
 
 if __name__ == "__main__":

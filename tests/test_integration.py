@@ -164,37 +164,49 @@ def test_scalar_rmw_dependence_detected_by_all():
 
 
 class TestFrameworkFacade:
-    def test_profile_workload_by_name(self):
-        from repro.core.framework import profile_workload
-
-        results = profile_workload("micro.array", scale=0.3)
-        assert results["whomp"].access_count == results["trace"].access_count
-        assert results["leap"].access_count == results["trace"].access_count
-
-    def test_profile_trace_unknown_profiler(self):
-        from repro.core.framework import profile_trace
-        from repro.core.events import Trace
-
-        with pytest.raises(ValueError):
-            profile_trace(Trace(), profilers=("ghost",))
+    """What the removed ``ProfilingSession`` facade offered, done with
+    the profilers' own ``attach``: several online profilers on one
+    process bus, and a LEAP budget override."""
 
     def test_session_runs_both_profilers_online(self):
-        from repro.core.framework import ProfilingSession
-        from repro.workloads.registry import create
+        """WHOMP and LEAP attached online to one process each finish
+        with the offline profile of the same workload's recorded trace,
+        byte for byte, and leave the bus uninstrumented."""
+        from repro.core.profile_io import dumps_bytes
 
         workload = create("micro.matrix", scale=0.4)
-        session = ProfilingSession()
-        profiles = session.run(workload).finish()
-        assert profiles["whomp"].access_count == profiles["leap"].access_count
-        assert profiles["whomp"].access_count > 0
-        # everything detached: further firings are not observed
-        assert not session.process.bus.instrumented
+        process = Process(record_trace=False)
+        whomp_session = WhompProfiler().attach(process.bus)
+        leap_session = LeapProfiler().attach(process.bus)
+        workload.run(process)
+        process.finish()
+        whomp, leap = whomp_session.finish(), leap_session.finish()
+        assert not process.bus.instrumented
+
+        trace = workload.trace()
+        assert whomp.access_count == leap.access_count == trace.access_count > 0
+        assert dumps_bytes(whomp, "binary") == dumps_bytes(
+            WhompProfiler().profile(trace), "binary"
+        )
+        assert dumps_bytes(leap, "binary") == dumps_bytes(
+            LeapProfiler().profile(trace), "binary"
+        )
 
     def test_session_budget_override(self):
-        from repro.core.framework import ProfilingSession
-        from repro.workloads.registry import create
+        """An online ``LeapProfiler(budget=3)`` keeps at most 3 LMADs per
+        entry and equals the offline profile at the same budget."""
+        from repro.core.profile_io import dumps_bytes
 
-        session = ProfilingSession(profilers=("leap",), budget=3)
-        profiles = session.run(create("micro.hash", scale=0.2)).finish()
-        for entry in profiles["leap"].entries.values():
-            assert len(entry.lmads) <= 3
+        workload = create("micro.hash", scale=0.2)
+        process = Process(record_trace=False)
+        session = LeapProfiler(budget=3).attach(process.bus)
+        workload.run(process)
+        process.finish()
+        leap = session.finish()
+        assert not process.bus.instrumented
+
+        assert leap.entries
+        assert all(len(entry.lmads) <= 3 for entry in leap.entries.values())
+        assert dumps_bytes(leap, "binary") == dumps_bytes(
+            LeapProfiler(budget=3).profile(workload.trace()), "binary"
+        )
