@@ -14,9 +14,9 @@ with its own Sequitur grammar; the conventional single-stream variant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
-from repro.compression.sequitur import SequiturGrammar
+from repro.compression.sequitur import FrozenGrammar, SequiturGrammar, compress
 from repro.core.events import Trace
 
 
@@ -24,7 +24,9 @@ from repro.core.events import Trace
 class RasgProfile:
     """The raw-address Sequitur profile."""
 
-    grammars: Dict[str, SequiturGrammar]
+    #: finished split-dimension grammars; the single interleaved
+    #: stream's terminals are tuples, so that grammar stays live
+    grammars: Dict[str, Union[FrozenGrammar, SequiturGrammar]]
     access_count: int
 
     def size(self) -> int:
@@ -61,11 +63,9 @@ class RasgProfiler:
         instructions, addresses, __, __ = trace.access_columns()
         if self.split_dimensions:
             grammars = {
-                "instruction": SequiturGrammar(),
-                "address": SequiturGrammar(),
+                "instruction": compress(instructions).freeze(),
+                "address": compress(addresses).freeze(),
             }
-            grammars["instruction"].feed_all(instructions)
-            grammars["address"].feed_all(addresses)
         else:
             grammar = SequiturGrammar()
             grammar.feed_all(

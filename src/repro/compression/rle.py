@@ -128,6 +128,11 @@ class DeltaRleCodec:
             previous_end = run.first + run.delta * (run.count - 1)
         return total
 
+    def freeze(self) -> "DeltaRleCodec":
+        """The finished codec: its runs are already compact and hold no
+        reference cycle, so it is its own frozen form."""
+        return self
+
     def expand(self) -> List[int]:
         out: List[int] = []
         for run in self._all_runs():

@@ -34,7 +34,16 @@ and unlinked nodes, and an inlined rule drops its guard's back
 reference, so neither an unlinked node nor a dead rule is left in a
 reference cycle: reference counting frees them.
 
-Terminals may be any hashable value; the profilers feed integers.
+A grammar lives in two forms.  While it is fed it is the live node
+graph above: a guard ring per rule, a ``refs`` set per rule and the
+digram index, all in reference cycles.  Once it is finished,
+:meth:`SequiturGrammar.freeze` turns it into a :class:`FrozenGrammar`,
+each rule's right-hand side as tagged integers (the form BINCAP writes
+and loads), and in the same walk unlinks the graph so that reference
+counting frees it at once.  The profilers keep only frozen grammars.
+
+Terminals may be any hashable value; the profilers feed integers, and
+only a grammar of integer terminals freezes.
 """
 
 from __future__ import annotations
@@ -300,6 +309,53 @@ class SequiturGrammar:
                     rhs.append(symbol.value)
             productions[rule.id] = rhs
         return productions
+
+    def freeze(self) -> "FrozenGrammar":
+        """The finished grammar as a :class:`FrozenGrammar`; the live
+        graph is released in the same walk.
+
+        Each rule reachable from the start is read once.  Reading it
+        unlinks it: every node drops ``prev``, the guard its links and
+        ``value``, the rule its ``refs``, and the digram index is
+        emptied first, so no reference cycle is left and reference
+        counting frees the nodes without the cyclic collector.  The
+        live grammar is spent afterwards: it cannot be fed or read.
+        Terminals must be integers (a tuple raises ``TypeError``).
+        """
+        self._digrams.clear()
+        start = self.start
+        self.start = None  # type: ignore[assignment]
+        productions: Dict[int, List[int]] = {}
+        stack = [start]
+        seen = {start.id}
+        while stack:
+            rule = stack.pop()
+            guard = rule.guard
+            rhs: List[int] = []
+            append = rhs.append
+            node = guard.next
+            while node is not guard:
+                node.prev = None
+                value = node.value
+                if node.is_nonterminal:
+                    rule_id = value.id
+                    append(rule_id << 1 | 1)
+                    if rule_id not in seen:
+                        seen.add(rule_id)
+                        stack.append(value)
+                elif value >= 0:  # zigzag(value) << 1
+                    append(value << 2)
+                else:
+                    append((-value << 2) - 2)
+                node = node.next
+            guard.next = guard.prev = guard.value = None
+            rule.refs.clear()
+            productions[rule.id] = rhs
+        return FrozenGrammar(
+            start.id,
+            {rule_id: productions[rule_id] for rule_id in sorted(productions)},
+            self._tokens_fed,
+        )
 
     @classmethod
     def from_productions(
@@ -584,6 +640,77 @@ class Ref:
 
     def __repr__(self) -> str:
         return f"Ref({self.rule_id})"
+
+
+class FrozenGrammar:
+    """A finished grammar: read-only, compact, and free of reference
+    cycles (see :meth:`SequiturGrammar.freeze`).
+
+    ``productions`` maps each rule id, in id order, to its right-hand
+    side as tagged integers: a rule reference is ``rule_id << 1 | 1``
+    and a terminal ``zigzag(value) << 1``.  That is the form
+    :func:`repro.core.binformat.tag_grammar` gives and
+    :func:`repro.core.binformat.decode_tagged` yields, so BINCAP writes
+    it as it stands, a loaded grammar compares equal to the produced
+    one, and both expand through one expander.  The size metrics equal
+    the live grammar's.
+    """
+
+    __slots__ = ("start", "productions", "tokens_fed")
+
+    def __init__(
+        self, start: int, productions: Dict[int, List[int]], tokens_fed: int
+    ) -> None:
+        self.start = start
+        self.productions = productions
+        self.tokens_fed = tokens_fed
+
+    def tagged(self) -> Tuple[int, Dict[int, List[int]]]:
+        """``(start, productions)``: a grammar in
+        :func:`repro.core.binformat.decode_tagged`'s form."""
+        return self.start, self.productions
+
+    def size(self) -> int:
+        """Total symbols on all right-hand sides."""
+        return sum(map(len, self.productions.values()))
+
+    def rule_count(self) -> int:
+        return len(self.productions)
+
+    def size_bytes(self, bytes_per_symbol: int = 4) -> int:
+        return (self.size() + self.rule_count()) * bytes_per_symbol
+
+    def size_bytes_varint(self) -> int:
+        """:meth:`SequiturGrammar.size_bytes_varint`, from the tags: a
+        reference costs ``_varint_len(rule_id)``, the varint of
+        ``2 * rule_id`` (the tag less its flag bit), and a terminal the
+        varint of its zigzag (the tag shifted right once)."""
+        total = 0
+        for rhs in self.productions.values():
+            total += _varint_len(len(rhs))
+            for tagged in rhs:
+                coded = tagged - 1 if tagged & 1 else tagged >> 1
+                total += (coded.bit_length() + 6) // 7 or 1
+        return total
+
+    def expand(self) -> List[int]:
+        """Decompress, through the expander loaded grammars use."""
+        # imported here: importing repro.core imports this module
+        from repro.core.binformat import _expand_tagged
+
+        return _expand_tagged(self.start, self.productions, self.tokens_fed)
+
+    def to_productions(self) -> Dict[int, List[Union[int, "Ref"]]]:
+        """:meth:`SequiturGrammar.to_productions` of the live grammar."""
+        return {
+            rule_id: [
+                Ref(tagged >> 1)
+                if tagged & 1
+                else ~(tagged >> 2) if tagged & 2 else tagged >> 2
+                for tagged in rhs
+            ]
+            for rule_id, rhs in self.productions.items()
+        }
 
 
 def _grammar_from_state(

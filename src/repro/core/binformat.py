@@ -32,8 +32,9 @@ compressible: consecutive rows differ by small amounts by construction.
 frame's row of column types; :func:`encode_document`,
 :func:`decode_tagged` and :func:`check_document` (the JSON loaders'
 check) all walk it.  A grammar symbol is one tagged varint
-(:func:`tag_grammar`), and that tagged form is also what both encodings
-hand the one grammar expander, :func:`_expand_tagged`, on load.  Its
+(:func:`tag_grammar`), a finished grammar's own form, which both
+encodings write from and hand the one grammar expander,
+:func:`_expand_tagged`, on load.  Its
 size check, :func:`rule_sizes`, also stands alone: validation needs a
 grammar's expanded length, never its stream.
 
@@ -314,20 +315,23 @@ class FrameParser:
 # schema below still declares where they sit, and the entry's fields.
 
 
-def tag_grammar(
-    grammar: Dict[str, object]
-) -> Tuple[int, Dict[int, List[int]]]:
+def tag_grammar(grammar: object) -> Tuple[int, Dict[int, List[int]]]:
     """A JSON-shape grammar (``{"start", "productions"}``) in the
     *tagged* form that grammar frames carry and :func:`_expand_tagged`
-    takes: ``(start, {rule_id: [tagged, ...]})``.
+    takes: ``(start, {rule_id: [tagged, ...]})``.  A grammar already
+    tagged, as a frozen grammar or :func:`decode_tagged` gives it, is
+    returned as it stands.
 
     Each symbol is one int whose bit 0 tells a rule reference
     (``rule_id << 1 | 1``) from a terminal (``zigzag(value) << 1``), so
-    on the wire the common small terminal costs one byte.  This is the
-    only place the rule is written: the encoder and the JSON loader both
-    go through it, so a JSON grammar that loads always re-encodes.
-    Rule ids and the start must be non-negative ints, terminals ints.
+    on the wire the common small terminal costs one byte.  The JSON
+    loader goes through it, so a JSON grammar that loads always
+    re-encodes; :meth:`~repro.compression.sequitur.SequiturGrammar.freeze`
+    tags the same way.  Rule ids and the start must be non-negative
+    ints, terminals ints.
     """
+    if type(grammar) is tuple:
+        return grammar
     start = grammar["start"]
     if type(start) is not int or start < 0:
         raise BinaryFormatError(f"bad start rule {start!r}")
@@ -422,23 +426,6 @@ def _decode_grammar_tagged(
         raise BinaryFormatError("trailing bytes in grammar frame")
     return start, productions
 
-
-def _decode_grammar(
-    start: int, productions: Dict[int, List[int]]
-) -> Dict[str, object]:
-    """A tagged grammar back in JSON shape (``decode_document``'s form)."""
-    return {
-        "start": start,
-        "productions": {
-            str(rule_id): [
-                ["R", tagged >> 1]
-                if tagged & 1
-                else ["T", ~(tagged >> 2) if tagged & 2 else tagged >> 2]
-                for tagged in rhs
-            ]
-            for rule_id, rhs in productions.items()
-        },
-    }
 
 def _encode_entry(record: Dict[str, object]) -> bytes:
     """One LEAP entry frame, of a record :func:`_check_entry` passed.
@@ -924,14 +911,14 @@ def _frame_values(frame: Frame, document: Dict[str, object]) -> list:
 
 
 def encode_document(document: Dict[str, object]) -> bytes:
-    """Serialize a JSON-shape profile document to its binary form.
+    """Serialize a profile document to its binary form.
 
-    The input is exactly what ``json.loads`` of the canonical JSON
-    document yields (and what :func:`decode_document` returns):
-    encode/decode round-trips the document identically, which the
-    property tests drive across all three kinds.  The document is
-    checked first (:func:`check_document`), so BINCAP refuses exactly
-    what the JSON loaders refuse.
+    The input is what ``json.loads`` of the canonical JSON document
+    yields (and what :func:`decode_document` returns), or that with
+    tagged grammars: encode/decode round-trips the document
+    identically, which the property tests drive across all three kinds.
+    The document is checked first (:func:`check_document`), so BINCAP
+    refuses exactly what the JSON loaders refuse.
     """
     checked = check_document(document)
     out = bytearray(MAGIC)
@@ -1067,13 +1054,29 @@ def decode_document(data: bytes) -> Dict[str, object]:
     canonical JSON document -- callers run the same validators over
     both formats.
     """
-    document = decode_tagged(data)
-    if document["format"] == "whomp":
-        document["grammars"] = {
-            name: _decode_grammar(*grammar)
-            for name, grammar in document["grammars"].items()
-        }
-    return document
+    return untagged(decode_tagged(data))
+
+
+def untagged(document: Dict[str, object]) -> Dict[str, object]:
+    """A document in :func:`decode_tagged`'s form with its WHOMP
+    grammars in JSON shape: what the JSON encoding writes and
+    :func:`decode_document` returns."""
+    if document["format"] != "whomp":
+        return document
+    shaped = dict(document)
+    shaped["grammars"] = {
+        name: {"start": start, "productions": {
+            str(rule_id): [
+                ["R", tagged >> 1]
+                if tagged & 1
+                else ["T", ~(tagged >> 2) if tagged & 2 else tagged >> 2]
+                for tagged in rhs
+            ]
+            for rule_id, rhs in productions.items()
+        }}
+        for name, (start, productions) in document["grammars"].items()
+    }
+    return shaped
 
 
 def check_document(document: Dict[str, object]) -> Dict[str, object]:

@@ -45,11 +45,10 @@ from __future__ import annotations
 import io
 import json
 import re
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import IO, Dict, Optional, Tuple, Union
 
 from repro.baselines.dependence_lossless import DependenceProfile
 from repro.compression.lmad import LMAD, LMADProfileEntry, OverflowSummary
-from repro.compression.sequitur import Ref, SequiturGrammar
 from repro.core import binformat
 from repro.core.events import AccessKind
 from repro.core.fsutil import atomic_write_bytes, atomic_write_text
@@ -112,27 +111,14 @@ def document_meta(document: Dict[str, object]) -> Tuple[float, int]:
     return completeness, document.get("quarantined", 0)
 
 
-# -- grammar (de)serialization ------------------------------------------------
-
-
-def _grammar_to_json(grammar: SequiturGrammar) -> Dict[str, object]:
-    productions = {}
-    for rule_id, rhs in grammar.to_productions().items():
-        encoded: List[object] = []
-        for symbol in rhs:
-            if isinstance(symbol, Ref):
-                encoded.append(["R", symbol.rule_id])
-            else:
-                encoded.append(["T", symbol])
-        productions[str(rule_id)] = encoded
-    return {"start": grammar.start.id, "productions": productions}
-
-
 # -- WHOMP ----------------------------------------------------------------
 
 
 def _whomp_document(profile: WhompProfile) -> Dict[str, object]:
-    """The canonical document dict, shared by both serializers."""
+    """The canonical document dict, shared by both serializers, in
+    :func:`binformat.decode_tagged`'s form: each grammar is its frozen
+    tagged form, which BINCAP writes as it stands and JSON writes
+    through :func:`binformat.untagged`."""
     return {
         "format": "whomp",
         "version": FORMAT_VERSION,
@@ -140,8 +126,7 @@ def _whomp_document(profile: WhompProfile) -> Dict[str, object]:
         "capture_completeness": profile.capture_completeness,
         "quarantined": profile.quarantined,
         "grammars": {
-            name: _grammar_to_json(grammar)
-            for name, grammar in profile.grammars.items()
+            name: grammar.tagged() for name, grammar in profile.grammars.items()
         },
         "base_addresses": [
             [group, serial, address]
@@ -153,7 +138,7 @@ def _whomp_document(profile: WhompProfile) -> Dict[str, object]:
 
 
 def save_whomp(profile: WhompProfile, stream: IO[str]) -> None:
-    json.dump(_whomp_document(profile), stream)
+    stream.write(dumps(profile))
 
 
 def load_whomp_streams(stream: IO[str]) -> Dict[str, object]:
@@ -182,8 +167,7 @@ def _whomp_grammars(document: Dict[str, object]) -> Dict[str, tuple]:
     access_count = document["access_count"]
     grammars = {}
     for name, grammar in document["grammars"].items():
-        if not isinstance(grammar, tuple):
-            grammar = binformat.tag_grammar(grammar)
+        grammar = binformat.tag_grammar(grammar)
         grammars[name] = grammar, binformat.rule_sizes(*grammar, access_count)
     missing = [name for name in DIMENSIONS if name not in grammars]
     if missing:
@@ -485,7 +469,7 @@ def dumps(profile: object) -> str:
     """
     if isinstance(profile, dict) and profile.get("format") == "trace":
         return json.dumps(_decode_trace(profile), sort_keys=True)
-    return json.dumps(_document_for(profile))
+    return json.dumps(binformat.untagged(_document_for(profile)))
 
 
 def dumps_bytes(profile: object, fmt: str = "json") -> bytes:

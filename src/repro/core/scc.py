@@ -45,7 +45,7 @@ class HorizontalSequiturSCC:
 
     The compressor is pluggable (Section 2.3 lists Sequitur, linear
     compression "and others"); any factory producing objects with
-    ``feed``/``feed_all``/``expand``/``size``/``size_bytes_varint``
+    ``feed``/``feed_all``/``freeze``/``expand``/``size``/``size_bytes_varint``
     works --
     :class:`~repro.compression.rle.DeltaRleCodec` is the built-in
     alternative used by the compressor ablation.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.compression.sequitur import SequiturGrammar
+from repro.compression.sequitur import FrozenGrammar, SequiturGrammar
 from repro.core.omc import ObjectManager
 from repro.core.scc import HorizontalSequiturSCC
 from repro.core.tuples import DIMENSIONS, WILD_GROUP
@@ -29,8 +29,8 @@ from repro.profilers.pipeline import ProfilerPipeline
 class WhompProfile:
     """WHOMP's output: the OMSG and the OMC's auxiliary tables."""
 
-    #: one Sequitur grammar per tuple dimension (the OMSG)
-    grammars: Dict[str, SequiturGrammar]
+    #: one finished Sequitur grammar per tuple dimension (the OMSG)
+    grammars: Dict[str, FrozenGrammar]
     #: (group, serial) -> object start address; run/alloc-dependent side
     #: information kept apart from the invariant object-relative tuples
     base_addresses: Dict[Tuple[int, int], int]
@@ -124,7 +124,7 @@ class WhompProfiler(ProfilerPipeline):
         capture_completeness: float, quarantined: int,
     ) -> WhompProfile:
         return WhompProfile(
-            grammars=scc.grammars,
+            grammars={name: g.freeze() for name, g in scc.grammars.items()},
             base_addresses=omc.base_address_table(),
             lifetimes=omc.lifetime_table(),
             group_labels={g.group_id: g.label for g in omc.groups},

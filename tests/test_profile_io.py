@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dependence_lossless import LosslessDependenceProfiler
-from repro.compression.sequitur import SequiturGrammar
+from repro.compression.sequitur import Ref, compress
 from repro.core import binformat as bf
 from repro.core.binformat import BinaryFormatError, encode_document
 from repro.core.profile_io import (
     ProfileFormatError,
-    _grammar_to_json,
     dumps,
     load_dependence,
     load_leap,
@@ -341,20 +340,34 @@ _rows = st.lists(
 )
 
 
+def _json_grammar(tokens):
+    """The JSON-shape grammar of ``tokens``, written out from its
+    productions rather than by the encoder under test."""
+    grammar = compress(tokens).freeze()
+    return {
+        "start": grammar.start,
+        "productions": {
+            str(rule_id): [
+                ["R", symbol.rule_id] if isinstance(symbol, Ref) else ["T", symbol]
+                for symbol in rhs
+            ]
+            for rule_id, rhs in grammar.to_productions().items()
+        },
+    }
+
+
 @st.composite
 def _loadable_whomp(draw):
     length = draw(st.integers(1, 40))
     grammars = {}
     for name in DIMENSIONS:
-        grammar = SequiturGrammar()
-        grammar.feed_all(
+        grammars[name] = _json_grammar(
             draw(
                 st.lists(
                     st.integers(-9, 9), min_size=length, max_size=length
                 )
             )
         )
-        grammars[name] = _grammar_to_json(grammar)
     return {
         "format": "whomp",
         "version": 1,

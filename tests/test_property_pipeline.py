@@ -228,7 +228,9 @@ def _reference_profile(profiler, trace):
     )
     if isinstance(profiler, WhompProfiler):
         return WhompProfile(
-            grammars=grammars, base_addresses=omc.base_address_table(), **common
+            grammars={name: grammar.freeze() for name, grammar in grammars.items()},
+            base_addresses=omc.base_address_table(),
+            **common,
         )
     return LeapProfile(
         entries={key: compressor.finish() for key, compressor in compressors.items()},

@@ -1,6 +1,7 @@
 """Tests for the Sequitur grammar compressor."""
 
 import gc
+import json
 import pickle
 import random
 
@@ -9,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.sequitur import Ref, SequiturGrammar, compress
+from repro.core import binformat
+from repro.core.profile_io import dumps, dumps_bytes
+from repro.core.tuples import DIMENSIONS
+from repro.profilers.whomp import WhompProfile
 
 
 class TestPaperExample:
@@ -235,6 +240,69 @@ def test_dead_rules_leave_no_cyclic_garbage():
         if was_enabled:
             gc.enable()
     assert grammar.tokens_fed == 14000
+
+
+def _whomp_of(grammar, length):
+    """A WHOMP profile carrying ``grammar`` in every dimension."""
+    return WhompProfile(
+        grammars=dict.fromkeys(DIMENSIONS, grammar),
+        base_addresses={},
+        lifetimes=[],
+        group_labels={},
+        access_count=length,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-4, 4), st.integers(-(1 << 40), 1 << 40)),
+        max_size=300,
+    )
+)
+def test_frozen_grammar_answers_as_the_live_one_did(sequence):
+    """A frozen grammar reads as the live grammar did just before it
+    froze, and equals what a BINCAP or JSON load of its profile yields,
+    so a loaded grammar equals the produced one."""
+    live = compress(sequence)
+    before = (
+        live.expand(), live.size(), live.size_bytes(), live.size_bytes_varint(),
+        live.rule_count(), live.to_productions(), live.tokens_fed,
+    )
+    frozen = live.freeze()
+    after = (
+        frozen.expand(), frozen.size(), frozen.size_bytes(),
+        frozen.size_bytes_varint(), frozen.rule_count(),
+        frozen.to_productions(), frozen.tokens_fed,
+    )
+    assert after == before
+    assert list(frozen.to_productions()) == list(before[5])  # id order
+    assert frozen.expand() == sequence
+    profile = _whomp_of(frozen, len(sequence))
+    loaded = binformat.decode_tagged(dumps_bytes(profile, "binary"))
+    checked = binformat.check_document(json.loads(dumps(profile)))
+    for document in (loaded, checked):
+        for grammar in document["grammars"].values():
+            assert grammar == frozen.tagged()
+
+
+def test_frozen_grammar_leaves_no_cyclic_garbage():
+    """Freezing releases the live graph: once the spent live grammar is
+    dropped, reference counting has freed every node and rule, and the
+    cyclic collector finds nothing."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        live = compress([0] * 5000 + [1, 2, 3] * 3000 + [4, 5, 6, 7] * 500)
+        frozen = live.freeze()
+        del live
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert frozen.tokens_fed == 16000
+    assert frozen.rule_count() > 2
 
 
 def test_linked_symbols_stay_inside_the_compressor():
