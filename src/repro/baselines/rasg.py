@@ -7,16 +7,15 @@ recorded -- exactly what WHOMP sees before object-relative translation.
 
 To be fair to the baseline, the stream is decomposed the same way WHOMP
 decomposes (two dimensions: instruction-id and address), each compressed
-with its own Sequitur grammar; the conventional single-stream variant
-(addresses interleaved) is also available for the ablation.
+with its own Sequitur grammar and kept frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict
 
-from repro.compression.sequitur import FrozenGrammar, SequiturGrammar, compress
+from repro.compression.sequitur import FrozenGrammar, compress
 from repro.core.events import Trace
 
 
@@ -24,9 +23,8 @@ from repro.core.events import Trace
 class RasgProfile:
     """The raw-address Sequitur profile."""
 
-    #: finished split-dimension grammars; the single interleaved
-    #: stream's terminals are tuples, so that grammar stays live
-    grammars: Dict[str, Union[FrozenGrammar, SequiturGrammar]]
+    #: the finished instruction-id and address grammars
+    grammars: Dict[str, FrozenGrammar]
     access_count: int
 
     def size(self) -> int:
@@ -47,31 +45,14 @@ class RasgProfile:
 
 
 class RasgProfiler:
-    """Lossless raw-address profiler: Sequitur over the raw stream.
-
-    ``split_dimensions``
-        True (default): one grammar for the instruction-id stream and
-        one for the address stream -- the strongest fair baseline.
-        False: a single grammar over the interleaved
-        ``instr, addr, instr, addr, ...`` stream.
-    """
-
-    def __init__(self, split_dimensions: bool = True) -> None:
-        self.split_dimensions = split_dimensions
+    """Lossless raw-address profiler: one Sequitur grammar for the
+    instruction-id stream and one for the address stream -- the
+    strongest fair baseline."""
 
     def profile(self, trace: Trace) -> RasgProfile:
         instructions, addresses, __, __ = trace.access_columns()
-        if self.split_dimensions:
-            grammars = {
-                "instruction": compress(instructions).freeze(),
-                "address": compress(addresses).freeze(),
-            }
-        else:
-            grammar = SequiturGrammar()
-            grammar.feed_all(
-                token
-                for instruction, address in zip(instructions, addresses)
-                for token in (("I", instruction), ("A", address))
-            )
-            grammars = {"stream": grammar}
+        grammars = {
+            "instruction": compress(instructions).freeze(),
+            "address": compress(addresses).freeze(),
+        }
         return RasgProfile(grammars=grammars, access_count=trace.access_count)

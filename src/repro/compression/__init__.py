@@ -10,11 +10,11 @@ from repro.compression.lmad import (
 )
 from repro.compression.rle import DeltaRleCodec, Run
 from repro.compression.rle import compress as rle_compress
-from repro.compression.sequitur import Ref, Rule, SequiturGrammar
+from repro.compression.sequitur import FrozenGrammar, Ref, SequiturGrammar
 from repro.compression.sequitur import compress as sequitur_compress
 
 __all__ = [
-    "DEFAULT_BUDGET", "DeltaRleCodec", "LMAD", "LMADCompressor",
-    "LMADProfileEntry", "OverflowSummary", "Ref", "Rule", "Run",
+    "DEFAULT_BUDGET", "DeltaRleCodec", "FrozenGrammar", "LMAD",
+    "LMADCompressor", "LMADProfileEntry", "OverflowSummary", "Ref", "Run",
     "SequiturGrammar", "rle_compress", "sequitur_compress",
 ]

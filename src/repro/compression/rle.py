@@ -14,14 +14,19 @@ object-relative streams.
 
 The codec satisfies the same informal stream-compressor protocol as
 :class:`~repro.compression.sequitur.SequiturGrammar` (``feed``,
-``expand``, ``size``, ``size_bytes_varint``), so it can be dropped into
-WHOMP via ``WhompProfiler(compressor=DeltaRleCodec)``.
+``feed_all``, ``freeze``, ``expand``, ``size``, ``size_bytes_varint``),
+so it can be dropped into WHOMP via
+``WhompProfiler(compressor=DeltaRleCodec)``.  Its runs are already the
+compact, cycle-free finished form, so ``freeze`` returns the codec
+itself, and its varint sizes use the grammar's own varint length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
+
+from repro.compression.sequitur import _varint_len
 
 
 @dataclass(frozen=True)
@@ -32,15 +37,6 @@ class Run:
     first: int
     delta: int
     count: int
-
-
-def _varint_len(value: int) -> int:
-    encoded = value * 2 if value >= 0 else -value * 2 - 1
-    length = 1
-    while encoded >= 0x80:
-        encoded >>= 7
-        length += 1
-    return length
 
 
 class DeltaRleCodec:

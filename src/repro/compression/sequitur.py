@@ -40,10 +40,12 @@ digram index, all in reference cycles.  Once it is finished,
 :meth:`SequiturGrammar.freeze` turns it into a :class:`FrozenGrammar`,
 each rule's right-hand side as tagged integers (the form BINCAP writes
 and loads), and in the same walk unlinks the graph so that reference
-counting frees it at once.  The profilers keep only frozen grammars.
+counting frees it at once.  The profilers, the RASG baseline and the
+hot-stream miner keep only frozen grammars.
 
-Terminals may be any hashable value; the profilers feed integers, and
-only a grammar of integer terminals freezes.
+Terminals may be any hashable value, but only a grammar of integer
+terminals freezes, so every grammar the package builds is fed
+integers (the hot-stream miner interns its object references first).
 """
 
 from __future__ import annotations

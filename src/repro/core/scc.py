@@ -18,9 +18,9 @@ the translation's :data:`~repro.core.cdc.Columns` a chunk at a time:
 :meth:`decompose` splits a chunk into sub-streams in one stage and
 :meth:`compress_streams` compresses them in the next.  Phase
 detection hands each interval to its phase's SCC the same way.
-``consume`` takes one :class:`ObjectRelativeAccess` at a time instead,
-for a caller that holds a stream of tuples (an
-:class:`~repro.core.cdc.OnlineCDC`'s consumer); the profile is the same.
+``consume`` takes one :class:`ObjectRelativeAccess` at a time instead
+and builds the same profile; no profiler calls it, and it stays for
+perfbench's traced mode, which times it.
 """
 
 from __future__ import annotations

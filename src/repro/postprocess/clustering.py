@@ -11,54 +11,46 @@ them*.
 The pipeline:
 
 1. build a temporal co-access affinity graph over objects from the
-   translated stream;
+   translated trace's (group, object) columns;
 2. order objects by greedy affinity chaining (hottest first, repeatedly
    appending the unplaced object with the strongest affinity to the
    cluster tail);
 3. assign packed addresses in that order -- the layout a
    cache-conscious allocator would have produced;
-4. replay the access stream under both layouts through the cache
-   simulator (:mod:`repro.runtime.cache`) and compare miss rates.
+4. replay the trace's address column and its remapped twin through the
+   cache simulator (:mod:`repro.runtime.cache`) and compare miss rates.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.cdc import translate_trace
+from repro.core.cdc import translate_columns
 from repro.core.events import Trace
 from repro.core.omc import ObjectManager
-from repro.core.tuples import ObjectRelativeAccess
-from repro.runtime.cache import (
-    CacheConfig,
-    SimulationComparison,
-    simulate,
-)
+from repro.core.tuples import WILD_GROUP
+from repro.runtime.cache import CacheConfig, SimulationComparison, simulate
 from repro.runtime.memory import align_up
 
 ObjectRef = Tuple[int, int]  # (group, serial)
 
 
 def affinity_graph(
-    stream: Iterable[ObjectRelativeAccess], window: int = 8
+    references: Iterable[ObjectRef], window: int = 8
 ) -> Dict[Tuple[ObjectRef, ObjectRef], int]:
     """Co-access affinity: how often two objects appear within
-    ``window`` accesses of each other."""
-    recent: List[ObjectRef] = []
+    ``window`` non-wild accesses of each other."""
+    recent: Deque[ObjectRef] = deque(maxlen=window)
     edges: Dict[Tuple[ObjectRef, ObjectRef], int] = {}
-    for access in stream:
-        if access.wild:
-            continue
-        reference = (access.group, access.object_serial)
+    for reference in references:
         for other in recent:
             if other == reference:
                 continue
             edge = (min(reference, other), max(reference, other))
             edges[edge] = edges.get(edge, 0) + 1
         recent.append(reference)
-        if len(recent) > window:
-            recent.pop(0)
     return edges
 
 
@@ -108,13 +100,15 @@ class ClusteredLayout:
     order: List[ObjectRef]
     total_bytes: int
 
-    def address_of(self, access: ObjectRelativeAccess, fallback: int) -> int:
-        if access.wild:
-            return fallback
-        base = self.bases.get((access.group, access.object_serial))
+    def address_of(
+        self, group: int, serial: int, offset: int, fallback: int
+    ) -> int:
+        """The access's address in the clustered layout; ``fallback``
+        when the layout does not place its object (as for a wild one)."""
+        base = self.bases.get((group, serial))
         if base is None:
             return fallback
-        return base + access.offset
+        return base + offset
 
 
 def build_layout(
@@ -142,35 +136,28 @@ class ObjectClusterer:
     def propose(self, trace: Trace) -> Tuple[ClusteredLayout, ObjectManager]:
         """Derive a clustered layout from the trace's profile."""
         omc = ObjectManager()
-        stream = list(translate_trace(trace, omc))
-        edges = affinity_graph(stream, window=self.window)
-        heat: Dict[ObjectRef, int] = {}
-        for access in stream:
-            if not access.wild:
-                reference = (access.group, access.object_serial)
-                heat[reference] = heat.get(reference, 0) + 1
+        __, groups, serials, *__ = translate_columns(trace, omc)
+        references = [r for r in zip(groups, serials) if r[0] != WILD_GROUP]
+        edges = affinity_graph(references, window=self.window)
         sizes = {
             (record.group_id, record.serial): record.size
             for record in omc.objects()
         }
-        order = cluster_order(list(sizes), edges, heat)
+        order = cluster_order(list(sizes), edges, Counter(references))
         return build_layout(order, sizes, align=self.align), omc
 
     def evaluate(
         self, trace: Trace, config: CacheConfig = CacheConfig()
     ) -> SimulationComparison:
         """Miss rates before (allocator layout) and after (clustered)."""
-        layout, omc = self.propose(trace)
-        omc_replay = ObjectManager()
-        baseline_addresses: List[int] = []
-        optimized_addresses: List[int] = []
-        events = list(trace.accesses())
-        for event, access in zip(events, translate_trace(trace, omc_replay)):
-            baseline_addresses.append(event.address)
-            optimized_addresses.append(layout.address_of(access, event.address))
+        layout, __ = self.propose(trace)
+        # the trace keeps its translation, so this call resolves nothing
+        __, groups, serials, offsets, *__ = translate_columns(trace)
+        __, addresses, __, __ = trace.access_columns()
+        optimized = list(map(layout.address_of, groups, serials, offsets, addresses))
         return SimulationComparison(
-            baseline=simulate(baseline_addresses, config),
-            optimized=simulate(optimized_addresses, config),
+            baseline=simulate(addresses, config),
+            optimized=simulate(optimized, config),
             label="object clustering",
             extra={"layout_bytes": layout.total_bytes},
         )

@@ -9,8 +9,9 @@ spatial locality."
 For each group, the offsets accessed within its objects are ranked by
 a combination of access frequency and pairwise temporal affinity; hot
 fields are packed first so they share cache lines.  The proposed
-per-group offset permutation is evaluated by replaying the trace with
-remapped intra-object offsets through the cache simulator.
+per-group offset permutation is evaluated by replaying the trace's
+address column, with remapped intra-object offsets, through the cache
+simulator.
 
 Only word-aligned offsets are permuted (the workloads' access
 granularity); groups whose objects are smaller than a cache line are
@@ -19,13 +20,14 @@ skipped -- reordering inside one line cannot change miss counts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
-from repro.core.cdc import translate_trace
+from repro.core.cdc import translate_columns
 from repro.core.events import Trace
 from repro.core.omc import ObjectManager
-from repro.core.tuples import ObjectRelativeAccess
+from repro.core.tuples import WILD_GROUP
 from repro.runtime.cache import CacheConfig, SimulationComparison, simulate
 
 WORD = 8
@@ -43,32 +45,32 @@ class FieldOrder:
 
 
 def field_statistics(
-    stream: Iterable[ObjectRelativeAccess], window: int = 4
+    groups: Sequence[int],
+    serials: Sequence[int],
+    offsets: Sequence[int],
+    window: int = 4,
 ) -> Tuple[Dict[int, Dict[int, int]], Dict[int, Dict[Tuple[int, int], int]]]:
-    """Per-group offset frequencies and pairwise offset affinities."""
+    """Per-group offset frequencies and pairwise offset affinities, from
+    a translation's group, object and offset columns; wild accesses are
+    skipped."""
     frequency: Dict[int, Dict[int, int]] = {}
     affinity: Dict[int, Dict[Tuple[int, int], int]] = {}
-    recent: List[ObjectRelativeAccess] = []
-    for access in stream:
-        if access.wild:
+    recent: Deque[Tuple[int, int, int]] = deque(maxlen=window)
+    for group, serial, offset in zip(groups, serials, offsets):
+        if group == WILD_GROUP:
             continue
-        group_frequency = frequency.setdefault(access.group, {})
-        group_frequency[access.offset] = group_frequency.get(access.offset, 0) + 1
-        for other in recent:
+        group_frequency = frequency.setdefault(group, {})
+        group_frequency[offset] = group_frequency.get(offset, 0) + 1
+        for other_group, other_serial, other_offset in recent:
             if (
-                other.group == access.group
-                and other.object_serial == access.object_serial
-                and other.offset != access.offset
+                other_group == group
+                and other_serial == serial
+                and other_offset != offset
             ):
-                pair = (
-                    min(access.offset, other.offset),
-                    max(access.offset, other.offset),
-                )
-                group_affinity = affinity.setdefault(access.group, {})
+                pair = (min(offset, other_offset), max(offset, other_offset))
+                group_affinity = affinity.setdefault(group, {})
                 group_affinity[pair] = group_affinity.get(pair, 0) + 1
-        recent.append(access)
-        if len(recent) > window:
-            recent.pop(0)
+        recent.append((group, serial, offset))
     return frequency, affinity
 
 
@@ -80,7 +82,10 @@ def propose_orders(
 ) -> Dict[int, FieldOrder]:
     """Greedy layout per group: hottest field first, then repeatedly the
     field most affine to those already placed (frequency as the
-    tie-breaker), packed at consecutive word offsets."""
+    tie-breaker), packed at consecutive word offsets.
+
+    Each remaining field's bond to the placed ones is kept as a running
+    sum, so a step adds only the newly placed field's affinity."""
     orders: Dict[int, FieldOrder] = {}
     for group, group_frequency in frequency.items():
         if object_sizes.get(group, 0) <= line_bytes:
@@ -91,17 +96,16 @@ def propose_orders(
         group_affinity = affinity.get(group, {})
         placed: List[int] = [max(offsets, key=lambda o: group_frequency[o])]
         remaining = set(offsets) - set(placed)
+        bond = dict.fromkeys(remaining, 0)
         while remaining:
-            def score(candidate: int) -> Tuple[int, int]:
-                bond = sum(
-                    group_affinity.get(
-                        (min(candidate, p), max(candidate, p)), 0
-                    )
-                    for p in placed
+            last = placed[-1]
+            for candidate in remaining:
+                bond[candidate] += group_affinity.get(
+                    (min(candidate, last), max(candidate, last)), 0
                 )
-                return (bond, group_frequency[candidate])
-
-            best = max(remaining, key=score)
+            best = max(
+                remaining, key=lambda c: (bond[c], group_frequency[c])
+            )
             placed.append(best)
             remaining.discard(best)
         remap = {old: index * WORD for index, old in enumerate(placed)}
@@ -119,8 +123,10 @@ class FieldReorderer:
 
     def propose(self, trace: Trace) -> Dict[int, FieldOrder]:
         omc = ObjectManager()
-        stream = list(translate_trace(trace, omc))
-        frequency, affinity = field_statistics(stream, window=self.window)
+        __, groups, serials, offsets, *__ = translate_columns(trace, omc)
+        frequency, affinity = field_statistics(
+            groups, serials, offsets, window=self.window
+        )
         sizes: Dict[int, int] = {}
         for record in omc.objects():
             sizes[record.group_id] = max(
@@ -132,20 +138,18 @@ class FieldReorderer:
         self, trace: Trace, config: CacheConfig = CacheConfig()
     ) -> SimulationComparison:
         orders = self.propose(trace)
-        omc = ObjectManager()
-        baseline: List[int] = []
+        # the trace keeps its translation, so this call resolves nothing
+        __, groups, __, offsets, *__ = translate_columns(trace)
+        __, addresses, __, __ = trace.access_columns()
         optimized: List[int] = []
-        events = list(trace.accesses())
-        for event, access in zip(events, translate_trace(trace, omc)):
-            baseline.append(event.address)
-            order = orders.get(access.group)
-            if order is None or access.wild:
-                optimized.append(event.address)
+        for group, offset, address in zip(groups, offsets, addresses):
+            order = orders.get(group)  # None for a wild access's group
+            if order is None:
+                optimized.append(address)
             else:
-                base = event.address - access.offset
-                optimized.append(base + order.apply(access.offset))
+                optimized.append(address - offset + order.apply(offset))
         return SimulationComparison(
-            baseline=simulate(baseline, config),
+            baseline=simulate(addresses, config),
             optimized=simulate(optimized, config),
             label="field reordering",
             extra={"groups_reordered": len(orders)},

@@ -7,17 +7,19 @@ A *hot data stream* is a sequence of object references that repeats
 frequently; in a Sequitur grammar those are precisely the rules --
 every rule exists because its expansion occurred repeatedly.
 
-This module builds a grammar over the ``(group, object)`` reference
-stream and ranks its rules by *heat* = occurrences x expanded length,
-the standard hot-stream magnitude metric.
+This module interns each ``(group, object)`` reference to a dense
+integer, builds a grammar over that stream, freezes it, and ranks the
+frozen grammar's rules by *heat* = occurrences x expanded length, the
+standard hot-stream magnitude metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.compression.sequitur import Ref, SequiturGrammar
+from repro.compression.sequitur import compress
+from repro.core.binformat import _expand_tagged, rule_sizes
 from repro.core.tuples import ObjectRelativeAccess
 
 ObjectRef = Tuple[int, int]  # (group, object serial)
@@ -40,80 +42,45 @@ class HotStream:
         return self.occurrences * self.length
 
 
-Productions = Dict[int, List[object]]
-
-
 def _rule_occurrences(
-    grammar: SequiturGrammar, productions: Optional[Productions] = None
+    start: int, productions: Dict[int, List[int]], sizes: Dict[int, int]
 ) -> Dict[int, int]:
     """How many times each rule's expansion occurs in the full input.
 
     Computed top-down: the start rule occurs once; each reference to a
-    rule inside rule R contributes R's own occurrence count.  Sequitur
-    grammars are acyclic, so a memoized traversal suffices.
+    rule inside rule R contributes R's own occurrence count.  ``sizes``,
+    :func:`~repro.core.binformat.rule_sizes` of the tagged grammar, is
+    in children-first order, so its reverse puts parents first.
     """
-    if productions is None:
-        productions = grammar.to_productions()
-    start = grammar.start.id
-    counts: Dict[int, int] = {start: 1}
-    order: List[int] = []
-    seen = set()
-
-    def visit(rule_id: int) -> None:
-        if rule_id in seen:
-            return
-        seen.add(rule_id)
-        for symbol in productions[rule_id]:
-            if isinstance(symbol, Ref):
-                visit(symbol.rule_id)
-        order.append(rule_id)
-
-    visit(start)
-    # Process parents before children: reverse postorder.
-    for rule_id in reversed(order):
-        parent_count = counts.get(rule_id, 0)
-        for symbol in productions[rule_id]:
-            if isinstance(symbol, Ref):
-                counts[symbol.rule_id] = counts.get(symbol.rule_id, 0) + parent_count
+    counts: Dict[int, int] = dict.fromkeys(sizes, 0)
+    counts[start] = 1
+    for rule_id in reversed(sizes):
+        parent_count = counts[rule_id]
+        for tagged in productions[rule_id]:
+            if tagged & 1:
+                counts[tagged >> 1] += parent_count
     return counts
 
 
-def _expansions(
-    grammar: SequiturGrammar, productions: Optional[Productions] = None
-) -> Dict[int, List]:
-    """Memoized full expansion of every rule."""
-    if productions is None:
-        productions = grammar.to_productions()
-    expansions: Dict[int, List] = {}
-
-    def expand(rule_id: int) -> List:
-        cached = expansions.get(rule_id)
-        if cached is not None:
-            return cached
-        out: List = []
-        for symbol in productions[rule_id]:
-            if isinstance(symbol, Ref):
-                out.extend(expand(symbol.rule_id))
-            else:
-                out.append(symbol)
-        expansions[rule_id] = out
-        return out
-
-    expand(grammar.start.id)
-    return expansions
-
-
-def _visits(stream: Iterable[ObjectRelativeAccess]) -> Iterator[ObjectRef]:
+def _visits(
+    stream: Iterable[ObjectRelativeAccess], references: List[ObjectRef]
+) -> Iterator[int]:
     """The object references of ``stream``'s non-wild accesses, with
-    consecutive duplicates collapsed."""
-    previous: ObjectRef = None  # type: ignore[assignment]
+    consecutive duplicates collapsed, each as its index in
+    ``references``, which grows in first-seen order."""
+    interned: Dict[ObjectRef, int] = {}
+    previous = -1
     for access in stream:
         if access.wild:
             continue
         reference = (access.group, access.object_serial)
-        if reference != previous:
-            yield reference
-            previous = reference
+        code = interned.get(reference)
+        if code is None:
+            code = interned[reference] = len(references)
+            references.append(reference)
+        if code != previous:
+            yield code
+            previous = code
 
 
 def extract_hot_streams(
@@ -127,24 +94,26 @@ def extract_hot_streams(
 
     Consecutive duplicate references are collapsed first (several field
     accesses to one object are one visit), then the visit stream is
-    grammar-compressed and the rules ranked by heat.
+    grammar-compressed and the rules ranked by heat.  Only the rules
+    that pass the length and occurrence filters are expanded.
     """
-    grammar = SequiturGrammar()
-    grammar.feed_all(_visits(stream))
-    productions = grammar.to_productions()
-    counts = _rule_occurrences(grammar, productions)
-    expansions = _expansions(grammar, productions)
+    references: List[ObjectRef] = []
+    frozen = compress(_visits(stream, references)).freeze()
+    start, productions = frozen.tagged()
+    sizes = rule_sizes(start, productions, frozen.tokens_fed)
+    counts = _rule_occurrences(start, productions, sizes)
     streams = []
     for rule_id in productions:
-        if rule_id == grammar.start.id:
-            continue
-        expansion = expansions[rule_id]
-        occurrences = counts.get(rule_id, 0)
+        length = sizes[rule_id]
         if (
-            min_length <= len(expansion) <= max_length
-            and occurrences >= min_occurrences
+            rule_id != start
+            and min_length <= length <= max_length
+            and counts[rule_id] >= min_occurrences
         ):
-            streams.append(HotStream(tuple(expansion), occurrences))
+            codes = _expand_tagged(rule_id, productions, length)
+            streams.append(
+                HotStream(tuple(map(references.__getitem__, codes)), counts[rule_id])
+            )
     streams.sort(key=lambda s: s.heat, reverse=True)
     return streams[:top]
 

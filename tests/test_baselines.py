@@ -31,7 +31,7 @@ def build(events):
 
 
 class TestRasg:
-    def test_split_dimensions(self, list_trace):
+    def test_instruction_and_address_grammars(self, list_trace):
         profile = RasgProfiler().profile(list_trace)
         assert set(profile.grammars) == {"instruction", "address"}
         assert profile.access_count == list_trace.access_count
@@ -39,14 +39,6 @@ class TestRasg:
             name: grammar.expand() for name, grammar in profile.grammars.items()
         }
         assert streams["address"] == list_trace.raw_address_stream()
-
-    def test_interleaved_mode(self, list_trace):
-        profile = RasgProfiler(split_dimensions=False).profile(list_trace)
-        assert set(profile.grammars) == {"stream"}
-        assert (
-            len(profile.grammars["stream"].expand())
-            == 2 * list_trace.access_count
-        )
 
     def test_sizes_positive(self, list_trace):
         profile = RasgProfiler().profile(list_trace)

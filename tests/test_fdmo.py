@@ -2,16 +2,25 @@
 hot streams, object clustering, stride prefetching, field reordering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cdc import translate_trace_list
+from repro.core.cdc import translate_columns, translate_trace_list
 from repro.core.events import AccessKind
+from repro.core.tuples import WILD_GROUP
 from repro.postprocess.clustering import (
     ObjectClusterer,
     affinity_graph,
     build_layout,
     cluster_order,
 )
-from repro.postprocess.field_reorder import FieldReorderer, field_statistics
+from repro.postprocess.field_reorder import (
+    WORD,
+    FieldOrder,
+    FieldReorderer,
+    field_statistics,
+    propose_orders,
+)
 from repro.postprocess.hot_streams import coverage, extract_hot_streams
 from repro.postprocess.prefetch import evaluate_prefetching, plan_from_profile
 from repro.profilers.leap import LeapProfiler
@@ -62,7 +71,9 @@ class TestHotStreams:
 class TestClustering:
     def test_affinity_counts_co_access(self):
         trace = LinkedListTraversal(nodes=10, sweeps=2).trace()
-        edges = affinity_graph(translate_trace_list(trace), window=4)
+        __, groups, serials, *__ = translate_columns(trace)
+        references = [r for r in zip(groups, serials) if r[0] != WILD_GROUP]
+        edges = affinity_graph(references, window=4)
         assert edges
         assert all(weight > 0 for weight in edges.values())
         for (a, b) in edges:
@@ -146,7 +157,8 @@ class TestFieldReorder:
 
     def test_statistics(self):
         trace = self.hot_cold_trace(records=10, sweeps=2)
-        frequency, affinity = field_statistics(translate_trace_list(trace))
+        __, groups, serials, offsets, *__ = translate_columns(trace)
+        frequency, affinity = field_statistics(groups, serials, offsets)
         group_frequency = frequency[0]
         assert group_frequency[0] == group_frequency[248]
         assert group_frequency[0] > group_frequency[128]
@@ -175,3 +187,54 @@ class TestFieldReorder:
         assert comparison.optimized.miss_rate == pytest.approx(
             comparison.baseline.miss_rate
         )
+
+
+def cubic_propose_orders(frequency, affinity, object_sizes, line_bytes=64):
+    """Reference greedy for :func:`propose_orders`: every step rescores
+    each remaining field against every placed one."""
+    orders = {}
+    for group, group_frequency in frequency.items():
+        if object_sizes.get(group, 0) <= line_bytes:
+            continue
+        offsets = sorted(group_frequency)
+        if len(offsets) < 2:
+            continue
+        group_affinity = affinity.get(group, {})
+        placed = [max(offsets, key=lambda o: group_frequency[o])]
+        remaining = set(offsets) - set(placed)
+        while remaining:
+            def score(candidate):
+                bond = sum(
+                    group_affinity.get((min(candidate, p), max(candidate, p)), 0)
+                    for p in placed
+                )
+                return (bond, group_frequency[candidate])
+
+            best = max(remaining, key=score)
+            placed.append(best)
+            remaining.discard(best)
+        remap = {old: index * WORD for index, old in enumerate(placed)}
+        if any(old != new for old, new in remap.items()):
+            orders[group] = FieldOrder(group, remap)
+    return orders
+
+
+@st.composite
+def field_profiles(draw):
+    """Per-group offset frequencies and pair affinities, with small
+    ranges so that ties in bond and frequency are common."""
+    frequency, affinity, sizes = {}, {}, {}
+    for group in range(draw(st.integers(1, 3))):
+        offsets = draw(st.sets(st.integers(0, 40).map(lambda w: w * WORD), max_size=24))
+        frequency[group] = {o: draw(st.integers(1, 4)) for o in sorted(offsets)}
+        pairs = [(a, b) for a in sorted(offsets) for b in sorted(offsets) if a < b]
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+        affinity[group] = {pair: draw(st.integers(1, 3)) for pair in chosen}
+        sizes[group] = draw(st.sampled_from([32, 64, 128, 512]))
+    return frequency, affinity, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_profiles())
+def test_running_bond_greedy_equals_the_cubic_one(profile):
+    assert propose_orders(*profile) == cubic_propose_orders(*profile)

@@ -306,20 +306,24 @@ def test_frozen_grammar_leaves_no_cyclic_garbage():
 
 
 def test_linked_symbols_stay_inside_the_compressor():
-    """Code outside the compressor reads grammars through
-    ``to_productions()``, never through the linked ``_Symbol`` nodes,
-    so the node representation can change freely."""
+    """Code outside the compressor reads grammars in the frozen tagged
+    form, never through the linked ``_Symbol`` nodes or the ``Ref``
+    view of ``to_productions()``, so the node representation can change
+    freely."""
     import re
     from pathlib import Path
 
     import repro
 
     package = Path(repro.__file__).parent
-    pattern = re.compile(r"_Symbol|is_nonterminal|\.symbols\(\)")
-    offenders = [
-        str(path.relative_to(package))
-        for path in sorted(package.rglob("*.py"))
-        if path != package / "compression" / "sequitur.py"
-        and pattern.search(path.read_text(encoding="utf-8"))
-    ]
+    linked = re.compile(r"_Symbol|is_nonterminal|\.symbols\(\)")
+    ref_view = re.compile(r"\bRef\b|to_productions\(")
+    compression = package / "compression"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if (path != compression / "sequitur.py" and linked.search(text)) or (
+            path.parent != compression and ref_view.search(text)
+        ):
+            offenders.append(str(path.relative_to(package)))
     assert offenders == []
