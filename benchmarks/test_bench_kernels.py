@@ -1,8 +1,8 @@
 """Micro-benchmarks of the core computational kernels.
 
 Not a paper figure: these track the throughput of the pieces everything
-else is built on (Sequitur, the LMAD compressor, the OMC's B-tree
-translation path, the omega-test solver), so performance regressions
+else is built on (Sequitur, the LMAD compressor, the OMC's live-object
+index, the omega-test solver), so performance regressions
 are visible independently of the workload suite.
 """
 
@@ -11,7 +11,6 @@ import random
 from repro.analysis.omega import intersect_lmads
 from repro.compression.lmad import LMAD, LMADCompressor
 from repro.compression.sequitur import SequiturGrammar
-from repro.core.interval_index import IntervalIndex
 from repro.core.omc import ObjectManager
 
 
@@ -54,7 +53,7 @@ def test_lmad_compressor_throughput(benchmark):
 
 def test_omc_translation_throughput(benchmark):
     """Allocate 2000 objects, translate 50k addresses through the
-    B-tree index."""
+    live-object index."""
     rng = random.Random(1)
     omc = ObjectManager()
     bases = []
@@ -75,22 +74,22 @@ def test_omc_translation_throughput(benchmark):
     assert hits == len(probes)
 
 
-def test_interval_index_churn_throughput(benchmark):
-    """Insert/remove churn mimicking malloc/free traffic."""
+def test_omc_churn_throughput(benchmark):
+    """Alloc/free churn mimicking malloc/free traffic."""
 
     def run():
-        index = IntervalIndex()
+        omc = ObjectManager()
         live = []
         rng = random.Random(2)
         for step in range(20_000):
             if live and rng.random() < 0.5:
                 start = live.pop(rng.randrange(len(live)))
-                index.remove(start)
+                omc.on_free(start, step)
             else:
                 start = step * 64
-                index.insert(start, start + 48, step)
+                omc.on_alloc(start, 48, "churn", None, step)
                 live.append(start)
-        return len(index)
+        return omc.live_count()
 
     benchmark.pedantic(run, rounds=3, iterations=1)
 

@@ -4,15 +4,14 @@ horizontal and vertical decomposition)."""
 
 from repro.core.cdc import OnlineCDC, translate_trace, translate_trace_list
 from repro.core.events import AccessEvent, AccessKind, AllocEvent, FreeEvent, Trace
-from repro.core.interval_index import BTreeMap, IntervalIndex
 from repro.core.omc import GroupRecord, ObjectManager, ObjectRecord, TranslationError
 from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.core.tuples import DIMENSIONS, WILD_GROUP, WILD_OBJECT, ObjectRelativeAccess
 
 __all__ = [
-    "AccessEvent", "AccessKind", "AllocEvent", "BTreeMap", "DIMENSIONS",
-    "FreeEvent", "GroupRecord", "HorizontalSequiturSCC", "IntervalIndex",
-    "ObjectManager", "ObjectRecord", "ObjectRelativeAccess", "OnlineCDC",
-    "Trace", "TranslationError", "VerticalLMADSCC", "WILD_GROUP",
-    "WILD_OBJECT", "translate_trace", "translate_trace_list",
+    "AccessEvent", "AccessKind", "AllocEvent", "DIMENSIONS", "FreeEvent",
+    "GroupRecord", "HorizontalSequiturSCC", "ObjectManager", "ObjectRecord",
+    "ObjectRelativeAccess", "OnlineCDC", "Trace", "TranslationError",
+    "VerticalLMADSCC", "WILD_GROUP", "WILD_OBJECT", "translate_trace",
+    "translate_trace_list",
 ]

@@ -102,8 +102,8 @@ def _resolve(trace: Trace, omc: ObjectManager) -> Translation:
     """Drive ``omc`` through the whole trace and resolve every access.
 
     Consecutive accesses mostly touch one object, so the last object
-    hit is checked before the OMC's B-tree.  Any object event clears
-    it: a free may end that object's life.
+    hit is checked before the OMC's index.  Any object event clears it:
+    a free may end that object's life.
     """
     __, addresses, __, __ = trace.access_columns()
     groups, serials = array("q"), array("q")

@@ -12,14 +12,19 @@ allocation site, optionally refined by compiler-provided type
 information; static objects are grouped by symbol.  Object serial
 numbers count creation order *within* a group, so they are stable across
 allocator and layout changes -- the whole point of object-relativity.
+
+Section 3.1 speeds up address lookup with "an auxiliary B-tree-like
+data structure which stores the range of addresses that each object
+takes up".  Here that structure is three parallel lists of the live
+objects sorted by start address, searched with :mod:`bisect`: resolving
+an address is the same floor lookup plus range check a B-tree would do.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from repro.core.interval_index import IntervalIndex
 
 
 class TranslationError(Exception):
@@ -82,7 +87,11 @@ class ObjectManager:
         self.refine_by_type = refine_by_type
         self._groups: List[GroupRecord] = []
         self._group_ids: Dict[Tuple[str, Optional[str]], int] = {}
-        self._live: IntervalIndex[ObjectRecord] = IntervalIndex()
+        # the live objects, sorted by start address; two live objects
+        # never share a byte
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._records: List[ObjectRecord] = []
 
     # -- object probe input ------------------------------------------------
 
@@ -94,7 +103,24 @@ class ObjectManager:
         type_name: Optional[str],
         time: int,
     ) -> ObjectRecord:
-        """Register a created object and assign its identifiers."""
+        """Register a created object and assign its identifiers.
+
+        An object of non-positive size, or one overlapping a live
+        object, means the allocator substrate and the probe stream
+        disagree: it raises :class:`TranslationError` and registers
+        nothing.
+        """
+        end = address + size
+        if size <= 0:
+            raise TranslationError(f"object at {address:#x} has size {size}")
+        # live objects are disjoint, so if any overlaps [address, end),
+        # the last one starting before ``end`` does
+        index = bisect_right(self._starts, end - 1)
+        if index and self._ends[index - 1] > address:
+            raise TranslationError(
+                f"object [{address:#x}, {end:#x}) overlaps live "
+                f"[{self._starts[index - 1]:#x}, {self._ends[index - 1]:#x})"
+            )
         group = self._group_for(site, type_name)
         record = ObjectRecord(
             group_id=group.group_id,
@@ -104,15 +130,18 @@ class ObjectManager:
             alloc_time=time,
         )
         group.objects.append(record)
-        self._live.insert(address, address + size, record)
+        self._starts.insert(index, address)
+        self._ends.insert(index, end)
+        self._records.insert(index, record)
         return record
 
     def on_free(self, address: int, time: int) -> ObjectRecord:
         """Register object destruction; the address must be a live start."""
-        try:
-            record = self._live.remove(address)
-        except KeyError as exc:
-            raise TranslationError(f"free of untracked object {address:#x}") from exc
+        index = bisect_left(self._starts, address)
+        if index == len(self._starts) or self._starts[index] != address:
+            raise TranslationError(f"free of untracked object {address:#x}")
+        del self._starts[index], self._ends[index]
+        record = self._records.pop(index)
         record.free_time = time
         return record
 
@@ -130,7 +159,7 @@ class ObjectManager:
     def translate(self, address: int) -> Optional[Tuple[int, int, int]]:
         """Raw address -> ``(group, object, offset)``, or ``None`` if no
         live object contains the address."""
-        hit = self._live.resolve(address)
+        hit = self.resolve(address)
         if hit is None:
             return None
         start, __, record = hit
@@ -139,7 +168,10 @@ class ObjectManager:
     def resolve(self, address: int) -> Optional[Tuple[int, int, ObjectRecord]]:
         """The live object containing ``address`` as ``(start, end,
         record)``, or ``None``."""
-        return self._live.resolve(address)
+        index = bisect_right(self._starts, address) - 1
+        if index >= 0 and address < self._ends[index]:
+            return self._starts[index], self._ends[index], self._records[index]
+        return None
 
     @property
     def fresh(self) -> bool:
@@ -168,7 +200,7 @@ class ObjectManager:
         return self._groups[group_id].objects[serial]
 
     def live_count(self) -> int:
-        return len(self._live)
+        return len(self._starts)
 
     def base_address_table(self) -> Dict[Tuple[int, int], int]:
         """(group, serial) -> start address for every object ever seen.

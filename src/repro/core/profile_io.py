@@ -42,10 +42,9 @@ can never leave a truncated profile where a good one stood.
 
 from __future__ import annotations
 
-import io
 import json
 import re
-from typing import IO, Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.baselines.dependence_lossless import DependenceProfile
 from repro.compression.lmad import LMAD, LMADProfileEntry, OverflowSummary
@@ -71,27 +70,25 @@ class ProfileFormatError(Exception):
 _DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
 
 
-def _parse(stream: IO[str]) -> Dict[str, object]:
+def _parse(text: str) -> Dict[str, object]:
     """Parse one JSON document, normalizing every parse-level failure
     (bad JSON, binary garbage, a non-object top level) to
     :class:`ProfileFormatError`."""
     try:
-        document = json.load(stream)
-    except ProfileFormatError:
-        raise
-    except (ValueError, RecursionError, OSError, UnicodeDecodeError) as exc:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ProfileFormatError(f"unparseable profile: {exc}") from exc
     if not isinstance(document, dict):
         raise ProfileFormatError("profile document is not a JSON object")
     return document
 
 
-def _load_document(stream: IO[str], tagged: bool = True) -> Dict[str, object]:
+def _load_document(text: str, tagged: bool = True) -> Dict[str, object]:
     """Parse one JSON document (:func:`_parse`).  A profile document
     must also pass :func:`repro.core.binformat.check_document`, and comes
     back in the form :func:`repro.core.binformat.decode_tagged` gives,
     or as parsed when ``tagged`` is false."""
-    document = _parse(stream)
+    document = _parse(text)
     if document.get("format") not in binformat.SCHEMAS:
         return document
     try:
@@ -135,23 +132,6 @@ def _whomp_document(profile: WhompProfile) -> Dict[str, object]:
         "lifetimes": [list(row) for row in profile.lifetimes],
         "group_labels": {str(k): v for k, v in profile.group_labels.items()},
     }
-
-
-def save_whomp(profile: WhompProfile, stream: IO[str]) -> None:
-    stream.write(dumps(profile))
-
-
-def load_whomp_streams(stream: IO[str]) -> Dict[str, object]:
-    """Load a WHOMP profile as expanded dimension streams plus the
-    auxiliary tables.
-
-    The Sequitur grammar objects themselves are not reconstructed (the
-    grammar is a compression artifact); consumers want the streams.
-    Returns a dict with ``streams``, ``base_addresses``, ``lifetimes``,
-    ``group_labels``, ``access_count``, ``capture_completeness``,
-    ``quarantined``.
-    """
-    return _decode(_load_document(stream), "whomp")
 
 
 def _whomp_grammars(document: Dict[str, object]) -> Dict[str, tuple]:
@@ -260,14 +240,6 @@ def _leap_document(profile: LeapProfile) -> Dict[str, object]:
     }
 
 
-def save_leap(profile: LeapProfile, stream: IO[str]) -> None:
-    json.dump(_leap_document(profile), stream)
-
-
-def load_leap(stream: IO[str]) -> LeapProfile:
-    return _decode(_load_document(stream), "leap")
-
-
 def _int_keys(table: Dict[str, object]) -> Dict[int, object]:
     return {int(key): value for key, value in table.items()}
 
@@ -346,14 +318,6 @@ def _dependence_document(profile: DependenceProfile) -> Dict[str, object]:
         "load_counts": {str(k): v for k, v in profile.load_counts.items()},
         "store_counts": {str(k): v for k, v in profile.store_counts.items()},
     }
-
-
-def save_dependence(profile: DependenceProfile, stream: IO[str]) -> None:
-    json.dump(_dependence_document(profile), stream)
-
-
-def load_dependence(stream: IO[str]) -> DependenceProfile:
-    return _decode(_load_document(stream), "dependence")
 
 
 def _decode_dependence(document: Dict[str, object]) -> DependenceProfile:
@@ -489,15 +453,11 @@ def dumps_bytes(profile: object, fmt: str = "json") -> bytes:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def _decode(
-    document: Dict[str, object], fmt: Optional[str] = None, build: bool = True
-) -> object:
-    """The profile object of a checked document, of kind ``fmt`` if one
-    is given; with ``build`` false, only its kind's check (returns
-    None).  Whatever they raise is a :class:`ProfileFormatError`."""
+def _decode(document: Dict[str, object], build: bool = True) -> object:
+    """The profile object of a checked document; with ``build`` false,
+    only its kind's check (returns None).  Whatever they raise is a
+    :class:`ProfileFormatError`."""
     kind = document.get("format")
-    if fmt is not None and kind != fmt:
-        raise ProfileFormatError(f"not a {fmt.upper()} profile")
     if kind not in _DECODERS:
         raise ProfileFormatError(f"unknown profile format {kind!r}")
     check, decode = _DECODERS[kind]
@@ -526,7 +486,7 @@ def loads(text: str) -> object:
     contract: a valid profile or :class:`ProfileFormatError`, nothing in
     between.
     """
-    return profile_from_document(_load_document(io.StringIO(text)))
+    return profile_from_document(_load_document(text))
 
 
 def _document(data: bytes, tagged: bool) -> Dict[str, object]:
@@ -546,7 +506,7 @@ def _document(data: bytes, tagged: bool) -> Dict[str, object]:
         raise ProfileFormatError(
             f"profile bytes are neither binary nor UTF-8 JSON: {exc}"
         ) from exc
-    return _load_document(io.StringIO(text), tagged)
+    return _load_document(text, tagged)
 
 
 def document_from_bytes(data: Union[bytes, bytearray]) -> Dict[str, object]:
@@ -595,7 +555,7 @@ def stored_document(data: bytes) -> Dict[str, object]:
     dict; BINCAP still frame-decodes, as that is how its dict is built."""
     if data.startswith(binformat.MAGIC):
         return document_from_bytes(data)
-    return _parse(io.StringIO(data.decode("utf-8")))
+    return _parse(data.decode("utf-8"))
 
 
 #: canonical documents serialize their ``format`` field first, so a
@@ -638,7 +598,7 @@ def sniff_format(payload: Union[str, bytes, bytearray]) -> str:
     match = _SNIFF_RE.search(text[:_SNIFF_PREFIX])
     if match and match.group(1) in _DECODERS and text.lstrip()[:1] == "{":
         return match.group(1)
-    document = _parse(io.StringIO(text))
+    document = _parse(text)
     fmt = document.get("format")
     if fmt not in _DECODERS:
         raise ProfileFormatError(f"unknown profile format {fmt!r}")
@@ -663,9 +623,11 @@ def save(profile: object, path: str, fmt: str = "json") -> None:
 def load(path: str) -> object:
     """Load any supported profile file, sniffing the encoding + format.
 
-    Returns what the format's loader returns: a stream dict for WHOMP
-    (see :func:`load_whomp_streams`), a :class:`LeapProfile`, or a
-    :class:`DependenceProfile`.  Raises :class:`ProfileFormatError` for
+    Returns a dict for WHOMP -- the expanded dimension ``streams`` plus
+    ``base_addresses``, ``lifetimes``, ``group_labels``,
+    ``access_count``, ``capture_completeness`` and ``quarantined``; the
+    grammar is a compression artifact and is not rebuilt -- a
+    :class:`LeapProfile`, or a :class:`DependenceProfile`.  Raises :class:`ProfileFormatError` for
     anything unreadable or unrecognized (including an unreadable path).
     """
     try:

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.profile_io import load_leap
+from repro.core.profile_io import load
+from repro.profilers.leap import LeapProfile
 
 
 class TestList:
@@ -28,8 +29,8 @@ class TestRun:
         leap = tmp_path / "micro.array.leap.json"
         assert whomp.exists() and leap.exists()
         json.loads(whomp.read_text())  # valid JSON
-        with open(leap) as handle:
-            profile = load_leap(handle)
+        profile = load(str(leap))
+        assert isinstance(profile, LeapProfile)
         assert profile.access_count > 0
 
     def test_single_profiler(self, tmp_path):

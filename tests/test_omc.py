@@ -1,8 +1,22 @@
 """Tests for the Object Management Component."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.omc import ObjectManager, TranslationError
+
+
+def omc_state(omc):
+    """Everything a refused probe must leave as it was."""
+    return (
+        omc.base_address_table(),
+        omc.lifetime_table(),
+        copy.deepcopy(omc.groups),
+        omc.live_count(),
+    )
 
 
 class TestGrouping:
@@ -85,6 +99,131 @@ class TestTranslation:
         omc = ObjectManager()
         with pytest.raises(TranslationError):
             omc.on_free(0x4000, 0)
+
+
+class TestLiveIndex:
+    """The live-object index: non-overlapping ``[start, end)`` ranges,
+    resolved by a floor lookup on the start plus a range check."""
+
+    def test_resolve_inside(self):
+        omc = ObjectManager()
+        record = omc.on_alloc(100, 100, "s", None, 0)
+        assert omc.resolve(100) == (100, 200, record)
+        assert omc.resolve(199) == (100, 200, record)
+
+    def test_resolve_outside(self):
+        omc = ObjectManager()
+        omc.on_alloc(100, 100, "s", None, 0)
+        assert omc.resolve(99) is None
+        assert omc.resolve(200) is None
+
+    @pytest.mark.parametrize(
+        "start, size", [(150, 100), (50, 51), (120, 10)],
+        ids=["tail", "head", "inside"],
+    )
+    def test_overlap_rejected(self, start, size):
+        omc = ObjectManager()
+        omc.on_alloc(100, 100, "s", None, 0)
+        with pytest.raises(TranslationError):
+            omc.on_alloc(start, size, "s", None, 1)
+
+    def test_adjacent_ok(self):
+        omc = ObjectManager()
+        omc.on_alloc(100, 100, "s", None, 0)
+        b = omc.on_alloc(200, 100, "s", None, 1)
+        omc.on_alloc(50, 50, "s", None, 2)
+        assert omc.resolve(200)[2] is b
+        assert omc.live_count() == 3
+
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_nonpositive_size_rejected(self, size):
+        omc = ObjectManager()
+        with pytest.raises(TranslationError):
+            omc.on_alloc(100, size, "s", None, 0)
+        assert omc.fresh
+
+    def test_free(self):
+        omc = ObjectManager()
+        a = omc.on_alloc(100, 100, "s", None, 0)
+        assert omc.on_free(100, 1) is a
+        assert omc.resolve(150) is None
+        with pytest.raises(TranslationError):
+            omc.on_free(100, 2)
+
+    def test_free_then_realloc_over_the_old_range(self):
+        omc = ObjectManager()
+        omc.on_alloc(100, 100, "s", None, 0)
+        omc.on_free(100, 1)
+        b = omc.on_alloc(120, 100, "s", None, 2)
+        assert omc.resolve(150)[2] is b
+
+    def test_free_inside_an_object_rejected(self):
+        omc = ObjectManager()
+        omc.on_alloc(100, 100, "s", None, 0)
+        with pytest.raises(TranslationError):
+            omc.on_free(150, 1)
+        assert omc.live_count() == 1
+
+    def test_out_of_order_allocs(self):
+        omc = ObjectManager()
+        b = omc.on_alloc(300, 100, "s", None, 0)
+        a = omc.on_alloc(100, 100, "s", None, 1)
+        assert [omc.resolve(address) for address in (100, 250, 399)] == [
+            (100, 200, a), None, (300, 400, b)
+        ]
+        assert omc.live_count() == 2
+
+    @pytest.mark.parametrize("site", ["s", "new"])
+    def test_refused_alloc_registers_nothing(self, site):
+        omc = ObjectManager()
+        omc.on_alloc(0x1000, 64, "s", None, 0)
+        before = omc_state(omc)
+        with pytest.raises(TranslationError):
+            omc.on_alloc(0x1020, 64, site, None, 1)
+        assert omc_state(omc) == before
+        serial = omc.on_alloc(0x2000, 64, site, None, 2).serial
+        assert serial == (1 if site == "s" else 0)
+
+
+#: one probe: 0 allocates ``size`` bytes at ``address``; 1 frees the
+#: live object picked by ``address``; 2 frees ``address`` itself
+_probes = st.tuples(st.integers(0, 2), st.integers(0, 50), st.integers(-1, 10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_probes, max_size=50))
+def test_live_index_matches_a_reference_list(probes):
+    """Random alloc/free sequences, refused ones included, against a
+    brute-force list of the live ``(start, end, record)`` triples."""
+    omc = ObjectManager()
+    live = []
+    for time, (action, address, size) in enumerate(probes):
+        if action == 1 and live:
+            start, __, record = live.pop(address % len(live))
+            assert omc.on_free(start, time) is record
+        elif action == 2 and not any(s == address for s, __, __ in live):
+            before = omc_state(omc)
+            with pytest.raises(TranslationError):
+                omc.on_free(address, time)
+            assert omc_state(omc) == before
+        elif action == 0:
+            end = address + size
+            if size <= 0 or any(s < end and address < e for s, e, __ in live):
+                before = omc_state(omc)
+                with pytest.raises(TranslationError):
+                    omc.on_alloc(address, size, f"site{address % 3}", None, time)
+                assert omc_state(omc) == before
+            else:
+                record = omc.on_alloc(address, size, f"site{address % 3}", None, time)
+                live.append((address, end, record))
+        assert omc.live_count() == len(live)
+        for probe in range(-1, 62):
+            expected = next((hit for hit in live if hit[0] <= probe < hit[1]), None)
+            assert omc.resolve(probe) == expected
+            assert omc.translate(probe) == (
+                None if expected is None
+                else (expected[2].group_id, expected[2].serial, probe - expected[0])
+            )
 
 
 class TestAuxiliaryOutputs:

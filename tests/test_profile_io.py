@@ -1,7 +1,6 @@
 """Tests for profile serialization round trips."""
 
 import functools
-import io
 import json
 import struct
 import zlib
@@ -17,13 +16,8 @@ from repro.core.binformat import BinaryFormatError, encode_document
 from repro.core.profile_io import (
     ProfileFormatError,
     dumps,
-    load_dependence,
-    load_leap,
-    load_whomp_streams,
+    loads,
     loads_bytes,
-    save_dependence,
-    save_leap,
-    save_whomp,
 )
 from repro.core.tuples import DIMENSIONS
 from repro.postprocess.dependence import analyze_dependences
@@ -35,10 +29,7 @@ from repro.workloads.micro import LinkedListTraversal
 class TestWhompIO:
     def test_round_trip_streams(self, list_trace):
         profile = WhompProfiler().profile(list_trace)
-        buffer = io.StringIO()
-        save_whomp(profile, buffer)
-        buffer.seek(0)
-        loaded = load_whomp_streams(buffer)
+        loaded = loads(dumps(profile))
         for name in DIMENSIONS:
             assert loaded["streams"][name] == profile.grammars[name].expand()
         assert loaded["base_addresses"] == profile.base_addresses
@@ -48,22 +39,11 @@ class TestWhompIO:
             tuple(r) for r in profile.lifetimes
         ]
 
-    def test_wrong_format_rejected(self, simple_trace):
-        profile = LeapProfiler().profile(simple_trace)
-        buffer = io.StringIO()
-        save_leap(profile, buffer)
-        buffer.seek(0)
-        with pytest.raises(ProfileFormatError):
-            load_whomp_streams(buffer)
-
 
 class TestLeapIO:
     def test_round_trip(self, list_trace):
         profile = LeapProfiler().profile(list_trace)
-        buffer = io.StringIO()
-        save_leap(profile, buffer)
-        buffer.seek(0)
-        loaded = load_leap(buffer)
+        loaded = loads(dumps(profile))
         assert loaded.entries == profile.entries
         assert loaded.kinds == profile.kinds
         assert loaded.exec_counts == profile.exec_counts
@@ -73,10 +53,7 @@ class TestLeapIO:
 
     def test_loaded_profile_analyzable(self, list_trace):
         profile = LeapProfiler().profile(list_trace)
-        buffer = io.StringIO()
-        save_leap(profile, buffer)
-        buffer.seek(0)
-        loaded = load_leap(buffer)
+        loaded = loads(dumps(profile))
         original = analyze_dependences(profile).dependent_pairs()
         reloaded = analyze_dependences(loaded).dependent_pairs()
         assert original == reloaded
@@ -87,30 +64,16 @@ class TestLeapIO:
         trace = HashProbe(buckets=512, probes=800).trace()
         profile = LeapProfiler().profile(trace)
         assert any(e.overflow.count for e in profile.entries.values())
-        buffer = io.StringIO()
-        save_leap(profile, buffer)
-        buffer.seek(0)
-        loaded = load_leap(buffer)
+        loaded = loads(dumps(profile))
         for key, entry in profile.entries.items():
             assert loaded.entries[key].overflow.count == entry.overflow.count
             assert loaded.entries[key].overflow.minimum == entry.overflow.minimum
-
-    def test_wrong_format_rejected(self, simple_trace):
-        profile = WhompProfiler().profile(simple_trace)
-        buffer = io.StringIO()
-        save_whomp(profile, buffer)
-        buffer.seek(0)
-        with pytest.raises(ProfileFormatError):
-            load_leap(buffer)
 
 
 class TestDependenceIO:
     def test_round_trip(self, list_trace):
         profile = LosslessDependenceProfiler().profile(list_trace)
-        buffer = io.StringIO()
-        save_dependence(profile, buffer)
-        buffer.seek(0)
-        loaded = load_dependence(buffer)
+        loaded = loads(dumps(profile))
         assert loaded.conflicts == profile.conflicts
         assert loaded.load_counts == profile.load_counts
         assert loaded.store_counts == profile.store_counts
@@ -118,7 +81,7 @@ class TestDependenceIO:
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ProfileFormatError):
-            load_dependence(io.StringIO('{"format": "other"}'))
+            loads('{"format": "other"}')
 
     @staticmethod
     def _document(conflicts, version=1):
@@ -223,7 +186,7 @@ class TestProductionExpansion:
 
     def test_deep_chain_loads_as_whomp_stream(self):
         document = _whomp_with_grammar(self._chain(3000), 1)
-        loaded = load_whomp_streams(io.StringIO(json.dumps(document)))
+        loaded = loads(json.dumps(document))
         assert all(stream == [7] for stream in loaded["streams"].values())
         assert _load_streams(document) == loaded["streams"]
 
@@ -443,23 +406,18 @@ class TestFuzzedLoading:
 
     @pytest.fixture(scope="class")
     def whomp_text(self, list_trace):
-        buffer = io.StringIO()
-        save_whomp(WhompProfiler().profile(list_trace), buffer)
-        return buffer.getvalue()
+        return dumps(WhompProfiler().profile(list_trace))
 
     @pytest.fixture(scope="class")
     def leap_text(self, list_trace):
-        buffer = io.StringIO()
-        save_leap(LeapProfiler().profile(list_trace), buffer)
-        return buffer.getvalue()
+        return dumps(LeapProfiler().profile(list_trace))
 
     def test_truncation_always_rejected(self, whomp_text, leap_text):
-        for text, loader in ((whomp_text, load_whomp_streams),
-                             (leap_text, load_leap)):
+        for text in (whomp_text, leap_text):
             step = max(1, len(text) // 97)  # ~100 cut points incl. 0
             for cut in range(0, len(text), step):
                 with pytest.raises(ProfileFormatError):
-                    loader(io.StringIO(text[:cut]))
+                    loads(text[:cut])
 
     def test_bit_flips_never_escape_format_error(self, tmp_path, whomp_text, leap_text):
         from repro.core.profile_io import load
@@ -482,31 +440,31 @@ class TestFuzzedLoading:
         document = json.loads(whomp_text)
         document["access_count"] = document["access_count"] + 1
         with pytest.raises(ProfileFormatError):
-            load_whomp_streams(io.StringIO(json.dumps(document)))
+            loads(json.dumps(document))
 
     def test_negative_access_count_rejected(self, whomp_text):
         document = json.loads(whomp_text)
         document["access_count"] = -1
         with pytest.raises(ProfileFormatError):
-            load_whomp_streams(io.StringIO(json.dumps(document)))
+            loads(json.dumps(document))
 
     def test_leap_count_mismatch_rejected(self, leap_text):
         document = json.loads(leap_text)
         entry = document["entries"][0]
         entry["total"] = entry["total"] + 5
         with pytest.raises(ProfileFormatError):
-            load_leap(io.StringIO(json.dumps(document)))
+            loads(json.dumps(document))
 
     def test_missing_dimension_rejected(self, whomp_text):
         document = json.loads(whomp_text)
         del document["grammars"][DIMENSIONS[0]]
         with pytest.raises(ProfileFormatError):
-            load_whomp_streams(io.StringIO(json.dumps(document)))
+            loads(json.dumps(document))
 
     def test_non_json_and_non_object_documents_rejected(self):
         for text in ("", "not json", "[1, 2, 3]", '"a string"', "null"):
             with pytest.raises(ProfileFormatError):
-                load_whomp_streams(io.StringIO(text))
+                loads(text)
 
     def test_load_missing_file_rejected(self, tmp_path):
         from repro.core.profile_io import load

@@ -7,7 +7,6 @@ every failure mode the layer claims to survive is provoked here and
 shown to be survived.
 """
 
-import io
 import json
 import os
 import pickle
@@ -499,7 +498,7 @@ class TestSummaryFallback:
 
 class TestProfileFlipFuzz:
     def test_degraded_save_carries_completeness(self, tmp_path):
-        from repro.core.profile_io import save_whomp, load_whomp_streams
+        from repro.core.profile_io import dumps, loads
 
         trace = create("micro.list", scale=0.2).trace()
         injector = FaultInjector(parse_fault_spec("seed=2;corrupt-events=0.1"))
@@ -507,9 +506,6 @@ class TestProfileFlipFuzz:
         profile = WhompProfiler(quarantine=quarantine).profile(
             injector.corrupt_trace(trace)
         )
-        buffer = io.StringIO()
-        save_whomp(profile, buffer)
-        buffer.seek(0)
-        loaded = load_whomp_streams(buffer)
+        loaded = loads(dumps(profile))
         assert loaded["capture_completeness"] == profile.capture_completeness
         assert loaded["quarantined"] == profile.quarantined

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.cdc import translate_trace
 from repro.core.events import AccessKind, Trace
-from repro.core.interval_index import IntervalIndex
 from repro.core.omc import ObjectManager
 from repro.core.profile_io import dumps_bytes
 from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
@@ -32,15 +31,15 @@ def translated(trace, refine=False):
 
 @pytest.fixture()
 def resolve_calls(monkeypatch):
-    """Count IntervalIndex.resolve calls (the OMC's B-tree lookups)."""
+    """Count ObjectManager.resolve calls (the OMC's index lookups)."""
     calls = []
-    original = IntervalIndex.resolve
+    original = ObjectManager.resolve
 
-    def spy(index, address):
+    def spy(omc, address):
         calls.append(address)
-        return original(index, address)
+        return original(omc, address)
 
-    monkeypatch.setattr(IntervalIndex, "resolve", spy)
+    monkeypatch.setattr(ObjectManager, "resolve", spy)
     return calls
 
 
