@@ -431,7 +431,9 @@ def run_load_parallel(
 
     Each job runs ``requests // jobs`` ops with its own derived seed;
     reports merge counts and QuantileDigests, and ``seconds`` is the
-    slowest job's wall clock (they run concurrently).
+    slowest job's wall clock (they run concurrently).  A job that
+    raises fails the whole run, as it does at ``jobs=1``: the first
+    such job's :class:`~repro.parallel.WorkerCrashError` propagates.
     """
     if jobs <= 1:
         return run_load(
@@ -449,7 +451,7 @@ def run_load_parallel(
     outcomes = executor.map_outcomes(_load_worker, tasks, label="loadgen")
     merged = LoadReport()
     for outcome in outcomes:
-        if outcome.error is not None or outcome.value is None:
-            continue
+        if outcome.error is not None:
+            raise outcome.error
         merged.merge(LoadReport.from_plain(outcome.value))
     return merged

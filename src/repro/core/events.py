@@ -19,12 +19,10 @@ beginning of the program and incremented after every collected access"
 from __future__ import annotations
 
 import enum
-import json
 from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
-    IO,
     Dict,
     Hashable,
     Iterable,
@@ -296,57 +294,6 @@ class Trace:
         """Keep ``value``, derived from this trace, until the next
         ``record_*`` call."""
         self._cached[key] = value
-
-    # -- serialization ------------------------------------------------
-
-    def dump(self, stream: IO[str]) -> None:
-        """Write the trace as JSON lines (one event per line)."""
-        for event in self:
-            if isinstance(event, AccessEvent):
-                record = [
-                    "A",
-                    event.instruction_id,
-                    event.address,
-                    event.size,
-                    event.kind.value,
-                    event.time,
-                ]
-            elif isinstance(event, AllocEvent):
-                record = [
-                    "M",
-                    event.address,
-                    event.size,
-                    event.site,
-                    event.type_name,
-                    event.time,
-                ]
-            else:
-                record = ["F", event.address, event.time]
-            stream.write(json.dumps(record) + "\n")
-
-    @classmethod
-    def load(cls, stream: IO[str]) -> "Trace":
-        """Read a trace written by :meth:`dump`."""
-        trace = cls()
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            tag = record[0]
-            if tag == "A":
-                __, instruction_id, address, size, kind, time = record
-                trace._append(instruction_id, address, size, AccessKind(kind), time)
-                trace._clock = time + 1
-            elif tag == "M":
-                __, address, size, site, type_name, time = record
-                trace._add_object(AllocEvent(address, size, site, type_name, time))
-            elif tag == "F":
-                __, address, time = record
-                trace._add_object(FreeEvent(address, time))
-            else:
-                raise ValueError(f"unknown trace record tag {tag!r}")
-        return trace
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":

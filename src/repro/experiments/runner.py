@@ -134,7 +134,7 @@ class _Sweep:
 
     A record is ``{status, elapsed_seconds, results[, error]}`` with
     ``status`` one of ``ok`` (clean), ``retried`` (clean results, but
-    the pool needed resubmissions or a serial fallback), ``degraded``
+    the task needed resubmissions or a serial fallback), ``degraded``
     (faults landed in the data; results reflect a reduced capture) or
     ``failed`` (the experiment raised; ``error`` has the text).  The
     records dict is exactly what ``--json`` serializes.

@@ -18,7 +18,7 @@ a cluster request that crosses processes:
 * :mod:`repro.obs.export` -- the report / JSON / Prometheus exporters
   behind ``--telemetry`` and the one span-tree renderer;
 * :mod:`repro.obs.context` -- the 128-bit trace id, propagated into
-  fork-pool workers by the executor and across HTTP by the
+  forked workers by the executor and across HTTP by the
   ``X-Repro-Trace`` header;
 * :mod:`repro.obs.events` -- a bounded ring plus an optional
   crash-safe JSONL sink, one schema-versioned record per stage exit,

@@ -7,8 +7,8 @@ a batch ingest, a daemon request -- with a 128-bit trace id shared by
 every participant and a 64-bit span id per participant.  The context
 crosses process boundaries two ways:
 
-* **fork pools** -- the executor captures the ambient context at chunk
-  submission and re-activates a child of it inside the worker (see
+* **forked workers** -- the executor captures the ambient context when
+  it fans tasks out and re-activates a child of it inside each worker (see
   :mod:`repro.parallel.executor`), so worker span trees carry the same
   trace id as the parent's;
 * **HTTP** -- the ``X-Repro-Trace`` header carries

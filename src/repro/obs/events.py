@@ -1,7 +1,7 @@
 """The structured event log: a bounded ring plus an optional JSONL sink.
 
-Every notable moment of a run -- a pipeline stage closing, a pool chunk
-being retried, a fault landing, a tuple being quarantined, a daemon
+Every notable moment of a run -- a pipeline stage closing, a forked
+task being retried, a fault landing, a tuple being quarantined, a daemon
 request completing -- becomes one flat, schema-versioned JSON record::
 
     {"v": 1, "ts": 1723108721.4, "kind": "stage",
@@ -95,6 +95,8 @@ EVENT_SCHEMAS = {
         "optional": ["error"],
     },
     "fault": {"required": ["fault"], "optional": [], "open": True},
+    # executor records: "chunk" carries the task index; the name stays
+    # so that logs already written keep one schema
     "timeout": {
         "required": ["label", "chunk", "attempt", "timeout_seconds"],
         "optional": [],

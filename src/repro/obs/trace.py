@@ -73,7 +73,7 @@ def start_tracing(
 ) -> Tuple[TraceContext, EventLog]:
     """Attach a trace context and event log to ``telemetry``.
 
-    Installs the context as the process's ambient one (so fork-pool
+    Installs the context as the process's ambient one (so forked
     workers inherit it) and, when ``trace_out`` is given, mirrors every
     event into that JSONL file.  Returns ``(context, events)`` for
     :func:`finish_tracing`.

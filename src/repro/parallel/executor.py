@@ -1,96 +1,74 @@
-"""The process-pool executor behind every ``--jobs N`` flag.
+"""The fork-per-task executor behind every ``--jobs N`` flag.
 
-A thin, predictable wrapper over :mod:`multiprocessing`:
-
-* **Serial fallback.**  ``jobs <= 1``, a platform without the ``fork``
-  start method, or a task list shorter than two items all run inline in
-  the calling process -- same results, no pool, no pickling.  (``fork``
-  is required because ``spawn`` would re-import the world per worker
-  and make every argument cross a pipe.)
-* **Worker bootstrap.**  Workers ignore ``SIGINT`` so a Ctrl-C lands
-  only in the parent, which terminates the pool and re-raises
-  :class:`KeyboardInterrupt` cleanly instead of leaking children.
-* **Chunked submission.**  Tasks are submitted in contiguous chunks
-  (``chunksize`` heuristic below) to amortize IPC per task.
-* **Crash containment.**  A worker that raises reports the traceback
-  text back to the parent, which raises :class:`WorkerCrashError`
-  carrying it plus the chunk index and how many of the chunk's items
-  completed; a worker that *dies* (segfault, OOM-kill, an injected
-  ``os._exit``) surfaces as a timed-out chunk instead of a hung join.
-* **Retry / timeout / backoff.**  Each chunk is an independently
-  awaited submission with an optional ``timeout`` deadline.
-  Infrastructure failures -- a lost worker, a deadline miss, broken
-  pool machinery -- are retried with exponential backoff up to
-  ``retries`` times, and after the cap the chunk runs inline in the
-  parent (the *serial fallback*), so a sick pool degrades instead of
-  failing the run.  All of it is surfaced as telemetry counters:
-  ``resilience.retries``, ``resilience.timeouts``,
-  ``resilience.fallbacks``.  Exceptions raised *by the task function*
-  are deterministic and are never retried.
+* **Serial fallback.**  ``jobs <= 1``, a platform without ``fork``, or
+  fewer than two tasks run inline in the calling process -- same
+  results, no fork, no pickling.  (``spawn`` would re-import the world
+  per worker and make every argument cross a pipe.)
+* **One forked process per task**, at most ``effective_jobs(n)`` alive
+  at once.  Each worker ignores ``SIGINT`` (a Ctrl-C lands only in the
+  parent, which kills every live worker and re-raises
+  :class:`KeyboardInterrupt`) and sends its one result back over its
+  own one-way pipe.  A task that raises reports its traceback text as
+  data; the parent wraps it in a :class:`WorkerCrashError`.  Such
+  exceptions are deterministic and are never retried.
+* **Death, deadline, retry.**  A worker that *dies* (segfault,
+  OOM-kill, an injected ``os._exit``) closes its pipe without a result,
+  and the parent sees the end-of-file at once -- no deadline is needed
+  to notice it.  A worker past the optional ``timeout`` is killed and
+  handled the same way.  Only the lost task is resubmitted, with
+  exponential backoff, up to ``retries`` times; then it runs inline in
+  the parent, so a sick worker degrades the run instead of failing it.
+  Telemetry counts ``resilience.retries``, ``resilience.timeouts`` and
+  ``resilience.fallbacks``.
 
 Results are always returned in task order, so parallel runs are
-deterministic whenever the worker function is.  With ``timeout=None``
-and no faults the added machinery is dormant: one ``apply_async`` per
-chunk and an unbounded ``get``, the same traffic the plain ``pool.map``
-produced.
+deterministic whenever the worker function is.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
-import multiprocessing.pool
+import os
 import signal
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.context import TraceContext, activate, current, current_header
 from repro.obs.spans import Telemetry, coalesce
 
-#: default retry cap per chunk (attempts = retries + 1)
+#: default retry cap per task (attempts = retries + 1)
 DEFAULT_RETRIES = 2
 
-#: default base backoff seconds between chunk retries (doubles per retry)
+#: default base backoff seconds between task retries (doubles per retry)
 DEFAULT_BACKOFF = 0.05
-
-#: deadline imposed when a fault plan kills/stalls workers but names no
-#: timeout -- a killed worker's chunk would otherwise hang forever
-FAULTED_DEFAULT_TIMEOUT = 30.0
 
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker raised or died.
+    """A task function raised, in a worker or inline.
 
-    Carries the failure's context across the pool boundary: the worker
-    traceback text, the chunk the task belonged to, and how many items
-    of that chunk had already completed when the failure hit.
+    Carries the failure's context across the process boundary: the
+    worker traceback text and the index of the task that raised.
     """
 
     def __init__(
         self,
         message: str,
         worker_traceback: str = "",
-        chunk_index: Optional[int] = None,
-        items_processed: Optional[int] = None,
+        task_index: Optional[int] = None,
     ) -> None:
         super().__init__(message)
         self.worker_traceback = worker_traceback
-        self.chunk_index = chunk_index
-        self.items_processed = items_processed
+        self.task_index = task_index
 
     def __reduce__(self):
         # RuntimeError's default pickling would drop every keyword
-        # attribute; the context must survive crossing a pool boundary.
-        return (
-            type(self),
-            (
-                self.args[0] if self.args else "",
-                self.worker_traceback,
-                self.chunk_index,
-                self.items_processed,
-            ),
-        )
+        # attribute; the context must survive crossing a process boundary.
+        message = self.args[0] if self.args else ""
+        return (type(self), (message, self.worker_traceback, self.task_index))
 
 
 class TaskOutcome:
@@ -98,9 +76,9 @@ class TaskOutcome:
 
     ``value`` is the task's result (``None`` on failure), ``error`` the
     contained :class:`WorkerCrashError` if the task function raised,
-    ``attempts`` how many submissions its chunk needed, and
-    ``fallback`` whether its chunk ended up running inline in the
-    parent after the pool gave up.
+    ``attempts`` how many workers the task was started in, and
+    ``fallback`` whether it ended up running inline in the parent after
+    its retries ran out.
     """
 
     __slots__ = ("value", "error", "attempts", "fallback")
@@ -145,57 +123,52 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _bootstrap_worker() -> None:
-    """Pool initializer: leave interrupt handling to the parent."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _attempt(function: Callable[[Any], Any], task: Any) -> Tuple[bool, Any]:
+    """Run one task with its exception turned into data, so one bad
+    task does not void its neighbours' results: ``(True, value)`` or
+    ``(False, (type name, message, traceback text))``.  An interrupt is
+    not the task's failure; it propagates."""
+    try:
+        return True, function(task)
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:  # noqa: BLE001 - report, don't unwind
+        return False, (type(exc).__name__, str(exc), traceback.format_exc())
 
 
-def _run_chunk(payload):
-    """Run one contiguous chunk of tasks inside a worker.
+def _worker(writer, function, task, index, injector, trace_header) -> None:
+    """Body of one forked worker: run one task, send its entry, exit.
 
-    Applies the fault injector's kill/stall schedule (pool workers
-    only: the inline fallback path never self-injects), and traps
-    per-task exceptions as data so one bad task does not void its
-    chunk-mates' results.  Returns a list of
-    ``(True, value) | (False, (type name, message, traceback text))``
-    entries, one per task, in order.
-
-    The payload's ``trace_header`` (the submitting process's ambient
-    :class:`~repro.obs.context.TraceContext`, serialized) is
-    re-activated here as a *child* context scoped to the chunk, so any
-    telemetry the task functions produce -- worker span trees, event
-    records, outbound HTTP -- carries the parent's trace id.
+    The fault injector's stall/kill schedule applies here only, never
+    inline.  The task runs under a *child* of the submitter's trace
+    context (``trace_header``), so its span trees, event records and
+    outbound HTTP carry the parent's trace id.
     """
-    function, start_index, tasks, injector, trace_header = payload
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    if injector is not None:
+        stall = injector.stall_seconds(index)
+        if stall > 0.0:
+            time.sleep(stall)
+        if injector.should_kill(index):
+            os._exit(13)
     parent_context = TraceContext.from_header(trace_header)
-    entries = []
     with contextlib.ExitStack() as scope:
         if parent_context is not None:
             scope.enter_context(activate(parent_context.child()))
-        for offset, task in enumerate(tasks):
-            index = start_index + offset
-            if injector is not None:
-                stall = injector.stall_seconds(index)
-                if stall > 0.0:
-                    time.sleep(stall)
-                if injector.should_kill(index):
-                    import os
+        entry = _attempt(function, task)
+    writer.send(entry)
+    writer.close()
 
-                    os._exit(13)
-            try:
-                entries.append((True, function(task)))
-            except BaseException as exc:  # noqa: BLE001 - report, don't unwind
-                entries.append(
-                    (
-                        False,
-                        (type(exc).__name__, str(exc), traceback.format_exc()),
-                    )
-                )
-    return entries
+
+def _kill(reader, process) -> None:
+    """Stop a live worker and close its pipe."""
+    process.kill()
+    process.join()
+    reader.close()
 
 
 class ParallelExecutor:
-    """Map a picklable function over tasks with up to ``jobs`` workers.
+    """Map a function over tasks with up to ``jobs`` forked workers.
 
     >>> executor = ParallelExecutor(jobs=1)
     >>> [outcome.value for outcome in executor.map_outcomes(abs, [-2, 3, -4])]
@@ -220,8 +193,6 @@ class ParallelExecutor:
                 retries = plan.retries
             if plan.timeout is not None:
                 timeout = plan.timeout
-            elif timeout is None and plan.any_process_faults():
-                timeout = FAULTED_DEFAULT_TIMEOUT
             if plan.backoff is not None:
                 backoff = plan.backoff
         self.retries = max(0, retries)
@@ -231,12 +202,6 @@ class ParallelExecutor:
     def effective_jobs(self, task_count: int) -> int:
         """Workers actually used for ``task_count`` tasks."""
         return max(1, min(self.jobs, task_count))
-
-    @staticmethod
-    def _chunksize(task_count: int, workers: int) -> int:
-        """Contiguous tasks per submission: aim for ~4 chunks per worker
-        so stragglers rebalance without paying IPC per task."""
-        return max(1, task_count // (workers * 4))
 
     def map_outcomes(
         self,
@@ -254,52 +219,45 @@ class ParallelExecutor:
         :class:`WorkerCrashError` while its neighbours keep their
         results.  ``progress`` (if given) is called in the parent as
         ``progress(task_index, outcome)``, in task order, as outcomes
-        arrive -- the hook the experiments runner uses to checkpoint
-        each result the moment it exists.  An exception raised by
-        ``progress`` aborts the run (the pool is terminated) and
-        propagates.
+        arrive -- the runner checkpoints each result there the moment it
+        exists.  An exception from ``progress`` kills every live worker
+        and propagates.
         """
         tasks = list(tasks)
         workers = self.effective_jobs(len(tasks)) if fork_available() else 1
-        if workers <= 1:
-            return self._serial_outcomes(function, tasks, label, progress)
-        return self._pool_outcomes(function, tasks, workers, label, progress)
-
-    # -- inline path ---------------------------------------------------
-
-    def _serial_outcomes(
-        self,
-        function: Callable[[Any], Any],
-        tasks: List[Any],
-        label: str,
-        progress: Optional[Callable[[int, TaskOutcome], None]],
-    ) -> List[TaskOutcome]:
-        outcomes: List[TaskOutcome] = []
         with self.telemetry.span(label) as span:
-            for index, task in enumerate(tasks):
-                try:
-                    outcome = TaskOutcome(value=function(task))
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - contain
-                    outcome = TaskOutcome(
-                        error=WorkerCrashError(
-                            f"{label}: task {index} raised "
-                            f"{type(exc).__name__}: {exc}",
-                            worker_traceback=traceback.format_exc(),
-                            chunk_index=index,
-                            items_processed=0,
-                        )
+            if workers > 1:
+                outcomes = self._forked_outcomes(
+                    function, tasks, workers, label, progress
+                )
+            else:
+                outcomes = []
+                for index, task in enumerate(tasks):
+                    outcomes.append(
+                        self._outcome(_attempt(function, task), index, label)
                     )
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(index, outcome)
+                    if progress is not None:
+                        progress(index, outcomes[-1])
             span.add_items(len(tasks), "tasks")
         return outcomes
 
-    # -- pool path -----------------------------------------------------
+    def _outcome(self, entry, index, label, attempts=1, fallback=False):
+        """The :class:`TaskOutcome` of one :func:`_attempt` entry."""
+        ok, value = entry
+        if ok:
+            return TaskOutcome(value=value, attempts=attempts, fallback=fallback)
+        name, message, worker_tb = value
+        self.telemetry.counter(
+            "parallel.worker_errors_total", "tasks that raised"
+        ).inc()
+        error = WorkerCrashError(
+            f"{label}: task {index} raised {name}: {message}",
+            worker_traceback=worker_tb,
+            task_index=index,
+        )
+        return TaskOutcome(error=error, attempts=attempts, fallback=fallback)
 
-    def _pool_outcomes(
+    def _forked_outcomes(
         self,
         function: Callable[[Any], Any],
         tasks: List[Any],
@@ -309,69 +267,103 @@ class ParallelExecutor:
     ) -> List[TaskOutcome]:
         context = multiprocessing.get_context("fork")
         telemetry = self.telemetry
-        telemetry.counter(
-            "parallel.pools_total", "process pools started"
-        ).inc()
-        telemetry.gauge("parallel.jobs", "workers in the last pool").set(workers)
-        chunksize = self._chunksize(len(tasks), workers)
-        chunks = [
-            (start, tasks[start : start + chunksize])
-            for start in range(0, len(tasks), chunksize)
-        ]
-        pool = context.Pool(processes=workers, initializer=_bootstrap_worker)
-        outcomes: List[TaskOutcome] = []
+        telemetry.counter("parallel.pools_total", "forked fan-outs started").inc()
+        telemetry.gauge(
+            "parallel.jobs", "live-worker cap in the last fan-out"
+        ).set(workers)
+        # Captured once, so a resubmitted task runs under the same trace.
+        trace_header = current_header()
+        outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+        attempts = [0] * len(tasks)
+        queue = list(reversed(range(len(tasks))))  # pop() takes the lowest
+        limit = math.inf if self.timeout is None else self.timeout
+        # reader -> (task index, worker process, monotonic deadline)
+        live: Dict[Any, Tuple[int, Any, float]] = {}
+        reported = 0
         try:
-            with telemetry.span(label) as span:
-                handles = [
-                    self._submit(pool, function, start, chunk_tasks)
-                    for start, chunk_tasks in chunks
-                ]
-                for chunk_index, (start, chunk_tasks) in enumerate(chunks):
-                    entries, attempts, fallback = self._collect_chunk(
-                        pool,
-                        handles,
-                        chunk_index,
-                        function,
-                        start,
-                        chunk_tasks,
-                        label,
+            while queue or live:
+                while queue and len(live) < workers:
+                    index = queue.pop()
+                    attempts[index] += 1
+                    reader, writer = context.Pipe(duplex=False)
+                    process = context.Process(
+                        target=_worker,
+                        args=(writer, function, tasks[index], index,
+                              self.fault_injector, trace_header),
+                        daemon=True,
                     )
-                    chunk_outcomes = self._entries_to_outcomes(
-                        entries, chunk_index, start, attempts, fallback, label
+                    process.start()
+                    # Only the worker may hold the write end, so its
+                    # death is end-of-file here.
+                    writer.close()
+                    live[reader] = (index, process, time.monotonic() + limit)
+                # until a worker reports or dies, or the nearest deadline
+                nearest = min(deadline for __, ___, deadline in live.values())
+                block = max(0.0, nearest - time.monotonic())
+                lost = []
+                for reader in wait(list(live), block if block < math.inf else None):
+                    index, process, __ = live.pop(reader)
+                    try:
+                        entry = reader.recv()
+                    except (EOFError, OSError):  # no result: it died
+                        entry = None
+                    reader.close()
+                    process.join()
+                    if entry is None:
+                        lost.append((index, "worker-crash", {}))
+                    else:
+                        outcomes[index] = self._outcome(
+                            entry, index, label, attempts[index]
+                        )
+                now = time.monotonic()
+                for reader, (index, process, deadline) in list(live.items()):
+                    if deadline <= now:
+                        del live[reader]
+                        _kill(reader, process)
+                        telemetry.counter(
+                            "resilience.timeouts", "workers killed at their deadline"
+                        ).inc()
+                        fields = {"timeout_seconds": self.timeout}
+                        lost.append((index, "timeout", fields))
+                for index, kind, fields in lost:
+                    attempt = attempts[index]
+                    # Event logs are a persisted format: ``chunk`` keeps
+                    # its name and carries the task index.
+                    self._emit_event(
+                        kind, label=label, chunk=index, attempt=attempt, **fields
                     )
-                    for offset, outcome in enumerate(chunk_outcomes):
-                        outcomes.append(outcome)
-                        if progress is not None:
-                            try:
-                                progress(start + offset, outcome)
-                            except BaseException:
-                                pool.terminate()
-                                raise
-                span.add_items(len(tasks), "tasks")
-            telemetry.counter(
-                "parallel.tasks_total", "tasks executed in pools"
-            ).inc(len(tasks))
-            return outcomes
-        except KeyboardInterrupt:
-            pool.terminate()
-            raise
+                    if attempt > self.retries:
+                        outcomes[index] = self._fallback(
+                            function, tasks[index], index, label, attempt
+                        )
+                        continue
+                    telemetry.counter("resilience.retries", "task resubmissions").inc()
+                    self._emit_event("retry", label=label, chunk=index, attempt=attempt)
+                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+                    queue.append(index)
+                while reported < len(tasks) and outcomes[reported] is not None:
+                    if progress is not None:
+                        progress(reported, outcomes[reported])
+                    reported += 1
         finally:
-            pool.close()
-            pool.terminate()
-            pool.join()
+            for reader, (__, process, ___) in live.items():
+                _kill(reader, process)
+        telemetry.counter(
+            "parallel.tasks_total", "tasks executed in forked workers"
+        ).inc(len(tasks))
+        return outcomes
 
-    def _submit(self, pool, function, start, chunk_tasks):
-        # The ambient trace context (if any) rides along as its header
-        # form -- fork shares memory but re-capturing at submit time
-        # keeps resubmissions of the same chunk under the same trace.
-        payload = (
-            function,
-            start,
-            chunk_tasks,
-            self.fault_injector,
-            current_header(),
+    def _fallback(self, function, task, index, label, attempts) -> TaskOutcome:
+        """Run a task whose retries ran out inline in the parent,
+        without fault injection: the fallback exists to rescue work,
+        not to re-break it."""
+        self.telemetry.counter(
+            "resilience.fallbacks", "tasks rerun inline after their retries ran out"
+        ).inc()
+        self._emit_event("fallback", label=label, chunk=index, attempts=attempts)
+        return self._outcome(
+            _attempt(function, task), index, label, attempts, fallback=True
         )
-        return pool.apply_async(_run_chunk, (payload,))
 
     def _emit_event(self, kind: str, **fields) -> None:
         """Emit a structured resilience event when a sink is attached."""
@@ -385,117 +377,3 @@ class ParallelExecutor:
             span=context.span_id if context is not None else None,
             **fields,
         )
-
-    def _collect_chunk(
-        self,
-        pool,
-        handles,
-        chunk_index: int,
-        function,
-        start: int,
-        chunk_tasks: List[Any],
-        label: str,
-    ):
-        """Await one chunk, retrying infrastructure failures.
-
-        Returns ``(entries, attempts, fallback)``.  Task-raised
-        exceptions arrive *inside* ``entries`` (the worker reports them
-        as data) and are deterministic, so they are never retried; what
-        is retried is the chunk failing to report at all -- a deadline
-        miss (``resilience.timeouts``) or broken pool machinery such as
-        a worker dying mid-task.  After ``retries`` resubmissions the
-        chunk runs inline in the parent (``resilience.fallbacks``),
-        without fault injection: the fallback exists to rescue work,
-        not to re-break it.
-        """
-        telemetry = self.telemetry
-        attempt = 1
-        while True:
-            try:
-                entries = handles[chunk_index].get(self.timeout)
-                return entries, attempt, False
-            except KeyboardInterrupt:
-                raise
-            except multiprocessing.TimeoutError:
-                telemetry.counter(
-                    "resilience.timeouts",
-                    "pool chunks that missed their deadline",
-                ).inc()
-                self._emit_event(
-                    "timeout",
-                    label=label,
-                    chunk=chunk_index,
-                    attempt=attempt,
-                    timeout_seconds=self.timeout,
-                )
-            except Exception:  # noqa: BLE001 - broken pool machinery
-                self._emit_event(
-                    "worker-crash",
-                    label=label,
-                    chunk=chunk_index,
-                    attempt=attempt,
-                )
-            if attempt <= self.retries:
-                telemetry.counter(
-                    "resilience.retries", "pool chunk resubmissions"
-                ).inc()
-                self._emit_event(
-                    "retry", label=label, chunk=chunk_index, attempt=attempt
-                )
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-                attempt += 1
-                try:
-                    handles[chunk_index] = self._submit(
-                        pool, function, start, chunk_tasks
-                    )
-                    continue
-                except Exception:  # noqa: BLE001 - pool is gone; go inline
-                    pass
-            telemetry.counter(
-                "resilience.fallbacks",
-                "chunks rerun inline after the pool gave up",
-            ).inc()
-            self._emit_event(
-                "fallback", label=label, chunk=chunk_index, attempts=attempt
-            )
-            entries = _run_chunk(
-                (function, start, chunk_tasks, None, current_header())
-            )
-            return entries, attempt, True
-
-    def _entries_to_outcomes(
-        self,
-        entries,
-        chunk_index: int,
-        start: int,
-        attempts: int,
-        fallback: bool,
-        label: str,
-    ) -> List[TaskOutcome]:
-        telemetry = self.telemetry
-        outcomes: List[TaskOutcome] = []
-        completed = 0
-        for offset, (ok, value) in enumerate(entries):
-            if ok:
-                completed += 1
-                outcomes.append(
-                    TaskOutcome(value=value, attempts=attempts, fallback=fallback)
-                )
-                continue
-            name, message, worker_tb = value
-            telemetry.counter(
-                "parallel.worker_errors_total", "tasks that raised"
-            ).inc()
-            outcomes.append(
-                TaskOutcome(
-                    error=WorkerCrashError(
-                        f"{label}: task {start + offset} raised {name}: {message}",
-                        worker_traceback=worker_tb,
-                        chunk_index=chunk_index,
-                        items_processed=completed,
-                    ),
-                    attempts=attempts,
-                    fallback=fallback,
-                )
-            )
-        return outcomes

@@ -1,10 +1,11 @@
-"""Top-level worker functions for the whole-job process-pool fan-outs:
-one workload per store-ingest task, one experiment per runner task.
+"""Top-level worker functions for the whole-job fan-outs: one workload
+per store-ingest task, one experiment per runner task.
 
-Everything here must be picklable by reference (module-level, no
-closures): the executor ships ``(function, task)`` payloads through the
-pool's task pipe.  Each worker is a pure function of its task tuple so
-parallel output is deterministic and mergeable.
+The executor forks one process per task, so the function and its task
+reach the worker as a copy-on-write snapshot; only the result crosses
+back, pickled, over the worker's pipe.  Workers stay module-level
+functions all the same (no closures), and each is a pure function of
+its task tuple so parallel output is deterministic and mergeable.
 
 The module is marked ``# repro: workers`` so REPROLINT holds every
 function here to the fork-safety rules (RL121-RL125): no captured
@@ -29,13 +30,13 @@ def workload_documents(task):
     document bytes (see :func:`repro.core.profile_io.dumps_bytes`)
     ready for ``ProfileStore.ingest_bytes`` in the parent, and ``meta``
     carries the run configuration for the manifest.  Documents cross
-    the pool serialized rather than as profile objects: they are
+    back serialized rather than as profile objects: they are
     smaller, and the parent needs the exact bytes anyway for content
     addressing.
 
     When an ambient :class:`~repro.obs.context.TraceContext` is active
     (the executor re-activates the submitter's, see
-    :func:`repro.parallel.executor._run_chunk`), the workload runs
+    :func:`repro.parallel.executor._worker`), the workload runs
     under a traced :class:`~repro.obs.spans.Telemetry` and
     ``meta["span"]`` carries the worker's span tree -- stamped with the
     shared trace id -- back to the parent for ``absorb_plain``.

@@ -7,7 +7,7 @@ not get either.  This package is the failure-containment layer:
 * :mod:`repro.resilience.faults` -- a deterministic, seed-driven fault
   harness (:class:`FaultPlan` / :class:`FaultInjector`) that corrupts
   or drops probe events, bit-flips serialized profiles, and kills or
-  stalls pool workers on schedule, for drills from tests or
+  stalls forked workers on schedule, for drills from tests or
   ``repro-experiments --inject-faults SPEC``.
 * :mod:`repro.resilience.degraded` -- the quarantine sidecar that lets
   WHOMP/LEAP absorb malformed or wild tuples instead of crashing, and
@@ -15,9 +15,11 @@ not get either.  This package is the failure-containment layer:
 * :mod:`repro.resilience.checkpoint` -- atomic per-experiment
   checkpoints so interrupted sweeps resume instead of restarting.
 
-Retry/timeout/backoff for pool workers lives with the pool itself in
-:mod:`repro.parallel.executor`; its ``resilience.*`` telemetry
-counters are documented in README's "Resilience" section.
+Retry/timeout/backoff for forked workers lives with the executor in
+:mod:`repro.parallel.executor`: a dead worker is seen at once as
+end-of-file on its result pipe, and one past its deadline is killed.
+Its ``resilience.*`` telemetry counters are documented in README's
+"Resilience" section.
 """
 
 # Crash-safe writes live in core (no dependency cycles) but are part of

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.fsutil import atomic_write_text
 
@@ -57,23 +57,3 @@ class CheckpointStore:
         if document.get("checkpoint_version") != CHECKPOINT_VERSION:
             return None
         return document
-
-    def completed(self) -> List[str]:
-        """Names with a loadable checkpoint, sorted."""
-        try:
-            entries = os.listdir(self.directory)
-        except OSError:
-            return []
-        names = [
-            entry[: -len(".json")]
-            for entry in entries
-            if entry.endswith(".json") and not entry.endswith(".tmp")
-        ]
-        return sorted(name for name in names if self.load(name) is not None)
-
-    def discard(self, name: str) -> None:
-        """Drop one checkpoint (used to force a rerun)."""
-        try:
-            os.unlink(self.path(name))
-        except FileNotFoundError:
-            pass

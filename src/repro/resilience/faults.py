@@ -2,7 +2,7 @@
 
 The fault harness exists to *drill* the pipeline: every failure mode
 the resilience layer claims to survive (corrupted probe events, killed
-or stalled pool workers, bit-flipped profile files) can be provoked on
+or stalled worker processes, bit-flipped profile files) can be provoked on
 schedule, from tests or from ``repro-experiments --inject-faults SPEC``,
 and the same seed always provokes the same faults -- including across
 separate CLI invocations, which is what makes the interrupt-and-resume
@@ -18,8 +18,8 @@ Fault spec grammar (clauses joined with ``;``)::
     stall-task=I:SECS     sleep SECS inside the worker on every attempt
                           of task index I
     flip-profile=N        flip N bits when corrupt_bytes() is applied
-    timeout=SECS          per-chunk pool deadline for the executor
-    retries=N             executor retry cap (per chunk)
+    timeout=SECS          per-task worker deadline for the executor
+    retries=N             executor retry cap (per task)
     backoff=SECS          executor base backoff between retries
     abort-after=N         simulated interrupt: stop the experiments
                           runner after N newly completed experiments
@@ -96,7 +96,7 @@ class FaultPlan:
         return self.drop_events > 0.0 or self.corrupt_events > 0.0
 
     def any_process_faults(self) -> bool:
-        """Whether the plan kills or stalls pool workers."""
+        """Whether the plan kills or stalls forked workers."""
         return bool(self.kill_tasks) or bool(self.stall_tasks)
 
 
@@ -169,8 +169,8 @@ def _probability(text: str) -> float:
 class FaultInjector:
     """Applies a :class:`FaultPlan` deterministically.
 
-    Picklable (the plan is plain data and the ledger is a path), so the
-    executor can ship it to pool workers.  Event-level counters
+    Picklable (the plan is plain data and the ledger is a path), so it
+    can cross to worker processes.  Event-level counters
     (``dropped`` / ``corrupted``) are per-process: a worker counts the
     faults it applied, the parent counts its own.
     """

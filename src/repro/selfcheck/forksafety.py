@@ -12,7 +12,8 @@ the child corrupts the parent's thread-local stack expectations.
 
 Workers are found two ways: every module-level function of a module
 marked ``# repro: workers``, and any same-module function passed by
-name into a pool-style dispatch (``pool.map(worker, ...)``).  Lambdas
+name into a pool-style dispatch (``pool.map(worker, ...)``) or as a
+``Process`` target (``context.Process(target=worker, ...)``).  Lambdas
 and nested functions at a dispatch site are convicted outright
 (RL121): they do not survive pickling-by-reference.
 """
@@ -80,6 +81,13 @@ def _module_globals(module: SourceModule) -> Dict[str, str]:
 
 
 def _dispatch_first_arg(node: ast.Call) -> Optional[ast.AST]:
+    """The function a dispatch call sends across the fork: the first
+    argument of a pool-style method, or a ``Process``'s ``target``."""
+    if (dotted_name(node.func) or "").rpartition(".")[2] == "Process":
+        for keyword in node.keywords:
+            if keyword.arg == "target":
+                return keyword.value
+        return None
     if not isinstance(node.func, ast.Attribute):
         return None
     if node.func.attr not in _DISPATCH_METHODS:

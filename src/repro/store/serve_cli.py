@@ -194,7 +194,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
 
         injector = FaultInjector(parse_fault_spec(args.inject_faults))
 
-    # Every ingest run is traced: the context rides into the pool
+    # Every ingest run is traced: the context rides into the forked
     # workers and (as X-Repro-Trace) to the daemon, and the run closes
     # with a trace document tying all of it together.
     telemetry = Telemetry()

@@ -10,6 +10,7 @@ own.  The satellite contracts live here too: ``repro-serve serve
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,12 +25,14 @@ from repro.cluster.loadgen import (
     LoadReport,
     build_plan,
     run_load,
+    run_load_parallel,
     synthetic_documents,
 )
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ShardSupervisor
 from repro.obs.events import EventLog, read_events
 from repro.obs.quantiles import digest_of
+from repro.parallel import WorkerCrashError
 from repro.store.blobs import sha256_hex
 
 
@@ -482,3 +485,14 @@ class TestLoadgenUnits:
         rebuilt = LoadReport.from_plain(first.to_plain())
         assert rebuilt.requests == 4
         assert rebuilt.digests["get"].count == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_closed_port_raises_at_any_jobs(self, jobs):
+        # Every job's first request is refused.  The fan-out must fail
+        # the run as one job does, not merge nothing into a clean report.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        url = "http://127.0.0.1:%d" % probe.getsockname()[1]
+        probe.close()
+        with pytest.raises((OSError, WorkerCrashError)):
+            run_load_parallel(url, requests=8, concurrency=2, jobs=jobs)

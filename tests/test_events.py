@@ -1,7 +1,4 @@
-"""Tests for the trace event model and serialization."""
-
-import io
-import json
+"""Tests for the trace event model."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,46 +53,6 @@ class TestRecording:
         assert isinstance(trace[-1], FreeEvent)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        trace = build_trace()
-        buffer = io.StringIO()
-        trace.dump(buffer)
-        buffer.seek(0)
-        loaded = Trace.load(buffer)
-        assert list(loaded) == list(trace)
-        assert loaded.access_count == trace.access_count
-
-    def test_round_trip_empty(self):
-        buffer = io.StringIO()
-        Trace().dump(buffer)
-        buffer.seek(0)
-        loaded = Trace.load(buffer)
-        assert len(loaded) == 0
-
-    def test_blank_lines_ignored(self):
-        trace = build_trace()
-        buffer = io.StringIO()
-        trace.dump(buffer)
-        text = buffer.getvalue() + "\n\n"
-        loaded = Trace.load(io.StringIO(text))
-        assert len(loaded) == len(trace)
-
-    def test_unknown_tag_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Trace.load(io.StringIO('["X", 1]\n'))
-
-    def test_workload_trace_round_trip(self, list_trace):
-        buffer = io.StringIO()
-        list_trace.dump(buffer)
-        buffer.seek(0)
-        loaded = Trace.load(buffer)
-        assert loaded.access_count == list_trace.access_count
-        assert list(loaded) == list(list_trace)
-
-
 class TestFromEvents:
     def test_preserves_counts(self):
         trace = build_trace()
@@ -124,20 +81,6 @@ class ListModel:
 
     def record_free(self, address):
         self.events.append(FreeEvent(address, self.clock))
-
-    def dump(self):
-        lines = []
-        for event in self.events:
-            if isinstance(event, AccessEvent):
-                record = ["A", event.instruction_id, event.address, event.size,
-                          event.kind.value, event.time]
-            elif isinstance(event, AllocEvent):
-                record = ["M", event.address, event.size, event.site,
-                          event.type_name, event.time]
-            else:
-                record = ["F", event.address, event.time]
-            lines.append(json.dumps(record) + "\n")
-        return "".join(lines)
 
 
 _u64 = st.integers(0, (1 << 63) - 1)
@@ -181,9 +124,6 @@ class TestColumnarFidelity:
             e for e in events if not isinstance(e, AccessEvent)
         ]
         assert trace.raw_address_stream() == [e.address for e in accesses]
-        buffer = io.StringIO()
-        trace.dump(buffer)
-        assert buffer.getvalue() == model.dump()
 
     def test_index_out_of_range(self):
         import pytest
@@ -199,7 +139,7 @@ class TestColumnarFidelity:
 
 class TestUnpackedColumns:
     """Fields the 64-bit columns cannot hold turn the columns into
-    lists; such traces still load and round-trip."""
+    lists; such traces still load and read back unchanged."""
 
     def test_from_events_beyond_int64(self):
         events = [
@@ -214,19 +154,17 @@ class TestUnpackedColumns:
         assert trace[1].address == 1 << 64
 
     def test_load_non_int_field(self):
-        text = (
-            '["A", 0, 4096, 8, "load", 0]\n'
-            '["A", 1, 4104, 2.5, "store", 1]\n'
-            '["M", 8192, 16, "s", null, 2]\n'
-            '["A", 2, 8192, 8, "load", 2]\n'
-        )
-        trace = Trace.load(io.StringIO(text))
+        events = [
+            AccessEvent(0, 4096, 8, AccessKind.LOAD, 0),
+            AccessEvent(1, 4104, 2.5, AccessKind.STORE, 1),
+            AllocEvent(8192, 16, "s", None, 2),
+            AccessEvent(2, 8192, 8, AccessKind.LOAD, 2),
+        ]
+        trace = Trace.from_events(events)
         assert trace.access_count == 3
         assert trace[1].size == 2.5
         assert isinstance(trace[2], AllocEvent)
-        buffer = io.StringIO()
-        trace.dump(buffer)
-        assert buffer.getvalue() == text
+        assert list(trace) == events
 
     def test_recording_continues_after_unpacking(self):
         trace = Trace()

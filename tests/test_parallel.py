@@ -1,9 +1,11 @@
-"""Tests for the process-pool executor and for the picklability of
-compressors and profiles (whole profiles cross the pool in the
+"""Tests for the fork-per-task executor and for the picklability of
+compressors and profiles (whole profiles cross the process boundary in the
 experiment and ingest fan-outs).
 """
 
+import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -31,6 +33,11 @@ def _square(value):
 
 def _explode(value):
     raise ValueError(f"boom on {value}")
+
+
+def _sleep_then_return(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _values(outcomes):
@@ -77,6 +84,19 @@ class TestExecutor:
         assert telemetry.registry.value("parallel.tasks_total") == 3
         assert telemetry.find_span("squares") is not None
 
+    @needs_fork
+    def test_progress_error_kills_live_workers(self):
+        executor = ParallelExecutor(jobs=3)
+
+        def progress(index, outcome):
+            raise RuntimeError("stop")
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="stop"):
+            executor.map_outcomes(_sleep_then_return, [0, 30, 30], progress=progress)
+        assert time.monotonic() - start < 10.0
+        assert multiprocessing.active_children() == []
+
     def test_resolve_jobs(self):
         if fork_available():
             assert resolve_jobs(3) == 3
@@ -84,10 +104,6 @@ class TestExecutor:
             assert resolve_jobs(0) >= 1
         else:
             assert resolve_jobs(3) == 1
-
-    def test_chunksize_heuristic(self):
-        assert ParallelExecutor._chunksize(100, 4) == 6
-        assert ParallelExecutor._chunksize(3, 4) == 1
 
 
 class TestPickling:

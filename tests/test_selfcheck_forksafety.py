@@ -163,3 +163,20 @@ class TestWorkerBodyRules:
             return pool.map(worker, chunks)
         """
         assert codes(source) == ["RL122"]
+
+    def test_process_target_is_checked_without_marker(self):
+        source = """\
+        import threading
+
+        _LOCK = threading.Lock()
+
+
+        def worker(writer, chunk):
+            with _LOCK:
+                writer.send(sum(chunk))
+
+
+        def launch(context, writer, chunk):
+            return context.Process(target=worker, args=(writer, chunk))
+        """
+        assert codes(source) == ["RL122"]
