@@ -18,28 +18,33 @@ Quickstart::
     print(leap.accesses_captured())
 """
 
-from repro.core.cdc import OnlineCDC, translate_trace, translate_trace_list
-from repro.core.events import AccessKind, Trace
-from repro.core.omc import ObjectManager
-from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
-from repro.profilers.leap import LeapProfile, LeapProfiler
-from repro.profilers.whomp import WhompProfile, WhompProfiler
-from repro.runtime.process import Process
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessKind",
-    "DIMENSIONS",
-    "LeapProfile",
-    "LeapProfiler",
-    "ObjectManager",
-    "ObjectRelativeAccess",
-    "OnlineCDC",
-    "Process",
-    "Trace",
-    "WhompProfile",
-    "WhompProfiler",
-    "translate_trace",
-    "translate_trace_list",
-]
+#: public name -> defining module, imported on first use, so a process
+#: that only serves stored profiles never loads the simulated runtime
+_EXPORTS = {
+    "AccessKind": "repro.core.events",
+    "DIMENSIONS": "repro.core.tuples",
+    "LeapProfile": "repro.profilers.leap",
+    "LeapProfiler": "repro.profilers.leap",
+    "ObjectManager": "repro.core.omc",
+    "ObjectRelativeAccess": "repro.core.tuples",
+    "OnlineCDC": "repro.core.cdc",
+    "Process": "repro.runtime.process",
+    "Trace": "repro.core.events",
+    "WhompProfile": "repro.profilers.whomp",
+    "WhompProfiler": "repro.profilers.whomp",
+    "translate_trace": "repro.core.cdc",
+    "translate_trace_list": "repro.core.cdc",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

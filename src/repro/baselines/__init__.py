@@ -1,20 +1,1 @@
 """Re-implemented comparison profilers from the paper's evaluation."""
-
-from repro.baselines.connors import DEFAULT_WINDOW, ConnorsProfiler
-from repro.baselines.dependence_lossless import (
-    DependenceProfile,
-    LosslessDependenceProfiler,
-)
-from repro.baselines.rasg import RasgProfile, RasgProfiler
-from repro.baselines.stride_lossless import (
-    MIN_SAMPLES,
-    STRONG_THRESHOLD,
-    LosslessStrideProfiler,
-    StrideProfile,
-)
-
-__all__ = [
-    "ConnorsProfiler", "DEFAULT_WINDOW", "DependenceProfile",
-    "LosslessDependenceProfiler", "LosslessStrideProfiler", "MIN_SAMPLES",
-    "RasgProfile", "RasgProfiler", "STRONG_THRESHOLD", "StrideProfile",
-]

@@ -9,12 +9,3 @@ back quorum-less with digest verification and read-repair.  The
 ``repro-cluster`` CLI (:mod:`repro.cluster.cli`) boots, inspects,
 rebalances, drains, and load-tests a cluster.
 """
-
-from repro.cluster.health import RingState, ShardHealthTable
-from repro.cluster.ring import HashRing
-
-__all__ = [
-    "HashRing",
-    "RingState",
-    "ShardHealthTable",
-]

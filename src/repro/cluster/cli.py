@@ -21,7 +21,8 @@ Subcommands::
         [--jobs J] [--mix ingest-json=0.5,...] [--kill-shard-after S]
         Drive the mixed load harness; --kill-shard-after S SIGKILLs
         one live shard mid-run (the fault drill).  Exits 1 on any
-        transport failure or 5xx.
+        transport failure or 5xx, and when the load ends before the
+        kill fires.
 
 Every ``--url`` request goes through the shared client
 (:mod:`repro.store.client`); an unreachable router or a non-2xx answer
@@ -176,6 +177,7 @@ def _run_status(args: argparse.Namespace) -> int:
             f"  {name:<8} {state:<8} {row.get('url') or '-':<28} "
             f"pid {row.get('pid') or '-':<8} "
             f"restarts {row.get('restarts', 0):<3} "
+            f"boot {row.get('boot_seconds') or '-'}s "
             f"runs {row.get('runs') if row.get('runs') is not None else '-':<5} "
             f"share {share if share is not None else '-'}"
         )
@@ -214,10 +216,18 @@ def _live_shard_pid(url: str) -> Optional[int]:
     return None
 
 
-def _kill_one_shard_later(url: str, delay: float) -> threading.Thread:
-    def killer() -> None:
-        time.sleep(delay)
-        pid = _live_shard_pid(url)
+def _run_bench(args: argparse.Namespace) -> int:
+    from repro.cluster.loadgen import run_load_parallel
+
+    mix = _parse_mix(args.mix)
+    load_done = threading.Event()
+    fired: List[float] = []
+    began = time.monotonic()
+
+    def kill_one_shard() -> None:
+        if load_done.wait(args.kill_shard_after):
+            return
+        pid = _live_shard_pid(args.url)
         if pid is None:
             print("fault drill: no live shard pid found", file=sys.stderr)
             return
@@ -226,20 +236,17 @@ def _kill_one_shard_later(url: str, delay: float) -> threading.Thread:
         except OSError as exc:
             print(f"fault drill: kill failed: {exc}", file=sys.stderr)
             return
-        print(f"fault drill: SIGKILLed shard pid {pid}", flush=True)
+        fired.append(time.monotonic() - began)
+        print(
+            f"fault drill: SIGKILLed shard pid {pid} "
+            f"{fired[0]:.2f}s into the load",
+            file=sys.stderr,
+        )
 
-    thread = threading.Thread(target=killer, daemon=True)
-    thread.start()
-    return thread
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.cluster.loadgen import run_load_parallel
-
-    mix = _parse_mix(args.mix)
     killer: Optional[threading.Thread] = None
     if args.kill_shard_after is not None:
-        killer = _kill_one_shard_later(args.url, args.kill_shard_after)
+        killer = threading.Thread(target=kill_one_shard, daemon=True)
+        killer.start()
     report = run_load_parallel(
         args.url,
         requests=args.requests,
@@ -248,6 +255,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         mix=mix,
     )
+    load_done.set()
     if killer is not None:
         killer.join(timeout=10.0)
     payload = report.to_json()
@@ -272,6 +280,15 @@ def _run_bench(args: argparse.Namespace) -> int:
             )
         for kind, row in sorted(payload["by_kind"].items()):
             print(f"  {kind:<14} {row['count']:>6} ops, {row['errors']} error(s)")
+    # the load's own clock starts after its workers do, so a kill before
+    # its end is a kill mid-load; one after it shows nothing
+    if killer is not None and (not fired or fired[0] >= report.seconds):
+        print(
+            f"fault drill: no shard was killed during the "
+            f"{report.seconds:.2f}s load",
+            file=sys.stderr,
+        )
+        return 1
     return 1 if (report.failures or report.server_errors) else 0
 
 

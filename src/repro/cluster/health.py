@@ -98,6 +98,7 @@ class ShardHealthTable:
                 "alive": False,
                 "draining": False,
                 "restarts": 0,
+                "boot_seconds": None,
                 "runs": None,
                 "last_error": None,
                 "checked_ts": None,
@@ -110,6 +111,7 @@ class ShardHealthTable:
         url: str,
         pid: Optional[int] = None,
         restarts: int = 0,
+        boot_seconds: Optional[float] = None,
     ) -> None:
         """(Re)announce a shard -- initial spawn and every restart."""
         with self._lock:
@@ -117,6 +119,7 @@ class ShardHealthTable:
             row["url"] = url
             row["pid"] = pid
             row["restarts"] = restarts
+            row["boot_seconds"] = boot_seconds
             row["alive"] = True
             row["last_error"] = None
 

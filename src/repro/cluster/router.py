@@ -123,11 +123,12 @@ class ClusterRouter(HttpService):
         url: str,
         pid: Optional[int] = None,
         restarts: int = 0,
+        boot_seconds: Optional[float] = None,
     ) -> None:
         """(Re)announce one shard.  Safe to call from the supervisor's
         restart path: the name keeps its ring position, only the
         address changes."""
-        self.health.set_address(name, url, pid=pid, restarts=restarts)
+        self.health.set_address(name, url, pid, restarts, boot_seconds)
         if not self.health.snapshot()[name]["draining"]:
             self.ring.add(name)
 

@@ -5,9 +5,18 @@ root (``<root>/shard0``, ``<root>/shard1``, ...), bound to an
 ephemeral port; the child prints ``listening <host>:<port>`` on stdout
 (the satellite contract of ``--port 0``) and the supervisor parses it.
 
-A monitor thread restarts any shard that exits while still desired,
-with per-shard exponential backoff (a crash-looping shard cannot spin
-the CPU), emits a schema-checked ``shard_restart`` event, and invokes
+:meth:`ShardSupervisor.start` launches every shard at once, waits for
+all their announcements together, then adopts the shards in name
+order, so the cluster boots in about the time of its slowest shard and
+``on_address_change`` fires in the same order on every boot.  If any shard exits or stays silent past
+``boot_timeout``, every process of that boot is killed and reaped and
+the error, naming the shard, propagates.  Each shard's launch to
+``listening`` time is its ``boot_seconds`` in :meth:`snapshot`.
+
+A monitor thread restarts (boots alone) any shard that exits while
+still desired, with per-shard exponential backoff (a crash-looping
+shard cannot spin the CPU), emits a schema-checked ``shard_restart``
+event with the new ``boot_seconds``, and invokes
 ``on_address_change`` so the router's health table learns the new
 port -- the ring is keyed by shard *name*, so placement never moves on
 restart.
@@ -39,7 +48,10 @@ DEFAULT_MAX_BACKOFF = 2.0
 #: seconds a freshly spawned shard gets to print its listening line
 DEFAULT_BOOT_TIMEOUT = 30.0
 
-_LISTENING = re.compile(r"^listening\s+(\S+):(\d+)\s*$")
+_LISTENING = re.compile(r"^listening\s+(\S+):(\d+)\s*$", re.MULTILINE)
+
+#: one booted shard: its process, host, port and boot seconds
+Booted = Tuple[subprocess.Popen, str, int, float]
 
 
 def _drain_pipe(pipe) -> None:
@@ -66,7 +78,7 @@ class ShardSupervisor:
         boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
         drain_deadline: float = 3.0,
         on_address_change: Optional[
-            Callable[[str, str, int, int], None]
+            Callable[[str, str, int, int, float], None]
         ] = None,
     ) -> None:
         if shards < 1:
@@ -89,6 +101,7 @@ class ShardSupervisor:
                 "restarts": 0,
                 "desired": True,
                 "backoff": backoff,
+                "boot_seconds": None,
             }
             for index in range(shards)
         }
@@ -111,72 +124,88 @@ class ShardSupervisor:
             "--drain-deadline", str(self.drain_deadline),
         ]
 
-    def _spawn(self, name: str) -> Tuple[subprocess.Popen, str, int]:
-        """Start one shard and wait for its ``listening`` line."""
+    def _launch(self, name: str) -> subprocess.Popen:
         os.makedirs(os.path.join(self.root, name), exist_ok=True)
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
-        proc = subprocess.Popen(
+        return subprocess.Popen(
             self._command(name),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
             bufsize=0,
         )
-        # select() + manual buffering, never readline(): a buffered
-        # reader can slurp the announce line into its private buffer
-        # while this loop keeps select()ing on the (now drained) fd
-        deadline = time.monotonic() + self.boot_timeout
-        pending = bytearray()
+
+    def _boot(self, names: List[str]) -> Dict[str, Booted]:
+        """Launch ``names`` side by side and wait for each ``listening``
+        line: name -> (proc, host, port, seconds from launch to announce).
+
+        If any shard fails to announce, every process launched here is
+        killed and reaped before the error propagates.
+        """
+        procs: Dict[str, subprocess.Popen] = {}
+        booted: Dict[str, Tuple[str, int, float]] = {}
+        began = time.monotonic()
         try:
-            host = None
-            port = 0
-            while host is None:
+            for name in names:
+                procs[name] = self._launch(name)
+            # select() + manual buffering, never readline(): a buffered
+            # reader can slurp the announce line into its private buffer
+            # while this loop keeps select()ing on the (now drained) fd
+            pending = {name: bytearray() for name in names}
+            deadline = began + self.boot_timeout
+            while pending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise RuntimeError(
-                        f"{name} did not announce a port within "
-                        f"{self.boot_timeout}s"
+                        f"{', '.join(pending)} did not announce a port "
+                        f"within {self.boot_timeout}s"
                     )
                 ready = select.select(
-                    [proc.stdout], [], [], min(remaining, 0.25)
-                )
-                if not ready[0]:
-                    if proc.poll() is not None:
+                    [procs[name].stdout for name in pending], [], [],
+                    min(remaining, 0.25),
+                )[0]
+                for name in list(pending):
+                    proc = procs[name]
+                    if proc.stdout not in ready:
+                        if proc.poll() is not None:
+                            raise RuntimeError(
+                                f"{name} exited with {proc.returncode} "
+                                "before announcing a port"
+                            )
+                        continue
+                    piece = proc.stdout.read(4096)
+                    if not piece:
                         raise RuntimeError(
-                            f"{name} exited with {proc.returncode} before "
-                            "announcing a port"
+                            f"{name} closed stdout before announcing a port"
                         )
-                    continue
-                piece = proc.stdout.read(4096)
-                if not piece:
-                    raise RuntimeError(
-                        f"{name} closed stdout before announcing a port"
-                    )
-                pending += piece
-                while b"\n" in pending:
-                    line, __, pending = pending.partition(b"\n")
-                    pending = bytearray(pending)
-                    match = _LISTENING.match(line.decode("utf-8", "replace"))
+                    pending[name] += piece
+                    lines = pending[name].rpartition(b"\n")[0]
+                    match = _LISTENING.search(lines.decode("utf-8", "replace"))
                     if match:
-                        host, port = match.group(1), int(match.group(2))
-                        break
-        except Exception:
-            proc.kill()
-            proc.wait()
+                        booted[name] = (
+                            match.group(1), int(match.group(2)),
+                            round(time.monotonic() - began, 3),
+                        )
+                        del pending[name]
+        except BaseException:
+            for proc in procs.values():
+                proc.kill()
+                proc.wait()
             raise
-        # keep draining stdout forever so the child never blocks on it
-        threading.Thread(
-            target=_drain_pipe, args=(proc.stdout,), daemon=True
-        ).start()
-        return proc, host, port
+        for proc in procs.values():
+            # keep draining stdout forever so the child never blocks on it
+            threading.Thread(
+                target=_drain_pipe, args=(proc.stdout,), daemon=True
+            ).start()
+        return {name: (procs[name],) + booted[name] for name in names}
 
     def start(self) -> "ShardSupervisor":
-        """Spawn every shard, then start the monitor thread."""
-        for name in self.names():
-            self._start_shard(name)
+        """Boot every shard concurrently, announce them in name order,
+        then start the monitor thread."""
+        self._adopt(self._boot(self.names()))
         with self._lock:
             if self._monitor is None:
                 self._monitor = threading.Thread(
@@ -185,18 +214,19 @@ class ShardSupervisor:
         self._monitor.start()
         return self
 
-    def _start_shard(self, name: str) -> None:
-        proc, host, port = self._spawn(name)
-        url = f"http://{host}:{port}"
-        with self._lock:
-            record = self._shards[name]
-            record["proc"] = proc
-            record["url"] = url
-            record["pid"] = proc.pid
-            record["desired"] = True
-            restarts = int(record["restarts"])  # type: ignore[arg-type]
-        if self.on_address_change is not None:
-            self.on_address_change(name, url, proc.pid, restarts)
+    def _adopt(self, booted: Dict[str, Booted]) -> None:
+        for name, (proc, host, port, seconds) in booted.items():
+            url = f"http://{host}:{port}"
+            with self._lock:
+                record = self._shards[name]
+                record["proc"] = proc
+                record["url"] = url
+                record["pid"] = proc.pid
+                record["desired"] = True
+                record["boot_seconds"] = seconds
+                restarts = int(record["restarts"])  # type: ignore[arg-type]
+            if self.on_address_change is not None:
+                self.on_address_change(name, url, proc.pid, restarts, seconds)
 
     # -- monitoring ----------------------------------------------------
 
@@ -227,7 +257,7 @@ class ShardSupervisor:
                         continue
                     restarts = int(self._shards[name]["restarts"])
                 try:
-                    self._start_shard(name)
+                    booted = self._boot([name])
                 except (OSError, RuntimeError) as exc:
                     self.events.emit(
                         "shard_restart",
@@ -237,12 +267,14 @@ class ShardSupervisor:
                         exit_code=f"respawn failed: {exc}",
                     )
                     continue
+                self._adopt(booted)
                 self.events.emit(
                     "shard_restart",
                     shard=name,
                     restarts=restarts,
                     backoff_seconds=wait,
                     exit_code=code,
+                    boot_seconds=booted[name][3],
                 )
                 self.events.flush()
 
@@ -269,6 +301,7 @@ class ShardSupervisor:
                     "pid": record["pid"],
                     "restarts": record["restarts"],
                     "desired": record["desired"],
+                    "boot_seconds": record["boot_seconds"],
                     "running": proc is not None
                     and proc.poll() is None,  # type: ignore[union-attr]
                 }

@@ -224,7 +224,7 @@ def _run_flame(args) -> int:
         )
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        from repro.resilience import atomic_write_text
+        from repro.core.fsutil import atomic_write_text
 
         atomic_write_text(args.out, text)
         print(f"{len(lines)} folded stack(s) -> {args.out}")

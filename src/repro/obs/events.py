@@ -20,7 +20,7 @@ Two retention tiers:
   tail`` read it -- and evicts oldest-first;
 * an optional **file sink**: the full record stream as JSON Lines,
   rewritten atomically through
-  :func:`repro.resilience.atomic_write_text` every ``flush_every``
+  :func:`repro.core.fsutil.atomic_write_text` every ``flush_every``
   records and on :meth:`close`, so a crash leaves the previous
   consistent snapshot, never a torn line.  (:func:`read_events` still
   skips unparseable lines defensively, for logs written by other
@@ -84,7 +84,7 @@ EVENT_SCHEMAS = {
     },
     "shard_restart": {
         "required": ["shard", "restarts", "backoff_seconds"],
-        "optional": ["exit_code"],
+        "optional": ["exit_code", "boot_seconds"],
     },
     "read_repair": {
         "required": ["digest", "shard", "repaired"],

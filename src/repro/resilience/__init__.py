@@ -22,17 +22,12 @@ Its ``resilience.*`` telemetry counters are documented in README's
 "Resilience" section.
 """
 
-# Crash-safe writes live in core (no dependency cycles) but are part of
-# the resilience toolkit's public face: everything that persists state
-# -- profiles, checkpoints, manifests, JSON results -- goes through it.
-from repro.core.fsutil import atomic_write_text
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.degraded import Quarantine, quarantine_stream
 from repro.resilience.faults import FaultInjector, FaultPlan, parse_fault_spec
 
 __all__ = [
     "CheckpointStore",
-    "atomic_write_text",
     "FaultInjector",
     "FaultPlan",
     "Quarantine",

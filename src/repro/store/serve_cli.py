@@ -54,10 +54,6 @@ from repro.store.client import http_json, http_request
 from repro.store.diff import detect_regressions, diff_blobs, render_diff
 from repro.store.query import QueryEngine
 from repro.store.store import ProfileStore
-from repro.workloads.registry import SPEC_BENCHMARKS
-
-#: the bundled "eight workloads": the SPEC suite plus the micro kernel
-DEFAULT_WORKLOADS = SPEC_BENCHMARKS + ("micro.array",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,11 +258,14 @@ def _run_ingest(args: argparse.Namespace) -> int:
         _close_ingest_trace(args, telemetry, context, events, store)
         return 1 if rejected else 0
 
-    names = (
-        list(DEFAULT_WORKLOADS)
-        if args.workloads == "all"
-        else [n for n in args.workloads.split(",") if n]
-    )
+    if args.workloads == "all":
+        # the bundled "eight workloads": the SPEC suite plus the micro
+        # kernel (imported here: the daemon never loads the workloads)
+        from repro.workloads.registry import SPEC_BENCHMARKS
+
+        names = list(SPEC_BENCHMARKS) + ["micro.array"]
+    else:
+        names = [n for n in args.workloads.split(",") if n]
     if args.stream:
         if not args.url:
             print("--stream requires --url", file=sys.stderr)

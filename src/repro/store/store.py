@@ -6,7 +6,7 @@ document (stored once per distinct content in the
 queryable and comparable -- workload, profiler kind, scale/seed config,
 ingest timestamp, and an optional telemetry summary.  The manifest is
 an append-only JSONL file rewritten atomically through
-:func:`~repro.resilience.atomic_write_text` on every append, so a crash
+:func:`~repro.core.fsutil.atomic_write_text` on every append, so a crash
 at any instant leaves either the previous manifest or the new one,
 never a torn line.
 
@@ -36,6 +36,7 @@ from typing import Dict, List, Optional
 
 # ``sniff_format``, ``loads_bytes`` and ``atomic_write_text`` stay
 # module-level names: perfbench's traced replay patches them here
+from repro.core.fsutil import atomic_write_text
 from repro.core.profile_io import (
     ProfileFormatError,
     dumps_bytes,
@@ -44,7 +45,6 @@ from repro.core.profile_io import (
     stored_document,
     validate_bytes,
 )
-from repro.resilience import atomic_write_text
 from repro.store.blobs import BlobStore, sha256_hex
 from repro.store.cache import LRUCache
 

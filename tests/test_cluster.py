@@ -496,3 +496,73 @@ class TestLoadgenUnits:
         probe.close()
         with pytest.raises((OSError, WorkerCrashError)):
             run_load_parallel(url, requests=8, concurrency=2, jobs=jobs)
+
+
+class TestConcurrentBoot:
+    def test_failed_boot_names_the_shard_and_kills_every_launch(
+        self, tmp_path
+    ):
+        supervisor = ShardSupervisor(str(tmp_path), shards=3)
+        real_command, real_launch = supervisor._command, supervisor._launch
+        launched = []
+
+        def command(name):
+            if name == "shard1":
+                return [sys.executable, "-c", "raise SystemExit(3)"]
+            return real_command(name)
+
+        def launch(name):
+            launched.append(real_launch(name))
+            return launched[-1]
+
+        supervisor._command = command
+        supervisor._launch = launch
+        with pytest.raises(RuntimeError, match="shard1"):
+            supervisor.start()
+        assert len(launched) == 3
+        assert [proc.poll() is None for proc in launched] == [False] * 3
+        assert supervisor._monitor is None
+        supervisor.stop()
+
+    def test_boot_seconds_on_rows_and_restart_event(self, cluster, tmp_path):
+        for row in cluster.supervisor.snapshot().values():
+            assert 0 < row["boot_seconds"] < 30
+        __, payload = cluster.get_json("/clusterz")
+        for name, row in payload["shards"].items():
+            assert row["boot_seconds"] == (
+                cluster.supervisor.snapshot()[name]["boot_seconds"]
+            )
+        events = EventLog()
+        supervisor = ShardSupervisor(
+            str(tmp_path), shards=1, events=events, backoff=0.05
+        ).start()
+        try:
+            supervisor.kill_shard("shard0")
+            assert cluster.wait_for(lambda: any(
+                record["kind"] == "shard_restart" for record in events.tail()
+            ))
+            restart = [
+                r for r in events.tail() if r["kind"] == "shard_restart"
+            ][0]
+            assert restart["boot_seconds"] == (
+                supervisor.snapshot()["shard0"]["boot_seconds"]
+            )
+        finally:
+            supervisor.stop()
+
+    def test_bench_fails_when_the_load_outruns_the_kill(self, cluster, capsys):
+        from repro.cluster import cli
+
+        pids = {n: r["pid"] for n, r in cluster.supervisor.snapshot().items()}
+        code = cli.main([
+            "bench", "--url", cluster.url, "--requests", "6",
+            "--concurrency", "2", "--kill-shard-after", "30", "--json",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["requests"] == 6
+        assert "no shard was killed" in err
+        # the cancelled drill left every shard alone
+        assert {
+            n: r["pid"] for n, r in cluster.supervisor.snapshot().items()
+        } == pids
