@@ -58,10 +58,6 @@ class Phase:
     leader: Signature
     intervals: List[int] = field(default_factory=list)
 
-    @property
-    def interval_count(self) -> int:
-        return len(self.intervals)
-
 
 class PhaseDetector:
     """Online leader-clustering phase detector over interval signatures.

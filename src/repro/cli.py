@@ -28,10 +28,10 @@ Subcommands::
 ``run`` and ``lang`` accept ``--degraded`` to quarantine untrustworthy
 tuples instead of failing (profiles then report a capture-completeness
 ratio; see README's "Resilience" section).  Every profiling subcommand
-accepts ``--telemetry [report|json|prom]`` (optionally with
-``--telemetry-out PATH``) to self-profile the pipeline:
-a span tree timing trace collection, translation, decomposition, and
-compression, plus the metric registry described in README's
+records into one :class:`~repro.obs.spans.Telemetry`, and ``--telemetry
+[report|json|prom]`` (optionally with ``--telemetry-out PATH``) prints
+it: a span tree timing trace collection, translation, decomposition,
+and compression, plus the metric registry described in README's
 "Observability" section.
 
 Profiles are written in the versioned JSON formats of
@@ -53,16 +53,15 @@ from repro.analysis.tracestats import characterize, format_statistics
 from repro.core.events import Trace
 from repro.core.profile_io import SERIALIZATIONS, save
 from repro.obs.export import MODES, emit
-from repro.obs.spans import NULL_TELEMETRY, Telemetry
+from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.whomp import WhompProfiler
 from repro.workloads.registry import all_names, create
 
 
 def _collect_workload_trace(
-    name: str, scale: float, seed: int, allocator: str, telemetry=None
+    name: str, scale: float, seed: int, allocator: str, telemetry: Telemetry
 ) -> Trace:
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     with telemetry.span("trace-collection") as span:
         trace = create(name, scale=scale, seed=seed).trace(
             allocator=allocator, telemetry=telemetry
@@ -71,10 +70,9 @@ def _collect_workload_trace(
     return trace
 
 
-def _collect_lang_trace(path: str, telemetry=None) -> Trace:
+def _collect_lang_trace(path: str, telemetry: Telemetry) -> Trace:
     from repro.lang.interp import run_source
 
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     with open(path) as handle:
         source = handle.read()
     with telemetry.span("trace-collection") as span:
@@ -86,7 +84,7 @@ def _collect_lang_trace(path: str, telemetry=None) -> Trace:
 
 
 def _write_profiles(
-    trace: Trace, profiler: str, out_dir: str, stem: str, telemetry=None,
+    trace: Trace, profiler: str, out_dir: str, stem: str, telemetry: Telemetry,
     degraded: bool = False, fmt: str = "json",
 ) -> None:
     """Profile ``trace`` and write each profile atomically (a crash
@@ -101,7 +99,7 @@ def _write_profiles(
         from repro.resilience import Quarantine
 
         quarantine = Quarantine()
-        if telemetry is not None and telemetry.events is not None:
+        if telemetry.events is not None:
             quarantine.events = telemetry.events
     suffix = "json" if fmt == "json" else "bin"
     if profiler in ("whomp", "both"):
@@ -337,7 +335,7 @@ def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
         "--trace-out",
         metavar="PATH",
         help="trace the run (TRACELINK) and write its structured "
-        "events as JSONL to PATH; implies telemetry collection",
+        "events as JSONL to PATH",
     )
 
 
@@ -453,9 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     telemetry_mode = getattr(args, "telemetry", None)
     trace_out = getattr(args, "trace_out", None)
-    telemetry = (
-        Telemetry() if (telemetry_mode or trace_out) else NULL_TELEMETRY
-    )
+    telemetry = Telemetry()
     obs_state = None
     if trace_out:
         from repro.obs.trace import start_tracing

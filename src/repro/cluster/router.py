@@ -65,7 +65,7 @@ from repro.store.blobs import sha256_hex
 from repro.store.client import Response, http_request, json_object
 from repro.store.diff import detect_regressions, diff_blobs
 from repro.store.httpbody import RequestError
-from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
+from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody, Unrouted
 
 #: seconds between background health probes of every shard
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -247,7 +247,7 @@ class ClusterRouter(HttpService):
             return 200, self._rebalance()
         if path == "/drain" and method == "POST":
             return 200, self._drain(self._required(params, "shard"))
-        return 404, {"error": f"no such endpoint: {method} {path}"}
+        raise Unrouted(method, path)
 
     # -- observability endpoints ---------------------------------------
 
@@ -586,11 +586,10 @@ class ClusterRouter(HttpService):
         if repaired:
             with self._metrics_lock:
                 self._repairs += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter(
-                        "router.read_repairs_total",
-                        "replicas healed by read-repair",
-                    ).inc()
+                self.telemetry.counter(
+                    "router.read_repairs_total",
+                    "replicas healed by read-repair",
+                ).inc()
 
     def _blob(self, params: Dict[str, str]) -> RawBody:
         selector = params.get("digest") or params.get("run")

@@ -335,10 +335,6 @@ class LMADCompressor:
     def symbols_fed(self) -> int:
         return self._fed
 
-    @property
-    def symbols_captured(self) -> int:
-        return self._fed - self.overflow.count
-
 
 @dataclass(frozen=True)
 class LMADProfileEntry:

@@ -10,11 +10,12 @@ Results print as paper-style text tables and histograms; ``--json``
 writes the structured results (plus per-experiment elapsed seconds and
 a ``status`` of ``ok`` / ``retried`` / ``degraded`` / ``failed``) to a
 file as well -- a partially failed sweep still produces valid JSON
-instead of dying on the first failure.  ``--telemetry
-[report|json|prom]`` self-profiles the suite with one span per
-experiment, ``--heartbeat SECS`` emits a progress line to stderr while
-a long experiment runs, and ``--jobs N`` fans whole experiments out to
-worker processes (results identical to the serial run).
+instead of dying on the first failure.  The suite always records its
+own self-profile, one span per experiment, and ``--telemetry
+[report|json|prom]`` prints it; ``--heartbeat SECS`` emits a progress
+line to stderr while a long experiment runs, and ``--jobs N`` fans
+whole experiments out to worker processes (results identical to the
+serial run).
 
 Resilience switches: ``--checkpoint-dir DIR`` persists each completed
 experiment atomically and resumes an interrupted sweep from where it
@@ -48,7 +49,7 @@ from repro.experiments import (
 )
 from repro.experiments.context import SuiteContext
 from repro.obs.export import MODES, emit
-from repro.obs.spans import NULL_TELEMETRY, Telemetry
+from repro.obs.spans import Telemetry
 
 EXPERIMENTS = {
     "fig3": (fig3.run, fig3.render),
@@ -164,7 +165,7 @@ class _Sweep:
             record["error"] = saved["error"]
         self.records[name] = record
         span_data = saved.get("span")
-        if span_data and self.telemetry.enabled:
+        if span_data:
             self.telemetry.root.absorb_plain(span_data)
         return True
 
@@ -247,7 +248,6 @@ def _run_parallel(
             args.scale,
             args.seed,
             not args.no_speed,
-            telemetry.enabled,
             args.inject_faults,
             ledger_dir,
         )
@@ -265,8 +265,7 @@ def _run_parallel(
         name, status, results, elapsed, span_data, error = outcome.value
         if status == "ok" and (outcome.attempts > 1 or outcome.fallback):
             status = "retried"
-        if span_data is not None:
-            telemetry.root.absorb_plain(span_data)
+        telemetry.root.absorb_plain(span_data)
         if status == "failed":
             headline = (error or "unknown error").splitlines()[0]
             print(f"[{name} FAILED: {headline}]\n")
@@ -325,7 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace-out",
         metavar="PATH",
         help="trace the sweep (TRACELINK) and write its structured "
-        "events as JSONL to PATH; implies telemetry collection",
+        "events as JSONL to PATH",
     )
     parser.add_argument(
         "--heartbeat",
@@ -388,9 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # so a resumed drill remembers which faults already fired.
         ledger_dir = os.path.join(args.checkpoint_dir, "fault-ledger")
 
-    telemetry = (
-        Telemetry() if (args.telemetry or args.trace_out) else NULL_TELEMETRY
-    )
+    telemetry = Telemetry()
     obs_state = None
     if args.trace_out:
         from repro.obs.trace import start_tracing
@@ -473,7 +470,7 @@ def _run_serial(
     context = SuiteContext(
         scale=args.scale,
         seed=args.seed,
-        telemetry=telemetry if telemetry.enabled else None,
+        telemetry=telemetry,
         fault_injector=injector,
     )
     for index, name in enumerate(names, start=1):
@@ -507,7 +504,7 @@ def _run_serial(
             elapsed,
             results,
             error=error,
-            span_data=span.to_plain() if telemetry.enabled else None,
+            span_data=span.to_plain(),
         )
 
 

@@ -20,7 +20,7 @@ Two properties the linter relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.lang import ast
 from repro.lang.parser import _ForWrapper
@@ -167,9 +167,6 @@ class CFGBuilder:
             last.add_succ(cfg.exit)
             cfg.fallthrough_blocks.add(last.bid)
         return cfg
-
-    def build_program(self, program: ast.Program) -> Dict[str, CFG]:
-        return {fn.name: self.build(fn) for fn in program.functions}
 
     # -- walking ----------------------------------------------------------
 

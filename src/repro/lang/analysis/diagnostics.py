@@ -114,7 +114,3 @@ class DiagnosticSink:
             self.diagnostics,
             key=lambda d: (d.line, d.column, d.code),
         )
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == ERROR for d in self.diagnostics)

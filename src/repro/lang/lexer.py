@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 class LangError(Exception):
@@ -181,7 +181,3 @@ def tokenize(source: str) -> List[Token]:
 
     tokens.append(Token(TokenKind.EOF, "", line, column))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    return iter(tokenize(source))

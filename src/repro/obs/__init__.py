@@ -8,9 +8,9 @@ a cluster request that crosses processes:
 * :mod:`repro.obs.spans` -- :class:`~repro.obs.spans.Telemetry`, the
   facade threaded through the pipeline: a nestable span tree timing
   each stage plus a metric :class:`~repro.obs.registry.Registry`.
-  Every instrumented component defaults to ``NULL_TELEMETRY``, whose
-  operations are no-ops; counts are published once per stage
-  boundary, never per event;
+  Every instrumented component records into the one it is given or
+  makes its own; counts are published once per stage boundary, never
+  per event;
 * :mod:`repro.obs.registry` -- counters, gauges, and distributions,
   the last being :class:`~repro.obs.quantiles.QuantileDigest`, the
   same mergeable p50/p95/p99 estimator behind the daemons'

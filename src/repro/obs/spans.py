@@ -11,17 +11,17 @@ exploding the tree.
 
 :class:`Telemetry` bundles a span tree with a
 :class:`~repro.obs.registry.Registry` and is what gets threaded
-through the pipeline.  :class:`NullTelemetry` is the disabled fast
-path: every operation is a no-op against shared singletons.  Counts
-are published at stage boundaries, so no per-event hot path consults
-telemetry at all.
+through the pipeline.  It is always live: every instrumented component
+records into the one it is given or makes its own, and an exporter or
+a trace only decides who reads it.  Counts are published at stage
+boundaries, so no per-event hot path consults telemetry at all.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.quantiles import QuantileDigest
 from repro.obs.registry import Counter, Gauge, Registry
@@ -210,8 +210,6 @@ class Telemetry:
     4
     """
 
-    enabled = True
-
     def __init__(
         self,
         registry: Optional[Registry] = None,
@@ -234,10 +232,6 @@ class Telemetry:
     def span(self, name: str) -> _SpanContext:
         """Open (or re-enter) the named span under the current one."""
         return _SpanContext(self, self._stack[-1].child(name))
-
-    @property
-    def current_span(self) -> Span:
-        return self._stack[-1]
 
     def spans(self) -> List[Span]:
         """The top-level spans, in creation order."""
@@ -262,93 +256,3 @@ class Telemetry:
 
     def histogram(self, name: str, help: str = "", **geometry) -> QuantileDigest:
         return self.registry.histogram(name, help, **geometry)
-
-
-class _NullMetric:
-    """Accepts every metric operation and records nothing."""
-
-    __slots__ = ()
-
-    name = "null"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: Union[int, float]) -> None:
-        pass
-
-    def add(self, delta: Union[int, float]) -> None:
-        pass
-
-    def set_max(self, value: Union[int, float]) -> None:
-        pass
-
-    def observe(self, value: Union[int, float]) -> None:
-        pass
-
-
-class _NullSpan(Span):
-    """A span that swallows item attribution."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def add_items(self, count: int, unit: Optional[str] = None) -> None:
-        pass
-
-
-class _NullSpanContext:
-    """Shared no-op context manager for disabled telemetry."""
-
-    __slots__ = ("_span",)
-
-    def __init__(self, span: _NullSpan) -> None:
-        self._span = span
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-class NullTelemetry(Telemetry):
-    """Disabled telemetry: every call is a no-op on shared singletons.
-
-    Components publish counts at stage boundaries, never per event, so
-    a run under :data:`NULL_TELEMETRY` (the default everywhere) pays no
-    per-event cost.  The registry stays empty and the span tree stays
-    bare.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_metric = _NullMetric()
-        self._null_context = _NullSpanContext(_NullSpan())
-
-    def span(self, name: str) -> _NullSpanContext:  # type: ignore[override]
-        return self._null_context
-
-    def counter(self, name: str, help: str = "") -> Counter:  # type: ignore[override]
-        return self._null_metric  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:  # type: ignore[override]
-        return self._null_metric  # type: ignore[return-value]
-
-    def histogram(self, name: str, help: str = "", **geometry) -> QuantileDigest:  # type: ignore[override]
-        return self._null_metric  # type: ignore[return-value]
-
-
-#: Process-wide disabled-telemetry singleton; the default for every
-#: instrumented component.
-NULL_TELEMETRY = NullTelemetry()
-
-
-def coalesce(telemetry: Optional[Telemetry]) -> Telemetry:
-    """``telemetry`` if given, else the null singleton."""
-    return telemetry if telemetry is not None else NULL_TELEMETRY

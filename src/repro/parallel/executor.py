@@ -38,7 +38,7 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.context import TraceContext, activate, current, current_header
-from repro.obs.spans import Telemetry, coalesce
+from repro.obs.spans import Telemetry
 
 #: default retry cap per task (attempts = retries + 1)
 DEFAULT_RETRIES = 2
@@ -185,7 +185,7 @@ class ParallelExecutor:
         fault_injector=None,
     ) -> None:
         self.jobs = resolve_jobs(jobs if jobs is not None else 1)
-        self.telemetry = coalesce(telemetry)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fault_injector = fault_injector
         if fault_injector is not None:
             plan = fault_injector.plan

@@ -45,7 +45,7 @@ def workload_documents(task):
 
     from repro.core.profile_io import dumps_bytes
     from repro.obs.context import current
-    from repro.obs.spans import NULL_TELEMETRY, Telemetry
+    from repro.obs.spans import Telemetry
     from repro.profilers.leap import LeapProfiler
     from repro.profilers.whomp import WhompProfiler
     from repro.workloads.registry import create
@@ -53,9 +53,8 @@ def workload_documents(task):
     name, scale, seed, profiler = task[:4]
     fmt = task[4] if len(task) > 4 else "json"
     context = current()
-    telemetry = NULL_TELEMETRY
+    telemetry = Telemetry()
     if context is not None:
-        telemetry = Telemetry()
         telemetry.trace_id = context.trace_id
     start = time.perf_counter()
     with telemetry.span(f"worker:{name}") as span:
@@ -87,8 +86,8 @@ def workload_documents(task):
 def run_experiment(task):
     """Experiment-runner worker: run one whole experiment in-process.
 
-    Task: ``(name, scale, seed, measure_speed, with_telemetry,
-    fault_spec, ledger_dir)`` where ``fault_spec`` is an
+    Task: ``(name, scale, seed, measure_speed, fault_spec,
+    ledger_dir)`` where ``fault_spec`` is an
     ``--inject-faults`` clause string (or ``None``) applied to this
     worker's own context, and ``ledger_dir`` the shared at-most-once
     ledger for kill faults.
@@ -99,32 +98,30 @@ def run_experiment(task):
     contained here, as data, so one failed experiment cannot void a
     sweep); ``error`` is the failure text or ``None``; ``span_data`` is
     the worker's span tree as plain data (see
-    :meth:`repro.obs.spans.Span.to_plain`) or ``None``.
+    :meth:`repro.obs.spans.Span.to_plain`).
     """
     import time
     import traceback
 
     from repro.experiments.context import SuiteContext
     from repro.experiments.runner import EXPERIMENTS
-    from repro.obs.spans import NULL_TELEMETRY, Telemetry
+    from repro.obs.context import current
+    from repro.obs.spans import Telemetry
 
-    name, scale, seed, measure_speed, with_telemetry, fault_spec, ledger_dir = task
+    name, scale, seed, measure_speed, fault_spec, ledger_dir = task
     injector = None
     if fault_spec:
         from repro.resilience import FaultInjector, parse_fault_spec
 
         injector = FaultInjector(parse_fault_spec(fault_spec), ledger_dir)
-    telemetry = Telemetry() if with_telemetry else NULL_TELEMETRY
-    if with_telemetry:
-        from repro.obs.context import current
-
-        ambient = current()
-        if ambient is not None:
-            telemetry.trace_id = ambient.trace_id
+    telemetry = Telemetry()
+    ambient = current()
+    if ambient is not None:
+        telemetry.trace_id = ambient.trace_id
     context = SuiteContext(
         scale=scale,
         seed=seed,
-        telemetry=telemetry if with_telemetry else None,
+        telemetry=telemetry,
         fault_injector=injector,
     )
     run, __ = EXPERIMENTS[name]
@@ -142,5 +139,4 @@ def run_experiment(task):
             status = "failed"
             error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
     elapsed = time.perf_counter() - start
-    span_data = span.to_plain() if with_telemetry else None
-    return name, status, results, elapsed, span_data, error
+    return name, status, results, elapsed, span.to_plain(), error

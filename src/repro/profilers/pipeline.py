@@ -7,8 +7,8 @@ SCC they plug in, so everything else lives here, once:
 
 * the one stage loop: translation, then the quarantine filter,
   decomposition and compression over slices of :data:`CHUNK` rows,
-  each stage under its own span (null spans cost nothing when
-  telemetry is off).  An offline profile runs it once over the whole
+  each stage under its own span (a few span entries per chunk: cheap
+  enough to leave on).  An offline profile runs it once over the whole
   trace; an online session runs it once per chunk of probe firings;
 * degraded mode: the quarantine filter and the completeness
   accounting;
@@ -33,7 +33,7 @@ from repro.core.cdc import Columns, translate_columns
 from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
 from repro.core.tuples import WILD_GROUP, make_access
-from repro.obs.spans import Telemetry, coalesce
+from repro.obs.spans import Telemetry
 
 #: rows the stage loop decomposes and compresses at a time, and the
 #: accesses an online session buffers before it runs the loop
@@ -57,7 +57,7 @@ class ProfilerPipeline:
         quarantine=None,
     ) -> None:
         self.refine_by_type = refine_by_type
-        self.telemetry = coalesce(telemetry)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: a :class:`~repro.resilience.degraded.Quarantine` enables
         #: degraded mode: untrustworthy tuples are diverted to it and
         #: the profile reports its ``capture_completeness``
@@ -76,14 +76,14 @@ class ProfilerPipeline:
         raise NotImplementedError
 
     def _record_metrics(self, profile, telemetry: Telemetry) -> None:
-        """Publish the profile's quality gauges (telemetry on only)."""
+        """Publish the profile's quality gauges."""
         raise NotImplementedError
 
     # -- offline --------------------------------------------------------
 
     def profile(self, trace: Trace):
         """Profile a recorded trace: one pass of the stage loop, then
-        the counts, and the quality gauges when telemetry is on."""
+        the counts and the quality gauges."""
         omc = ObjectManager(refine_by_type=self.refine_by_type)
         scc = self._new_scc()
         mark = self._quarantine_mark()
@@ -93,8 +93,7 @@ class ProfilerPipeline:
             whole.add_items(kept, "accesses")
         self._count_translation(translated, wild)
         profile = self._package(scc, omc, kept, mark)
-        if telemetry.enabled:
-            self._record_metrics(profile, telemetry)
+        self._record_metrics(profile, telemetry)
         return profile
 
     def _run_stages(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.events import AccessKind, AllocEvent, Trace
-from repro.obs.spans import coalesce
+from repro.obs.spans import Telemetry
 from repro.runtime.allocator import Allocator, make_allocator
 from repro.runtime.linker import Linker, StaticObject, Symbol, SymbolTable
 from repro.runtime.memory import AddressSpace, MemoryError_
@@ -67,10 +67,10 @@ class Process:
         run yields a :class:`Trace`.  When false the process runs
         uninstrumented -- the "native" baseline for dilation timing.
     ``telemetry``
-        Optional :class:`~repro.obs.spans.Telemetry`; when enabled,
-        :meth:`finish` publishes the probe firings and the trace's
-        footprint, read off the recorded trace (so a run without
-        ``record_trace`` publishes nothing).
+        The :class:`~repro.obs.spans.Telemetry` to record into (a fresh
+        one when omitted); :meth:`finish` publishes the probe firings
+        and the trace's footprint there, read off the recorded trace
+        (so a run without ``record_trace`` publishes nothing).
     """
 
     def __init__(
@@ -86,7 +86,7 @@ class Process:
         self.linker = Linker(self.space, probe_padding=probe_padding)
         self.heap: Allocator = make_allocator(allocator, self.space.heap)
         self.bus = ProbeBus()
-        self._telemetry = coalesce(telemetry)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._recorder: Optional[TraceRecorder] = None
         if record_trace:
             self._recorder = TraceRecorder(Trace())
@@ -236,8 +236,8 @@ class Process:
         if self._linked:
             for symbol in self.linker.symbol_table:
                 self.bus.fire_free(symbol.address)
-        if self._recorder is not None and self._telemetry.enabled:
-            _publish_trace_metrics(self._recorder.trace, self._telemetry)
+        if self._recorder is not None:
+            _publish_trace_metrics(self._recorder.trace, self.telemetry)
 
     @property
     def trace(self) -> Trace:

@@ -196,17 +196,6 @@ def class_directives(
     return out
 
 
-def enclosing_symbol(stack: List[ast.AST]) -> str:
-    names = [
-        node.name
-        for node in stack
-        if isinstance(
-            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-    ]
-    return ".".join(names)
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []

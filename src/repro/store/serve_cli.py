@@ -49,7 +49,7 @@ from typing import List, Optional
 
 from repro.core.profile_io import SERIALIZATIONS, ProfileFormatError
 from repro.obs.export import MODES, emit
-from repro.obs.spans import NULL_TELEMETRY, Telemetry
+from repro.obs.spans import Telemetry
 from repro.store.client import http_json, http_request
 from repro.store.diff import detect_regressions, diff_blobs, render_diff
 from repro.store.query import QueryEngine
@@ -504,7 +504,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.store.server import StoreServer
         from repro.store.service import serve_until_terminated
 
-        telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
+        telemetry = Telemetry()
         store = ProfileStore(args.root, cache_size=args.cache_size)
         server = StoreServer(
             store,

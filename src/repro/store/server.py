@@ -64,7 +64,7 @@ from repro.obs.spans import Telemetry
 from repro.store.diff import detect_regressions, diff_blobs
 from repro.store.httpbody import RequestError
 from repro.store.query import QueryEngine
-from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody
+from repro.store.service import DEFAULT_MAX_BODY_BYTES, HttpService, RawBody, Unrouted
 from repro.store.store import ProfileStore
 
 #: default cap on concurrently served request bodies
@@ -108,8 +108,6 @@ class StoreServer(HttpService):
             return self._endpoint(request, method, path, params)
 
     def _gate_waited(self, seconds: float) -> None:
-        if not self.telemetry.enabled:
-            return
         with self._metrics_lock:
             self.telemetry.gauge(
                 "store.http.gate_wait_seconds_max",
@@ -193,7 +191,7 @@ class StoreServer(HttpService):
                 "removed": stats.removed,
                 "freed_bytes": stats.freed_bytes,
             }
-        return 404, {"error": f"no such endpoint: {method} {path}"}
+        raise Unrouted(method, path)
 
     # -- endpoint bodies -----------------------------------------------
 
@@ -233,18 +231,17 @@ class StoreServer(HttpService):
         (cache effectiveness, semaphore pressure, latency quantiles)."""
         hits, misses, evictions = self.store.cache.stats()
         with self._metrics_lock:
-            if self.telemetry.enabled:
-                # Surface cache state as gauges so the exporter carries
-                # them; they are cheap to refresh per scrape.
-                self.telemetry.gauge(
-                    "store.cache.hits", "decoded-profile cache hits"
-                ).set(hits)
-                self.telemetry.gauge(
-                    "store.cache.misses", "decoded-profile cache misses"
-                ).set(misses)
-                self.telemetry.gauge(
-                    "store.cache.evictions", "decoded-profile cache evictions"
-                ).set(evictions)
+            # Surface cache state as gauges so the exporter carries
+            # them; they are cheap to refresh per scrape.
+            self.telemetry.gauge(
+                "store.cache.hits", "decoded-profile cache hits"
+            ).set(hits)
+            self.telemetry.gauge(
+                "store.cache.misses", "decoded-profile cache misses"
+            ).set(misses)
+            self.telemetry.gauge(
+                "store.cache.evictions", "decoded-profile cache evictions"
+            ).set(evictions)
             text = render_prometheus(self.telemetry)
         lines = [text.rstrip("\n")] if text.strip() else []
         lines.append("# TYPE repro_store_http_latency_quantile_seconds gauge")
@@ -317,8 +314,6 @@ class StoreServer(HttpService):
         }
 
     def _count_ingest(self, size: int) -> None:
-        if not self.telemetry.enabled:
-            return
         with self._metrics_lock:
             self.telemetry.counter(
                 "store.ingested_total", "profiles ingested"

@@ -24,7 +24,9 @@ id, and the child is echoed in the response's own ``X-Repro-Trace``
 header so clients can confirm the linkage.
 
 Error mapping: :class:`~repro.store.httpbody.RequestError` answers its
-own status (400 malformed, 413 oversized, 503 ...), ``KeyError`` is a
+own status (400 malformed, 413 oversized, 503 ...; :class:`Unrouted`,
+the 404 for a path no route answers, is recorded under the one label
+:data:`UNROUTED`), ``KeyError`` is a
 404, ``ProfileFormatError`` and other ``ValueError``\\ s are 400, and
 anything else is a 500 -- the daemon survives every request.
 """
@@ -45,12 +47,24 @@ from repro.core.profile_io import ProfileFormatError
 from repro.obs.context import TRACE_HEADER, TraceContext, activate
 from repro.obs.events import EventLog
 from repro.obs.quantiles import DigestMerger
-from repro.obs.spans import Telemetry, coalesce
+from repro.obs.spans import Telemetry
 from repro.store.httpbody import RequestError, iter_body, read_body
 
 #: default cap on one request body / streamed document (64 MiB); a
 #: profile document larger than this is a client bug, not a workload
 DEFAULT_MAX_BODY_BYTES = 64 << 20
+
+#: the one endpoint label of every request no route answers, so stray
+#: client paths cannot grow the per-endpoint digests, counters and spans
+UNROUTED = "unrouted"
+
+
+class Unrouted(RequestError):
+    """No route answers ``method path``: a 404 that :class:`HttpService`
+    records under :data:`UNROUTED` instead of the path's own label."""
+
+    def __init__(self, method: str, path: str) -> None:
+        super().__init__(404, f"no such endpoint: {method} {path}")
 
 
 class RawBody:
@@ -110,7 +124,7 @@ class HttpService:
         events: Optional[EventLog],
         max_body_bytes: int,
     ) -> None:
-        self.telemetry = coalesce(telemetry)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: the access log: one ``request`` record per served request,
         #: mirrored to ``trace_out`` (JSONL) when given
         self.events = events if events is not None else EventLog(path=trace_out)
@@ -223,7 +237,8 @@ class HttpService:
         params: Dict[str, str],
     ) -> Tuple[int, object]:
         """One request's (status, payload); payload is JSON-able, a
-        ``str`` (text/plain), or :class:`RawBody`."""
+        ``str`` (text/plain), or :class:`RawBody`.  Raises
+        :class:`Unrouted` when no endpoint answers ``method path``."""
         raise NotImplementedError
 
     def handle(self, request: BaseHTTPRequestHandler, method: str) -> None:
@@ -256,6 +271,8 @@ class HttpService:
                 )
         except RequestError as exc:
             status, payload = exc.status, {"error": str(exc)}
+            if isinstance(exc, Unrouted):
+                endpoint = UNROUTED
         except (KeyError, ProfileFormatError, ValueError) as exc:
             kind = 404 if isinstance(exc, KeyError) else 400
             status, payload = kind, {"error": str(exc).strip("'\"")}
@@ -309,8 +326,6 @@ class HttpService:
             self._requests += 1
             if status >= 400:
                 self._errors += 1
-            if not self.telemetry.enabled:
-                return
             prefix = self.metric_prefix
             self.telemetry.counter(
                 f"{prefix}.requests_total", "requests served"

@@ -8,6 +8,7 @@ in-process shard, so every request reaches real endpoints on both.
 """
 
 import http.client
+import json
 import os
 import signal
 import subprocess
@@ -125,6 +126,32 @@ class TestDispatchContract:
         assert (record["trace"], record["span"]) == (
             echoed.trace_id, echoed.span_id
         )
+
+    def test_stray_paths_share_one_unrouted_label(self, front):
+        service = front.service
+        prefix = service.metric_prefix
+        before = {metric.name for metric in service.telemetry.registry}
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for index in range(300):
+                connection.request("GET", f"/stray/{index}")
+                response = connection.getresponse()
+                assert response.status == 404
+                assert json.loads(response.read()) == {
+                    "error": f"no such endpoint: GET /stray/{index}"
+                }
+        finally:
+            connection.close()
+        assert set(service.latency.summaries()) == {"*", "unrouted"}
+        assert set(service.telemetry.root.children["serve"].children) == {
+            "unrouted"
+        }
+        added = {metric.name for metric in service.telemetry.registry} - before
+        assert f"{prefix}.unrouted_total" in added
+        assert not [name for name in added if "stray" in name]
+        records = request_records(service)
+        assert records and {r["endpoint"] for r in records} == {"unrouted"}
 
     def test_exactly_one_request_record_per_request(self, front):
         before = len(request_records(front.service))

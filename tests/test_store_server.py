@@ -122,6 +122,22 @@ class TestEndpoints:
         )
 
 
+class TestDefaultTelemetry:
+    def test_metricsz_counts_an_ingest(self, tmp_path, documents):
+        instance = StoreServer(ProfileStore(str(tmp_path)), port=0).start()
+        try:
+            status, __ = fetch(
+                instance, "/ingest?workload=alpha", method="POST",
+                data=documents["alpha"].encode("utf-8"),
+            )
+            assert status == 201
+            __, metrics = fetch(instance, "/metricsz")
+        finally:
+            instance.stop()
+        assert metrics["counters"]["store.ingested_total"] == 1
+        assert metrics["counters"]["store.http.ingest_total"] == 1
+
+
 class TestErrors:
     def test_unknown_run_is_404(self, server):
         code, payload = fetch_error(server, "/get?run=r999999")

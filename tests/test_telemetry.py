@@ -18,7 +18,7 @@ from repro.obs.export import (
 )
 from repro.obs.quantiles import QuantileDigest
 from repro.obs.registry import Counter, Gauge, Registry
-from repro.obs.spans import NULL_TELEMETRY, NullTelemetry, Span, Telemetry, coalesce
+from repro.obs.spans import Span, Telemetry
 
 
 class TestCounter:
@@ -161,7 +161,6 @@ class TestSpans:
                 raise RuntimeError("boom")
         (stage,) = telemetry.spans()
         assert stage.calls == 1
-        assert telemetry.current_span is telemetry.root
 
     def test_spans_sit_on_a_shared_timeline(self):
         telemetry = Telemetry()
@@ -200,24 +199,6 @@ class TestSpans:
         assert absorbed.span_id == plain["span_id"]
         assert absorbed.start_ts == plain["start_ts"]
         assert absorbed.end_ts == plain["end_ts"]
-
-
-class TestNullTelemetry:
-    def test_is_disabled_and_records_nothing(self):
-        null = NullTelemetry()
-        assert not null.enabled
-        with null.span("stage") as span:
-            span.add_items(10)
-            null.counter("c").inc()
-            null.gauge("g").set(5)
-            null.histogram("h").observe(1)
-        assert null.spans() == []
-        assert len(null.registry) == 0
-
-    def test_coalesce(self):
-        assert coalesce(None) is NULL_TELEMETRY
-        telemetry = Telemetry()
-        assert coalesce(telemetry) is telemetry
 
 
 def _sample_telemetry():

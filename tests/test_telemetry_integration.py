@@ -3,9 +3,9 @@
 Three properties matter:
 
 * instrumented runs populate the documented metric names and span tree;
-* telemetry never changes profiler *outputs* (instrumented and null
-  runs produce identical profiles);
-* the :class:`~repro.obs.spans.NullTelemetry` default keeps the hot
+* telemetry never changes profiler *outputs* (a profile recording into
+  a shared telemetry equals one recording into its own);
+* the telemetry every profile records into by default keeps the hot
   paths within noise of a hand-rolled uninstrumented loop.
 """
 
@@ -20,7 +20,7 @@ from repro.cli import main as cli_main
 from repro.core.cdc import translate_columns
 from repro.core.events import AccessKind, Trace
 from repro.core.omc import ObjectManager
-from repro.core.scc import HorizontalSequiturSCC
+from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.obs.spans import Telemetry
 from repro.profilers.leap import LeapProfiler
 from repro.profilers.pipeline import CHUNK
@@ -366,24 +366,59 @@ class TestCliTelemetry:
         assert "reuse" in data and "load_fraction" in data
 
 
-class TestNullTelemetryOverhead:
-    """The disabled fast path must stay within noise of a bare loop."""
+class TestDefaultTelemetry:
+    """With no telemetry passed, each component records into its own."""
+
+    @PROFILERS
+    def test_profile_publishes_counts_and_quality_gauges(self, factory, list_trace):
+        profiler = factory()
+        profile = profiler.profile(list_trace)
+        registry = profiler.telemetry.registry
+        assert registry.value("cdc.translated_total") == list_trace.access_count
+        if factory is WhompProfiler:
+            assert registry.value("whomp.grammar_rules") > 0
+        else:
+            assert registry.value("leap.entries") == len(profile.entries)
+
+    def test_process_publishes_trace_accesses_on_finish(self):
+        process = create("micro.list", scale=0.2).execute()
+        assert process.telemetry.registry.value("trace.accesses") == (
+            process.trace.access_count
+        )
+
+
+class TestDefaultTelemetryOverhead:
+    """A profile records into its own telemetry by default; that must
+    stay within noise of its bare stage loop."""
 
     @staticmethod
-    def _bare_whomp(trace):
-        """WHOMP's bare stages: translate, then decompose and compress
-        each chunk of rows, with no spans, counts or packaging."""
+    def _bare_stages(trace, scc):
+        """Translate, then decompose and compress each chunk of rows
+        into ``scc``, with no spans, counts or packaging."""
         *rows, kinds = translate_columns(trace, ObjectManager())
-        scc = HorizontalSequiturSCC()
         for start in range(0, len(rows[0]), CHUNK):
             chunk = [column[start:start + CHUNK] for column in rows]
             chunk.append(islice(kinds, CHUNK))
             scc.compress_streams(scc.decompose(chunk))
         return len(rows[0])
 
-    def test_null_telemetry_overhead_under_five_percent(self):
+    @classmethod
+    def _bare_whomp(cls, trace):
+        return cls._bare_stages(trace, HorizontalSequiturSCC())
+
+    @classmethod
+    def _bare_leap(cls, trace):
+        return cls._bare_stages(trace, VerticalLMADSCC())
+
+    @pytest.mark.parametrize(
+        "factory, bare",
+        ((WhompProfiler, "_bare_whomp"), (LeapProfiler, "_bare_leap")),
+        ids=("whomp", "leap"),
+    )
+    def test_under_five_percent(self, factory, bare):
         trace = create("micro.array", scale=2.0).trace()
-        profiler = WhompProfiler()  # defaults to NULL_TELEMETRY
+        profiler = factory()  # records into a Telemetry of its own
+        bare = getattr(self, bare)
 
         def best_of(function, rounds=5):
             timings = []
@@ -397,17 +432,18 @@ class TestNullTelemetryOverhead:
         # under a loaded test runner is noisy, so take the best pairing
         # across a few independent attempts before failing: the claim is
         # about the code path, not about one scheduler quantum.
-        self._bare_whomp(trace)
+        bare(trace)
         profiler.profile(trace)
         attempts = []
         for __ in range(3):
-            bare = best_of(self._bare_whomp)
-            instrumented_null = best_of(profiler.profile)
-            attempts.append((instrumented_null, bare))
+            bare_seconds = best_of(bare)
+            instrumented = best_of(profiler.profile)
+            attempts.append((instrumented, bare_seconds))
             # <5% on top of the bare loop, with a small absolute floor.
-            if instrumented_null <= bare * 1.05 + 0.002:
+            if instrumented <= bare_seconds * 1.05 + 0.002:
                 return
         assert False, (
-            f"null-telemetry profile never came within 5% of the bare "
-            f"loop across {len(attempts)} attempts: {attempts}"
+            f"default-telemetry {factory.span_name} profile never came "
+            f"within 5% of the bare loop across {len(attempts)} attempts: "
+            f"{attempts}"
         )
