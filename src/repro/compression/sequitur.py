@@ -357,6 +357,7 @@ class SequiturGrammar:
             start.id,
             {rule_id: productions[rule_id] for rule_id in sorted(productions)},
             self._tokens_fed,
+            self._next_rule_id - 1,
         )
 
     @classmethod
@@ -655,17 +656,20 @@ class FrozenGrammar:
     :func:`repro.core.binformat.decode_tagged` yields, so BINCAP writes
     it as it stands, a loaded grammar compares equal to the produced
     one, and both expand through one expander.  The size metrics equal
-    the live grammar's.
+    the live grammar's.  ``rules_made`` counts every rule the live
+    grammar ever made, the inlined ones too.
     """
 
-    __slots__ = ("start", "productions", "tokens_fed")
+    __slots__ = ("start", "productions", "tokens_fed", "rules_made")
 
     def __init__(
-        self, start: int, productions: Dict[int, List[int]], tokens_fed: int
+        self, start: int, productions: Dict[int, List[int]], tokens_fed: int,
+        rules_made: int,
     ) -> None:
         self.start = start
         self.productions = productions
         self.tokens_fed = tokens_fed
+        self.rules_made = rules_made
 
     def tagged(self) -> Tuple[int, Dict[int, List[int]]]:
         """``(start, productions)``: a grammar in

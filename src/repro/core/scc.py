@@ -25,14 +25,20 @@ perfbench's traced mode, which times it.
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
+import weakref
+from array import array
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.lmad import DEFAULT_BUDGET, LMADCompressor, LMADProfileEntry
 from repro.compression.sequitur import SequiturGrammar
 from repro.core.cdc import Columns
 from repro.core.events import AccessKind
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
+from repro.obs.spans import Telemetry
 
 
 class HorizontalSequiturSCC:
@@ -43,6 +49,10 @@ class HorizontalSequiturSCC:
     offset).  Each of these streams is then fed into a separate Sequitur
     compressor." (Section 3.1)
 
+    The four grammars never read each other, so a forked helper process
+    builds those of :func:`helper_dimensions` while this process builds
+    the rest; :meth:`freeze` brings the helper's back.
+
     The compressor is pluggable (Section 2.3 lists Sequitur, linear
     compression "and others"); any factory producing objects with
     ``feed``/``feed_all``/``freeze``/``expand``/``size``/``size_bytes_varint``
@@ -51,12 +61,18 @@ class HorizontalSequiturSCC:
     alternative used by the compressor ablation.
     """
 
-    def __init__(self, compressor=SequiturGrammar) -> None:
+    def __init__(
+        self, compressor=SequiturGrammar, telemetry: Optional[Telemetry] = None
+    ) -> None:
         self.grammars: Dict[str, object] = {
             name: compressor() for name in DIMENSIONS
         }
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self._helper: Optional[_Helper] = None
+        self._own = DIMENSIONS
 
     def consume(self, access: ObjectRelativeAccess) -> None:
+        """Feed one access to this process's grammars (no helper)."""
         self.grammars["instruction"].feed(access.instruction_id)
         self.grammars["group"].feed(access.group)
         self.grammars["object"].feed(access.object_serial)
@@ -70,19 +86,147 @@ class HorizontalSequiturSCC:
         return dict(zip(DIMENSIONS, columns))
 
     def compress_streams(self, streams: Dict[str, Sequence[int]]) -> None:
-        """Feed each decomposed dimension stream to its compressor, one
-        ``feed_all`` call per stream."""
-        for name, values in streams.items():
-            self.grammars[name].feed_all(values)
+        """Send the helper its streams (forking it on the first call),
+        then feed each of this process's streams to its compressor."""
+        helper = self._helper
+        if helper is None and self._own is DIMENSIONS:
+            remote = helper_dimensions()
+            self._own = tuple(name for name in DIMENSIONS if name not in remote)
+            if remote:
+                helper = self._helper = _Helper(self.grammars, remote)
+        try:
+            if helper is not None:
+                helper.send(streams)
+            for name in self._own:
+                self.grammars[name].feed_all(streams[name])
+        except BaseException:
+            if helper is not None:
+                helper.reap()
+            raise
 
-    def total_size(self) -> int:
-        """Combined grammar size across the four dimensions."""
-        return sum(grammar.size() for grammar in self.grammars.values())
+    def freeze(self) -> Dict[str, object]:
+        """Every frozen grammar, in :data:`DIMENSIONS` order; the wait
+        for the helper's is the ``helper`` span."""
+        frozen = {name: self.grammars[name].freeze() for name in self._own}
+        if self._helper is not None:
+            with self.telemetry.span("helper"):
+                frozen.update(self._helper.join())
+        return {name: frozen[name] for name in DIMENSIONS}
 
-    def total_size_bytes(self, bytes_per_symbol: int = 4) -> int:
-        return sum(
-            grammar.size_bytes(bytes_per_symbol) for grammar in self.grammars.values()
+
+#: the grammars a helper builds: the most even split of the Sequitur
+#: work over the SPEC stand-ins
+HELPER_DIMENSIONS = ("instruction", "object")
+
+
+def helper_dimensions() -> Tuple[str, ...]:
+    """None where one process cannot use two CPUs (no ``fork``, or an
+    affinity of one CPU), else :data:`HELPER_DIMENSIONS`."""
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    return HELPER_DIMENSIONS if hasattr(os, "fork") and len(affinity(0)) > 1 else ()
+
+
+class _Helper:
+    """A forked process that builds the grammars of ``dimensions``.
+
+    Each chunk goes down one pipe as its lengths and packed
+    ``array('q')`` columns.  At end-of-file on it (:meth:`join`, or the
+    parent's death) the helper pickles back its frozen grammars, or the
+    exception that stopped it, and exits.  Dropped unjoined, it is
+    killed and reaped.
+    """
+
+    def __init__(self, grammars: Dict[str, object], dimensions: Tuple[str, ...]) -> None:
+        import pickle  # noqa: F401 - loaded before the fork, for both ends
+
+        self.dimensions = dimensions
+        inbox, to_helper = os.pipe()
+        from_helper, outbox = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve(grammars, dimensions, inbox, outbox)
+        os.close(inbox)
+        os.close(outbox)
+        # a pipe, not a file: nothing on disk to keep whole
+        self._to_helper = os.fdopen(to_helper, "wb")  # repro: allow(RL131)
+        self._from_helper = os.fdopen(from_helper, "rb")
+        self.reap = weakref.finalize(
+            self, _reap, self.pid, self._to_helper, self._from_helper
         )
+
+    def send(self, streams: Dict[str, Sequence[int]]) -> None:
+        columns = [array("q", streams[name]) for name in self.dimensions]
+        try:
+            self._to_helper.write(array("q", map(len, columns)))
+            for column in columns:
+                self._to_helper.write(column)
+            self._to_helper.flush()
+        except BrokenPipeError:
+            self.join()  # raises what stopped the helper
+
+    def join(self) -> Dict[str, object]:
+        """The helper's frozen grammars; or raise its exception, or an
+        error naming it if it died."""
+        import pickle
+
+        self.reap.detach()
+        try:
+            self._to_helper.close()
+        except BrokenPipeError:
+            pass
+        with self._from_helper as pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if not payload:
+            raise RuntimeError(
+                f"Sequitur helper process {self.pid} exited with status "
+                f"{status} before sending its grammars"
+            )
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+
+def _reap(pid: int, *pipes) -> None:
+    for pipe in pipes:
+        try:
+            pipe.close()
+        except OSError:
+            pass
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _serve(grammars, dimensions, inbox: int, outbox: int) -> None:
+    """The helper process's body; it never returns."""
+    import pickle
+
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+        gc.freeze()  # never collect, and so never copy, the parent's heap
+        # hold no other pipe's end, so its reader sees end-of-file
+        low, high = sorted((inbox, outbox))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        source = os.fdopen(inbox, "rb")
+        with source, os.fdopen(outbox, "wb") as sink:  # repro: allow(RL131)
+            try:
+                while True:
+                    header = source.read(8 * len(dimensions))
+                    if not header:
+                        break
+                    for name, length in zip(dimensions, array("q", header)):
+                        grammars[name].feed_all(array("q", source.read(8 * length)))
+                result = True, {name: grammars[name].freeze() for name in dimensions}
+            except Exception as exc:  # noqa: BLE001 - reported as data
+                result = False, exc
+            pickle.dump(result, sink)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 class VerticalLMADSCC:

@@ -91,8 +91,8 @@ class ProfilerPipeline:
         with telemetry.span(self.span_name) as whole:
             translated, wild, kept = self._run_stages(trace, omc, scc)
             whole.add_items(kept, "accesses")
+            profile = self._package(scc, omc, kept, mark)
         self._count_translation(translated, wild)
-        profile = self._package(scc, omc, kept, mark)
         self._record_metrics(profile, telemetry)
         return profile
 

@@ -117,14 +117,14 @@ class WhompProfiler(ProfilerPipeline):
         self.compressor = compressor if compressor is not None else SequiturGrammar
 
     def _new_scc(self) -> HorizontalSequiturSCC:
-        return HorizontalSequiturSCC(compressor=self.compressor)
+        return HorizontalSequiturSCC(self.compressor, self.telemetry)
 
     def _build_profile(
         self, scc, omc: ObjectManager, access_count: int,
         capture_completeness: float, quarantined: int,
     ) -> WhompProfile:
         return WhompProfile(
-            grammars={name: g.freeze() for name, g in scc.grammars.items()},
+            grammars=scc.freeze(),
             base_addresses=omc.base_address_table(),
             lifetimes=omc.lifetime_table(),
             group_labels={g.group_id: g.label for g in omc.groups},
@@ -135,14 +135,21 @@ class WhompProfiler(ProfilerPipeline):
 
     @staticmethod
     def _record_metrics(profile: WhompProfile, telemetry: Telemetry) -> None:
-        rules = 0
-        for grammar in profile.grammars.values():
-            rule_count = getattr(grammar, "rule_count", None)
-            if callable(rule_count):
-                rules += rule_count()
+        grammars = [
+            g for g in profile.grammars.values() if isinstance(g, FrozenGrammar)
+        ]
+        rules = sum(g.rule_count() for g in grammars)
+        made = sum(g.rules_made for g in grammars)
         telemetry.gauge(
             "whomp.grammar_rules", "Sequitur rules across the OMSG"
         ).set(rules)
+        telemetry.counter(
+            "whomp.rules_made_total", "Sequitur rules made, inlined ones too"
+        ).inc(made)
+        # a made rule that is not live (start rules aside) was inlined
+        telemetry.counter(
+            "whomp.rules_inlined_total", "Sequitur rules made, then inlined"
+        ).inc(made - rules + len(grammars))
         telemetry.gauge(
             "whomp.profile_symbols", "total OMSG grammar symbols"
         ).set(profile.size())

@@ -9,6 +9,7 @@ from repro.core.cdc import translate_trace_list
 from repro.core.events import AccessKind
 from repro.core.scc import HorizontalSequiturSCC, VerticalLMADSCC
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
+from repro.profilers.whomp import WhompProfiler
 
 
 def access(i, g, o, f, t, kind=AccessKind.LOAD):
@@ -35,13 +36,11 @@ class TestHorizontalSCC:
             assert expanded == [a.dimension(name) for a in stream]
 
     def test_total_sizes(self, simple_trace):
-        scc = HorizontalSequiturSCC()
-        for item in translate_trace_list(simple_trace):
-            scc.consume(item)
-        assert scc.total_size() == sum(
-            g.size() for g in scc.grammars.values()
+        profile = WhompProfiler().profile(simple_trace)
+        assert profile.size() == sum(
+            g.size() for g in profile.grammars.values()
         )
-        assert scc.total_size_bytes() > 0
+        assert profile.size_bytes() > 0
 
     def test_pluggable_compressor(self, simple_trace):
         scc = HorizontalSequiturSCC(compressor=DeltaRleCodec)
@@ -134,8 +133,10 @@ class TestStagedEqualsStreaming:
         staged = HorizontalSequiturSCC()
         staged.compress_streams(staged.decompose(columns_of(stream)))
 
+        frozen = staged.freeze()
+        assert list(frozen) == list(DIMENSIONS)
         for dim in DIMENSIONS:
             assert (
-                staged.grammars[dim].to_productions()
+                frozen[dim].to_productions()
                 == streaming.grammars[dim].to_productions()
             )

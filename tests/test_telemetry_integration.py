@@ -261,6 +261,8 @@ class TestCliTelemetry:
             "probe.frees": 1,
             "trace.accesses": 204,
             "trace.allocated_bytes_total": 816,
+            "whomp.rules_inlined_total": 0,
+            "whomp.rules_made_total": 18,
         },
         "gauges": {
             "leap.budget": 30,
@@ -404,7 +406,10 @@ class TestDefaultTelemetryOverhead:
 
     @classmethod
     def _bare_whomp(cls, trace):
-        return cls._bare_stages(trace, HorizontalSequiturSCC())
+        scc = HorizontalSequiturSCC()
+        accesses = cls._bare_stages(trace, scc)
+        scc.freeze()  # the profile waits for the helper's grammars too
+        return accesses
 
     @classmethod
     def _bare_leap(cls, trace):
