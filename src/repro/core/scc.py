@@ -69,7 +69,8 @@ class HorizontalSequiturSCC:
         }
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._helper: Optional[_Helper] = None
-        self._own = DIMENSIONS
+        #: this process's dimensions, split off at the first compress_streams
+        self._own: Optional[Tuple[str, ...]] = None
 
     def consume(self, access: ObjectRelativeAccess) -> None:
         """Feed one access to this process's grammars (no helper)."""
@@ -89,7 +90,7 @@ class HorizontalSequiturSCC:
         """Send the helper its streams (forking it on the first call),
         then feed each of this process's streams to its compressor."""
         helper = self._helper
-        if helper is None and self._own is DIMENSIONS:
+        if self._own is None:
             remote = helper_dimensions()
             self._own = tuple(name for name in DIMENSIONS if name not in remote)
             if remote:
@@ -107,7 +108,8 @@ class HorizontalSequiturSCC:
     def freeze(self) -> Dict[str, object]:
         """Every frozen grammar, in :data:`DIMENSIONS` order; the wait
         for the helper's is the ``helper`` span."""
-        frozen = {name: self.grammars[name].freeze() for name in self._own}
+        own = DIMENSIONS if self._own is None else self._own
+        frozen = {name: self.grammars[name].freeze() for name in own}
         if self._helper is not None:
             with self.telemetry.span("helper"):
                 frozen.update(self._helper.join())
