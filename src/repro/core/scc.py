@@ -26,6 +26,7 @@ perfbench's traced mode, which times it.
 from __future__ import annotations
 
 import gc
+import marshal
 import os
 import signal
 import weakref
@@ -34,11 +35,10 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.lmad import DEFAULT_BUDGET, LMADCompressor, LMADProfileEntry
-from repro.compression.sequitur import SequiturGrammar
+from repro.compression.sequitur import FrozenGrammar, SequiturGrammar
 from repro.core.cdc import Columns
 from repro.core.events import AccessKind
 from repro.core.tuples import DIMENSIONS, ObjectRelativeAccess
-from repro.obs.spans import Telemetry
 
 
 class HorizontalSequiturSCC:
@@ -61,19 +61,19 @@ class HorizontalSequiturSCC:
     alternative used by the compressor ablation.
     """
 
-    def __init__(
-        self, compressor=SequiturGrammar, telemetry: Optional[Telemetry] = None
-    ) -> None:
+    def __init__(self, compressor=SequiturGrammar) -> None:
         self.grammars: Dict[str, object] = {
             name: compressor() for name in DIMENSIONS
         }
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._helper: Optional[_Helper] = None
         #: this process's dimensions, split off at the first compress_streams
         self._own: Optional[Tuple[str, ...]] = None
 
     def consume(self, access: ObjectRelativeAccess) -> None:
-        """Feed one access to this process's grammars (no helper)."""
+        """Feed one access to the four grammars; not after
+        :meth:`compress_streams`, which may have sent two of them away."""
+        if self._own is not None:
+            raise RuntimeError("consume after compress_streams on one SCC")
         self.grammars["instruction"].feed(access.instruction_id)
         self.grammars["group"].feed(access.group)
         self.grammars["object"].feed(access.object_serial)
@@ -91,7 +91,9 @@ class HorizontalSequiturSCC:
         then feed each of this process's streams to its compressor."""
         helper = self._helper
         if self._own is None:
-            remote = helper_dimensions()
+            # the helper sends back FrozenGrammar fields, so Sequitur only
+            sequitur = isinstance(self.grammars["instruction"], SequiturGrammar)
+            remote = helper_dimensions() if sequitur else ()
             self._own = tuple(name for name in DIMENSIONS if name not in remote)
             if remote:
                 helper = self._helper = _Helper(self.grammars, remote)
@@ -106,26 +108,21 @@ class HorizontalSequiturSCC:
             raise
 
     def freeze(self) -> Dict[str, object]:
-        """Every frozen grammar, in :data:`DIMENSIONS` order; the wait
-        for the helper's is the ``helper`` span."""
-        own = DIMENSIONS if self._own is None else self._own
+        """Every frozen grammar, the helper's too, in :data:`DIMENSIONS`
+        order."""
+        own = self._own or DIMENSIONS
         frozen = {name: self.grammars[name].freeze() for name in own}
         if self._helper is not None:
-            with self.telemetry.span("helper"):
-                frozen.update(self._helper.join())
+            frozen.update(self._helper.join())
         return {name: frozen[name] for name in DIMENSIONS}
 
 
-#: the grammars a helper builds: the most even split of the Sequitur
-#: work over the SPEC stand-ins
-HELPER_DIMENSIONS = ("instruction", "object")
-
-
 def helper_dimensions() -> Tuple[str, ...]:
-    """None where one process cannot use two CPUs (no ``fork``, or an
-    affinity of one CPU), else :data:`HELPER_DIMENSIONS`."""
+    """The grammars a helper builds, the most even split of the Sequitur
+    work over the SPEC stand-ins; none where one process cannot use two
+    CPUs (no ``fork``, or an affinity of one CPU)."""
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    return HELPER_DIMENSIONS if hasattr(os, "fork") and len(affinity(0)) > 1 else ()
+    return ("instruction", "object") if hasattr(os, "fork") and len(affinity(0)) > 1 else ()
 
 
 class _Helper:
@@ -133,14 +130,13 @@ class _Helper:
 
     Each chunk goes down one pipe as its lengths and packed
     ``array('q')`` columns.  At end-of-file on it (:meth:`join`, or the
-    parent's death) the helper pickles back its frozen grammars, or the
-    exception that stopped it, and exits.  Dropped unjoined, it is
-    killed and reaped.
+    parent's death) the helper sends back its frozen grammars' fields
+    (``marshal``, so the profiling process never loads ``pickle``), or
+    the pickled exception that stopped it, and exits.  Dropped
+    unjoined, it is killed and reaped.
     """
 
     def __init__(self, grammars: Dict[str, object], dimensions: Tuple[str, ...]) -> None:
-        import pickle  # noqa: F401 - loaded before the fork, for both ends
-
         self.dimensions = dimensions
         inbox, to_helper = os.pipe()
         from_helper, outbox = os.pipe()
@@ -169,41 +165,41 @@ class _Helper:
     def join(self) -> Dict[str, object]:
         """The helper's frozen grammars; or raise its exception, or an
         error naming it if it died."""
-        import pickle
-
         self.reap.detach()
         try:
             self._to_helper.close()
         except BrokenPipeError:
             pass
         with self._from_helper as pipe:
-            payload = pipe.read()
+            reply = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if not payload:
+        try:
+            if reply[:1] == b"G":
+                fields = marshal.loads(reply[1:])
+                return {name: FrozenGrammar(*f) for name, f in zip(self.dimensions, fields)}
+            import pickle  # only an exception needs it
+
+            error = pickle.loads(reply[1:])
+        except Exception as exc:  # nothing, a cut-off reply, or unloadable
             raise RuntimeError(
                 f"Sequitur helper process {self.pid} exited with status "
-                f"{status} before sending its grammars"
-            )
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        return value
+                f"{status} without sending readable grammars"
+            ) from exc
+        raise error
 
 
 def _reap(pid: int, *pipes) -> None:
+    os.kill(pid, signal.SIGKILL)  # first, so that no flush waits on it
     for pipe in pipes:
         try:
             pipe.close()
-        except OSError:
+        except OSError:  # the flush of a half-sent chunk
             pass
-    os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
 
 
 def _serve(grammars, dimensions, inbox: int, outbox: int) -> None:
     """The helper process's body; it never returns."""
-    import pickle
-
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
@@ -222,10 +218,15 @@ def _serve(grammars, dimensions, inbox: int, outbox: int) -> None:
                         break
                     for name, length in zip(dimensions, array("q", header)):
                         grammars[name].feed_all(array("q", source.read(8 * length)))
-                result = True, {name: grammars[name].freeze() for name in dimensions}
+                frozen = [grammars[name].freeze() for name in dimensions]
+                reply = b"G" + marshal.dumps(
+                    [(g.start, g.productions, g.tokens_fed, g.rules_made) for g in frozen]
+                )
             except Exception as exc:  # noqa: BLE001 - reported as data
-                result = False, exc
-            pickle.dump(result, sink)
+                import pickle
+
+                reply = b"E" + pickle.dumps(exc)
+            sink.write(reply)  # whole, or nothing if pickling failed
         status = 0
     finally:
         os._exit(status)

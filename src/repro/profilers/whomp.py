@@ -117,14 +117,16 @@ class WhompProfiler(ProfilerPipeline):
         self.compressor = compressor if compressor is not None else SequiturGrammar
 
     def _new_scc(self) -> HorizontalSequiturSCC:
-        return HorizontalSequiturSCC(self.compressor, self.telemetry)
+        return HorizontalSequiturSCC(compressor=self.compressor)
 
     def _build_profile(
         self, scc, omc: ObjectManager, access_count: int,
         capture_completeness: float, quarantined: int,
     ) -> WhompProfile:
+        with self.telemetry.span("helper"):  # the wait for the helper's half
+            grammars = scc.freeze()
         return WhompProfile(
-            grammars=scc.freeze(),
+            grammars=grammars,
             base_addresses=omc.base_address_table(),
             lifetimes=omc.lifetime_table(),
             group_labels={g.group_id: g.label for g in omc.groups},

@@ -14,8 +14,10 @@ import signal
 import pytest
 
 from repro.compression.sequitur import SequiturGrammar
+from repro.core.events import AccessKind
 from repro.core.profile_io import dumps_bytes
 from repro.core.scc import HorizontalSequiturSCC, helper_dimensions
+from repro.core.tuples import ObjectRelativeAccess
 from repro.obs.spans import Telemetry
 from repro.profilers.whomp import WhompProfiler
 from repro.workloads.registry import SPEC_BENCHMARKS, create
@@ -67,9 +69,18 @@ def test_profile_waits_for_the_helper_under_its_span():
     assert_no_child()
 
 
+TEST_PID = os.getpid()
+
+
 class _Boom(SequiturGrammar):
+    """Raises in the helper only, so the parent's error is the helper's."""
+
+    error = ValueError("boom in feed_all")
+
     def feed_all(self, tokens):
-        raise ValueError("boom in feed_all")
+        if os.getpid() != TEST_PID:
+            raise self.error
+        super().feed_all(tokens)
 
 
 @needs_helper
@@ -80,11 +91,39 @@ def test_helper_exception_reraises_with_type_and_message():
     assert_no_child()
 
 
+class _Odd(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+class _OddBoom(_Boom):
+    error = _Odd(7, "pickles, but does not load")
+
+
+@needs_helper
+def test_helper_exception_that_does_not_load_names_the_helper():
+    trace = create("micro.array", scale=0.2).trace()
+    with pytest.raises(RuntimeError, match="Sequitur helper process"):
+        WhompProfiler(compressor=_OddBoom).profile(trace)
+    assert_no_child()
+
+
+STREAMS = {"instruction": [1, 2], "group": [0, 0], "object": [3, 4], "offset": [8, 16]}
+
+
+def test_consume_after_compress_streams_raises():
+    scc = HorizontalSequiturSCC()
+    scc.compress_streams(STREAMS)
+    with pytest.raises(RuntimeError, match="consume after compress_streams"):
+        scc.consume(ObjectRelativeAccess(1, 0, 3, 8, 0, 8, AccessKind.LOAD))
+    assert [len(g.expand()) for g in scc.freeze().values()] == [2, 2, 2, 2]
+    assert_no_child()
+
+
 @needs_helper
 def test_dropped_scc_leaves_no_child():
     scc = HorizontalSequiturSCC()
-    scc.compress_streams({"instruction": [1, 2], "group": [0, 0],
-                          "object": [3, 4], "offset": [8, 16]})
+    scc.compress_streams(STREAMS)
     del scc
     gc.collect()
     assert_no_child()
@@ -108,3 +147,27 @@ def test_killed_helper_is_named(monkeypatch):
     with pytest.raises(RuntimeError, match="Sequitur helper process"):
         WhompProfiler().profile(trace)
     assert_no_child()
+
+
+@needs_helper
+def test_profiling_process_loads_neither_pickle_nor_multiprocessing():
+    """The helper's grammars come back marshalled: a profile with a
+    helper adds no pickle (and no pool) to the profiling process."""
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro.profilers.whomp import WhompProfiler\n"
+        "from repro.workloads.registry import create\n"
+        "WhompProfiler().profile(create('micro.array', scale=0.2).trace())\n"
+        "print(sorted(m for m in ('pickle', 'multiprocessing') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
